@@ -114,6 +114,11 @@ void AppendRegion::SealOpenPage() {
   }
 }
 
+std::vector<PageNumber> AppendRegion::free_pages() const {
+  MutexLock g(&mu_);
+  return {free_pages_.begin(), free_pages_.end()};
+}
+
 AppendRegionStats AppendRegion::stats() const {
   MutexLock g(&mu_);
   return stats_;

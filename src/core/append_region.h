@@ -10,6 +10,7 @@
 #pragma once
 
 #include <deque>
+#include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "common/latch.h"
@@ -45,6 +46,9 @@ class AppendRegion {
 
   /// Seals the open page (used before clean shutdown).
   void SealOpenPage();
+
+  /// The reclaimed pages the next appends may reopen, in reuse order.
+  std::vector<PageNumber> free_pages() const;
 
   AppendRegionStats stats() const;
 

@@ -111,175 +111,252 @@ Status SiasTable::FetchVersion(Tid tid, VirtualClock* clk,
   return Status::OK();
 }
 
-bool SiasTable::FetchVersionLatchFree(Tid tid, TupleHeader* header,
-                                      std::string* payload, Status* status) {
-  PageGuard guard;
-  if (!env_.pool->TryFetchCached(PageId{relation_, tid.page}, &guard)) {
-    return false;
+namespace {
+/// What the tasks of one snapshot-read batch share: the reader and the
+/// window of device reads they keep in flight.
+struct ReadBatch {
+  Transaction* txn;
+  size_t io_depth;
+  size_t inflight = 0;  ///< cold-page reads outstanding (demand + lookahead)
+};
+}  // namespace
+
+// Algorithm 1 for SIAS-Chains (start at the entrypoint, follow *ptr until
+// visible) and its SIAS-V form (walk the version vector newest-first). Where
+// a blocking read would wait on a cold page, the task SUBMITS the read and
+// suspends; its next Run() completes the read in FinishFetch.
+//
+// Pages are pinned but never latched: every read below goes through the
+// atomic tuple accessors or targets bytes that are immutable while the page
+// is reachable. Slot publication is an atomic slot-count release store, slot
+// kills are one atomic word, and chain GC rewrites the header's pred word
+// atomically (tuple.h); payload bytes never change between publication and
+// the wipe. The driver's epoch pin keeps the map copy loaded below, every
+// page it references and every predecessor those versions point at
+// physically intact — vacuum's wipes and vector frees queue behind it
+// (src/mvcc/epoch.h).
+class SiasTable::ReadTask {
+ public:
+  ReadTask() = default;
+  ReadTask(const ReadTask&) = delete;
+  ReadTask& operator=(const ReadTask&) = delete;
+  ~ReadTask() {
+    if (table_ == nullptr) return;
+    table_->env_.pool->AbandonFetch(&fetch_);
+    table_->env_.pool->AbandonFetch(&lookahead_);
   }
-  // Pinned but unlatched: every read below must go through an atomic
-  // accessor or target bytes that are immutable while this page is
-  // reachable. Slot publication is an atomic slot-count release store,
-  // slot kills are one atomic word, and chain GC rewrites the header's
-  // pred word atomically (tuple.h); payload bytes never change between
-  // publication and the (epoch-deferred) wipe.
-  Slice tuple = SlottedPage(guard.data()).GetTupleAtomic(tid.slot);
-  if (tuple.empty() || !DecodeTupleHeaderAtomic(tuple, header)) {
-    *status = Status::NotFound("version slot dead");
-    return true;
+
+  /// Begins resolving `vid`; the visible payload goes to `*row`.
+  void Start(SiasTable* table, ReadBatch* batch, Vid vid,
+             std::optional<std::string>* row) {
+    table_ = table;
+    batch_ = batch;
+    vid_ = vid;
+    row_ = row;
+    LoadMap();
   }
-  if (payload != nullptr) {
-    Slice p = TuplePayload(tuple);
-    payload->assign(reinterpret_cast<const char*>(p.data()), p.size());
-  }
-  *status = Status::OK();
-  return true;
-}
 
-Status SiasTable::FetchVersionReadPath(Tid tid, VirtualClock* clk,
-                                       TupleHeader* header,
-                                       std::string* payload) {
-  Status s;
-  if (FetchVersionLatchFree(tid, header, payload, &s)) {
-    if (s.ok() && payload != nullptr && clk != nullptr) {
-      clk->Cpu(kCpuTupleCopy);
-    }
-    return s;
-  }
-  Obs().read_latch_acquisitions->Increment();
-  return FetchVersion(tid, clk, header, payload);
-}
+  /// Advances the walk until it resolves the item or suspends on a cold
+  /// page. Returns an error only for hard failures (the driver unwinds).
+  Status Run();
 
-Status SiasTable::GetVisible(Transaction* txn, Vid vid, bool* found,
-                             VersionRef* ref, std::string* payload) {
-  *found = false;
-  const Clog& clog = *env_.txns->clog();
-  const Snapshot& snap = txn->snapshot();
-  VirtualClock* clk = txn->clock();
+  bool done() const { return done_; }
+  /// The visible version, a tombstone included; invalid when none.
+  Tid visible() const { return visible_; }
 
-  // Traversal telemetry: depth = versions examined before resolving (or
-  // exhausting) the walk; a probe that resolves no visible version is a
-  // read miss. Recorded on every exit path.
-  struct TraversalScope {
-    const bool* found;
-    size_t examined = 0;
-    explicit TraversalScope(const bool* f) : found(f) {}
-    ~TraversalScope() {
-      Obs().traversal_depth->Record(static_cast<VDuration>(examined));
-      if (!*found) Obs().read_misses->Increment();
-    }
-  } trav(found);
+ private:
+  bool chains() const { return table_->scheme_ == VersionScheme::kSiasChains; }
+  VirtualClock* clk() const { return batch_->txn->clock(); }
 
-  // Version-chain walk span: whatever virtual time the walk spends outside
-  // nested io_wait spans is this transaction's traversal phase.
-  obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "get_visible",
-                           vid);
-
-  // Epoch pin for the whole walk: the map pointer loaded below, every page
-  // it references and every predecessor those versions point at stay
-  // physically intact until this thread exits the epoch — vacuum's wipes
-  // and vector frees queue behind it (src/mvcc/epoch.h). No page latch is
-  // taken on the hot path.
-  EpochGuard epoch;
-
-  for (int retry = 0; retry < 3; ++retry) {
-    if (clk != nullptr) clk->Cpu(kCpuVidMapProbe);
-    bool raced = false;
-    if (scheme_ == VersionScheme::kSiasChains) {
-      // Algorithm 1: start at the entrypoint, follow *ptr until visible.
-      // The walk stops at or above every snapshot's horizon anchor, so it
-      // never follows the anchor's (possibly dangling) predecessor.
-      Tid tid = map_.Get(vid);
-      ReadPausePoint(vid);
-      bool first = true;
-      Xid newer_xmin = kInvalidXid;
-      while (tid.valid()) {
-        TupleHeader h;
-        Status s = FetchVersionReadPath(tid, clk, &h, nullptr);
-        if (s.IsNotFound()) {
-          // Anchor slot: the map entry raced with a concurrent prune —
-          // restart from the map. A *predecessor* pointing at a dead slot
-          // is the durable dangling-tail state (the anchor's pred may
-          // dangle into a reclaimed page by design, ChainOf has the same
-          // guard): the rest of the chain is gone, nothing visible there.
-          if (first) raced = true;
-          break;
-        }
-        SIAS_RETURN_NOT_OK(s);
-        if (h.vid != vid) {
-          // Same split: a stale anchor is a race, a predecessor resolving
-          // to a foreign item is a recycled page at the dangling tail.
-          if (first) raced = true;
-          break;
-        }
-        if (newer_xmin != kInvalidXid && h.xmin > newer_xmin) {
-          // A predecessor is never newer; this is a recycled slot holding
-          // the item again. Equal xmin is a real link — one transaction may
-          // stack several versions of the same item (e.g. a New-Order with
-          // a duplicate item id updates the same stock row twice).
-          break;
-        }
-        newer_xmin = h.xmin;
-        trav.examined++;
-        if (clk != nullptr) clk->Cpu(kCpuVisibilityCheck);
-        Obs().visibility_checks->Increment();
-        if (SiasVersionVisible(h, snap, clog)) {
-          ref->tid = tid;
-          ref->header = h;
-          if (payload != nullptr) {
-            SIAS_RETURN_NOT_OK(FetchVersionReadPath(tid, clk, &h, payload));
-          }
-          *found = true;
-          return Status::OK();
-        }
-        if (!first) {
-          Obs().version_hops->Increment();
-          read_version_hops_.fetch_add(1, std::memory_order_relaxed);
-        }
-        first = false;
-        tid = h.pred();
-      }
-      if (!raced) return Status::OK();  // chain exhausted: nothing visible
+  /// Loads (or reloads, after a raced walk) the item's map state.
+  void LoadMap() {
+    if (clk() != nullptr) clk()->Cpu(kCpuVidMapProbe);
+    if (chains()) {
+      tid_ = table_->map_.Get(vid_);
     } else {
-      // SIAS-V: the map holds the version vector; walk it newest-first.
-      std::vector<Tid> versions = map_v_.Get(vid);
-      ReadPausePoint(vid);
-      bool first = true;
-      raced = false;
-      for (Tid tid : versions) {
-        TupleHeader h;
-        Status s = FetchVersionReadPath(tid, clk, &h, nullptr);
-        if (s.IsNotFound()) {
-          raced = true;
-          break;
-        }
-        SIAS_RETURN_NOT_OK(s);
-        if (h.vid != vid) {
-          raced = true;
-          break;
-        }
-        trav.examined++;
-        if (clk != nullptr) clk->Cpu(kCpuVisibilityCheck);
-        Obs().visibility_checks->Increment();
-        if (SiasVersionVisible(h, snap, clog)) {
-          ref->tid = tid;
-          ref->header = h;
-          if (payload != nullptr) {
-            SIAS_RETURN_NOT_OK(FetchVersionReadPath(tid, clk, &h, payload));
-          }
-          *found = true;
-          return Status::OK();
-        }
-        if (!first) {
-          Obs().version_hops->Increment();
-          read_version_hops_.fetch_add(1, std::memory_order_relaxed);
-        }
-        first = false;
-      }
-      if (!raced) return Status::OK();
+      table_->map_v_.Get(vid_, &versions_);
+      pos_ = 0;
+    }
+    ReadPausePoint(vid_);
+    first_ = true;
+    newer_xmin_ = kInvalidXid;
+  }
+
+  /// A lookahead that outlives its usefulness (item resolved, walk ended or
+  /// restarted from a fresh map copy) is cancelled so its window slot and
+  /// claim pin free up immediately.
+  void DropLookahead() {
+    if (lookahead_.valid && !lookahead_.resident) batch_->inflight--;
+    table_->env_.pool->AbandonFetch(&lookahead_);
+  }
+
+  /// Traversal telemetry: depth = versions examined before resolving (or
+  /// exhausting) the walk; a walk that resolves no visible version is a
+  /// read miss.
+  void Finish() {
+    done_ = true;
+    DropLookahead();
+    Obs().traversal_depth->Record(static_cast<VDuration>(examined_));
+    if (!visible_.valid()) Obs().read_misses->Increment();
+  }
+
+  /// Raced-walk restart (stale anchor / pruned slot): reload the map, up to
+  /// three attempts in all.
+  Status Restart() {
+    DropLookahead();
+    if (++retries_ >= 3) {
+      Finish();
+      return Status::Internal("version walk raced with GC repeatedly");
+    }
+    LoadMap();
+    return Status::OK();
+  }
+
+  /// In-walk lookahead (SIAS-V): while the demand read of `page` is in
+  /// flight, also submit the NEXT version's page, so that an invisible
+  /// version does not cost a second full device latency. A failed submit is
+  /// not an error: the walk fetches the page on demand if it gets there.
+  void Prefetch(PageId page) {
+    if (chains() || lookahead_.valid ||
+        batch_->inflight >= batch_->io_depth ||
+        pos_ + 1 >= versions_.size()) {
+      return;
+    }
+    const PageId next{table_->relation_, versions_[pos_ + 1].page};
+    if (next.page == page.page) return;
+    auto lf = table_->env_.pool->StartFetch(next, clk());
+    if (!lf.ok()) return;
+    if (lf->resident) {
+      lf->guard.Release();
+      lf->valid = false;
+    } else {
+      lookahead_ = std::move(*lf);
+      batch_->inflight++;
     }
   }
-  return Status::Internal("version walk raced with GC repeatedly");
+
+  SiasTable* table_ = nullptr;
+  ReadBatch* batch_ = nullptr;
+  Vid vid_ = 0;
+  std::optional<std::string>* row_ = nullptr;
+  std::vector<Tid> versions_;  ///< SIAS-V map copy, newest first
+  size_t pos_ = 0;             ///< SIAS-V cursor
+  Tid tid_{};                  ///< SIAS-Chains cursor
+  bool first_ = true;
+  Xid newer_xmin_ = kInvalidXid;
+  int retries_ = 0;
+  size_t examined_ = 0;
+  Tid visible_{};
+  bool done_ = false;
+  BufferPool::AsyncFetch fetch_;      ///< demand read the task waits on
+  BufferPool::AsyncFetch lookahead_;  ///< SIAS-V next-version prefetch
+};
+
+Status SiasTable::ReadTask::Run() {
+  BufferPool* pool = table_->env_.pool;
+  while (!done_) {
+    // Current version to examine; an exhausted walk is a miss.
+    Tid tid = tid_;
+    if (!chains()) tid = pos_ < versions_.size() ? versions_[pos_] : Tid{};
+    if (!tid.valid()) {
+      Finish();
+      return Status::OK();
+    }
+
+    // Pin the version's page: a finished demand read, the matching
+    // lookahead, the optimistic resident path, or — cold — submit the read
+    // and suspend. Only the optimistic path avoids the pool mutex.
+    const PageId page_id{table_->relation_, tid.page};
+    PageGuard guard;
+    if (fetch_.valid) {
+      SIAS_CHECK(fetch_.id == page_id);
+      SIAS_ASSIGN_OR_RETURN(guard, pool->FinishFetch(&fetch_, clk()));
+      batch_->inflight--;
+    } else if (lookahead_.valid && lookahead_.id == page_id) {
+      SIAS_ASSIGN_OR_RETURN(guard, pool->FinishFetch(&lookahead_, clk()));
+      batch_->inflight--;
+    } else if (!pool->TryFetchCached(page_id, &guard)) {
+      Obs().read_latch_acquisitions->Increment();
+      SIAS_ASSIGN_OR_RETURN(BufferPool::AsyncFetch f,
+                            pool->StartFetch(page_id, clk()));
+      if (!f.resident) {
+        fetch_ = std::move(f);
+        batch_->inflight++;
+        Prefetch(page_id);
+        return Status::OK();  // suspended
+      }
+      guard = std::move(f.guard);
+    }
+
+    Slice tuple = SlottedPage(guard.data()).GetTupleAtomic(tid.slot);
+    TupleHeader h;
+    if (tuple.empty() || !DecodeTupleHeaderAtomic(tuple, &h) ||
+        h.vid != vid_) {
+      // A dead or foreign entrypoint / SIAS-V entry means the map copy
+      // raced with a concurrent prune: restart from the map. A chain
+      // *predecessor* resolving dead or foreign is the durable dangling-tail
+      // state (the anchor's pred may point into a reclaimed, even recycled,
+      // page by design; ChainOf has the same guard): nothing visible there.
+      if (chains() && !first_) {
+        Finish();
+        return Status::OK();
+      }
+      SIAS_RETURN_NOT_OK(Restart());
+      continue;
+    }
+    if (chains()) {
+      if (newer_xmin_ != kInvalidXid && h.xmin > newer_xmin_) {
+        // A predecessor is never newer; this is a recycled slot holding the
+        // item again. Equal xmin is a real link — one transaction may stack
+        // several versions of the same item (e.g. a New-Order with a
+        // duplicate item id updates the same stock row twice).
+        Finish();
+        return Status::OK();
+      }
+      newer_xmin_ = h.xmin;
+    }
+    examined_++;
+    if (clk() != nullptr) clk()->Cpu(kCpuVisibilityCheck);
+    Obs().visibility_checks->Increment();
+    if (SiasVersionVisible(h, batch_->txn->snapshot(),
+                           *table_->env_.txns->clog())) {
+      visible_ = tid;
+      if (!h.is_tombstone()) {
+        Slice p = TuplePayload(tuple);
+        row_->emplace(reinterpret_cast<const char*>(p.data()), p.size());
+      }
+      // Charged for a visible tombstone too: the read model copies the
+      // resolved version whatever it holds.
+      if (clk() != nullptr) clk()->Cpu(kCpuTupleCopy);
+      Finish();
+      return Status::OK();
+    }
+    if (!first_) {
+      Obs().version_hops->Increment();
+      table_->read_version_hops_.fetch_add(1, std::memory_order_relaxed);
+    }
+    first_ = false;
+    if (chains()) {
+      tid_ = h.pred();
+    } else {
+      pos_++;
+    }
+  }
+  return Status::OK();
+}
+
+Status SiasTable::ReadOne(Transaction* txn, Vid vid,
+                          std::optional<std::string>* row, Tid* tid) {
+  // Version-walk span: whatever virtual time the walk spends outside nested
+  // io_wait spans is this transaction's traversal phase.
+  obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "read", vid);
+  EpochGuard epoch;
+  ReadBatch batch{txn, /*io_depth=*/1};
+  ReadTask task;
+  task.Start(this, &batch, vid, row);
+  while (!task.done()) SIAS_RETURN_NOT_OK(task.Run());
+  if (tid != nullptr) *tid = task.visible();
+  return Status::OK();
 }
 
 Result<Vid> SiasTable::Insert(Transaction* txn, Slice row, Tid* tid_out) {
@@ -425,275 +502,49 @@ Result<std::optional<std::string>> SiasTable::Read(Transaction* txn,
   TRACE_OP("mvcc", "sias_read");
   reads_.fetch_add(1, std::memory_order_relaxed);
   Obs().reads->Increment();
-  bool found = false;
-  VersionRef ref;
-  std::string payload;
-  SIAS_RETURN_NOT_OK(GetVisible(txn, vid, &found, &ref, &payload));
-  if (!found || ref.header.is_tombstone()) {
-    return std::optional<std::string>{};
-  }
-  return std::optional<std::string>{std::move(payload)};
+  std::optional<std::string> row;
+  SIAS_RETURN_NOT_OK(ReadOne(txn, vid, &row, nullptr));
+  return row;
 }
 
 Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
                             size_t io_depth,
                             std::vector<std::optional<std::string>>* rows) {
-  // Depth <= 1 pipelines nothing: take the sequential path (also the
-  // "sync" baseline the io-depth benches compare against).
-  if (io_depth <= 1 || vids.size() <= 1) {
-    return MvccTable::ReadMulti(txn, vids, io_depth, rows);
-  }
   TRACE_OP("mvcc", "sias_read_multi");
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "read_multi",
                            vids.size());
+  reads_.fetch_add(vids.size(), std::memory_order_relaxed);
+  Obs().reads->Add(static_cast<int64_t>(vids.size()));
   rows->assign(vids.size(), std::optional<std::string>{});
 
-  const Clog& clog = *env_.txns->clog();
-  const Snapshot& snap = txn->snapshot();
-  VirtualClock* clk = txn->clock();
-
-  // One resumable traversal per VID. The task body replays GetVisible's
-  // walk (same raced-restart rules, same counters, same CPU charges), but
-  // where GetVisible would block on a cold page the task submits the read
-  // and SUSPENDS; the driver below admits further tasks until `io_depth`
-  // device reads are in flight, then resumes tasks in submit order. All
-  // reads submitted while the terminal's clock stands still receive
-  // overlapping channel reservations (arrival-time backfill), which is
-  // exactly the hardware-queue overlap the async device models.
-  struct ReadTask {
-    Vid vid = 0;
-    size_t out = 0;             ///< index into *rows
-    std::vector<Tid> versions;  ///< SIAS-V map copy, newest first
-    size_t pos = 0;             ///< SIAS-V cursor
-    Tid tid{};                  ///< chains cursor
-    bool first = true;
-    Xid newer_xmin = kInvalidXid;
-    int retries = 0;
-    size_t examined = 0;
-    bool found = false;
-    bool done = false;
-    BufferPool::AsyncFetch fetch;      ///< demand read the task waits on
-    BufferPool::AsyncFetch lookahead;  ///< SIAS-V next-version prefetch
-  };
-
-  // Epoch pin for the whole batch: every map copy loaded below and every
-  // page byte it references stays physically intact until the pin drops —
-  // the same reclamation argument as GetVisible, stretched over the batch.
+  // One task per VID, all under one epoch pin. The driver admits tasks
+  // until `io_depth` device reads are in flight, then resumes suspended
+  // tasks in submit order (virtual-time completions are reaped by Wait, so
+  // FIFO resume is both simple and deterministic). All reads submitted
+  // while the terminal's clock stands still receive overlapping channel
+  // reservations (arrival-time backfill), which is exactly the
+  // hardware-queue overlap the async device models.
   EpochGuard epoch;
-
+  ReadBatch batch{txn, std::max<size_t>(io_depth, 1)};
   std::vector<ReadTask> tasks(vids.size());
-  size_t inflight = 0;  // cold-page reads outstanding (demand + prefetch)
-
-  auto abandon_all = [&]() {
-    for (ReadTask& t : tasks) {
-      env_.pool->AbandonFetch(&t.fetch);
-      env_.pool->AbandonFetch(&t.lookahead);
-    }
-  };
-
-  // Loads (or reloads, after a raced walk) the task's map state.
-  auto load_map = [&](ReadTask& t) {
-    if (clk != nullptr) clk->Cpu(kCpuVidMapProbe);
-    if (scheme_ == VersionScheme::kSiasChains) {
-      t.tid = map_.Get(t.vid);
-    } else {
-      map_v_.Get(t.vid, &t.versions);
-      t.pos = 0;
-    }
-    ReadPausePoint(t.vid);
-    t.first = true;
-    t.newer_xmin = kInvalidXid;
-  };
-
-  // A lookahead that outlives its usefulness (item resolved, walk ended or
-  // restarted from a fresh map copy) is cancelled so its window slot and
-  // claim pin free up immediately.
-  auto drop_lookahead = [&](ReadTask& t) {
-    if (t.lookahead.valid && !t.lookahead.resident) inflight--;
-    env_.pool->AbandonFetch(&t.lookahead);
-  };
-
-  // Records the per-item telemetry GetVisible's TraversalScope emits.
-  auto finish = [&](ReadTask& t) {
-    t.done = true;
-    drop_lookahead(t);
-    reads_.fetch_add(1, std::memory_order_relaxed);
-    Obs().reads->Increment();
-    Obs().traversal_depth->Record(static_cast<VDuration>(t.examined));
-    if (!t.found) Obs().read_misses->Increment();
-  };
-
-  // Raced-walk restart (stale anchor / pruned slot): reload the map copy,
-  // up to the same 3-attempt budget as GetVisible.
-  auto restart = [&](ReadTask& t) -> Status {
-    drop_lookahead(t);
-    if (++t.retries >= 3) {
-      return Status::Internal("version walk raced with GC repeatedly");
-    }
-    load_map(t);
-    return Status::OK();
-  };
-
-  // Advances one task until it completes or suspends on a cold page.
-  // Returns an error only for hard failures (the whole batch unwinds).
-  auto run = [&](ReadTask& t) -> Status {
-    while (!t.done) {
-      // Current version to examine; an exhausted walk is a miss.
-      Tid tid;
-      if (scheme_ == VersionScheme::kSiasChains) {
-        tid = t.tid;
-        if (!tid.valid()) {
-          finish(t);
-          return Status::OK();
-        }
-      } else {
-        if (t.pos >= t.versions.size()) {
-          finish(t);
-          return Status::OK();
-        }
-        tid = t.versions[t.pos];
-      }
-
-      // Obtain the version's page: a finished demand fetch, the matching
-      // lookahead, the latch-free resident path, or — cold — submit the
-      // read and suspend. Pinned-but-unlatched access is safe for the same
-      // reason as FetchVersionLatchFree: the epoch pin keeps the bytes a
-      // stale map copy points at intact, and all reads below go through
-      // the atomic tuple accessors.
-      const PageId page_id{relation_, tid.page};
-      PageGuard guard;
-      if (t.fetch.valid) {
-        SIAS_CHECK(t.fetch.id == page_id);
-        auto g = env_.pool->FinishFetch(&t.fetch, clk);
-        if (!g.ok()) return g.status();
-        inflight--;
-        guard = std::move(*g);
-      } else if (t.lookahead.valid && t.lookahead.id == page_id) {
-        auto g = env_.pool->FinishFetch(&t.lookahead, clk);
-        if (!g.ok()) return g.status();
-        inflight--;
-        guard = std::move(*g);
-      } else if (!env_.pool->TryFetchCached(page_id, &guard)) {
-        auto f = env_.pool->StartFetch(page_id, clk);
-        if (!f.ok()) return f.status();
-        if (f->resident) {
-          guard = std::move(f->guard);
-          f->valid = false;
-        } else {
-          t.fetch = std::move(*f);
-          inflight++;
-          // In-walk lookahead (SIAS-V): also submit the NEXT version's
-          // page while this one is in flight — if this version turns out
-          // invisible, the walk resumes without paying a second full
-          // device latency.
-          if (scheme_ == VersionScheme::kSiasV && !t.lookahead.valid &&
-              inflight < io_depth && t.pos + 1 < t.versions.size()) {
-            const PageId next{relation_, t.versions[t.pos + 1].page};
-            if (next.page != page_id.page) {
-              auto lf = env_.pool->StartFetch(next, clk);
-              if (lf.ok()) {
-                if (lf->resident) {
-                  lf->guard.Release();
-                  lf->valid = false;
-                } else {
-                  t.lookahead = std::move(*lf);
-                  inflight++;
-                }
-              }
-              // A failed lookahead submit is not an error: the walk will
-              // fetch the page on demand if it gets there.
-            }
-          }
-          return Status::OK();  // suspended
-        }
-      }
-
-      Slice tuple = SlottedPage(guard.data()).GetTupleAtomic(tid.slot);
-      TupleHeader h;
-      const bool dead = tuple.empty() || !DecodeTupleHeaderAtomic(tuple, &h);
-      if (dead || h.vid != t.vid) {
-        // Same split as GetVisible: a stale anchor is a race (restart from
-        // the map); a later SIAS-V entry or chain predecessor resolving
-        // dead/foreign is the dangling-tail state — nothing visible there.
-        if (scheme_ == VersionScheme::kSiasChains) {
-          if (t.first) {
-            SIAS_RETURN_NOT_OK(restart(t));
-            continue;
-          }
-          finish(t);
-          return Status::OK();
-        }
-        SIAS_RETURN_NOT_OK(restart(t));
-        continue;
-      }
-      if (scheme_ == VersionScheme::kSiasChains) {
-        if (t.newer_xmin != kInvalidXid && h.xmin > t.newer_xmin) {
-          // Recycled slot holding the item again (see GetVisible).
-          finish(t);
-          return Status::OK();
-        }
-        t.newer_xmin = h.xmin;
-      }
-      t.examined++;
-      if (clk != nullptr) clk->Cpu(kCpuVisibilityCheck);
-      Obs().visibility_checks->Increment();
-      if (SiasVersionVisible(h, snap, clog)) {
-        t.found = true;
-        if (!h.is_tombstone()) {
-          Slice p = TuplePayload(tuple);
-          (*rows)[t.out].emplace(reinterpret_cast<const char*>(p.data()),
-                                 p.size());
-          if (clk != nullptr) clk->Cpu(kCpuTupleCopy);
-        }
-        finish(t);
-        return Status::OK();
-      }
-      if (!t.first) {
-        Obs().version_hops->Increment();
-        read_version_hops_.fetch_add(1, std::memory_order_relaxed);
-      }
-      t.first = false;
-      if (scheme_ == VersionScheme::kSiasChains) {
-        t.tid = h.pred();
-      } else {
-        t.pos++;
-      }
-    }
-    return Status::OK();
-  };
-
-  // Driver: admit tasks until the in-flight window is full, then resume
-  // them in submit order (virtual-time completions are reaped by Wait, so
-  // FIFO resume is both simple and deterministic).
   std::deque<size_t> suspended;
   size_t next_admit = 0;
-  Status st;
   while (true) {
-    while (next_admit < tasks.size() && inflight < io_depth) {
+    while (next_admit < tasks.size() && batch.inflight < batch.io_depth) {
       ReadTask& t = tasks[next_admit];
-      t.vid = vids[next_admit];
-      t.out = next_admit;
-      load_map(t);
-      st = run(t);
-      if (!st.ok()) {
-        abandon_all();
-        return st;
-      }
-      if (!t.done) suspended.push_back(next_admit);
+      t.Start(this, &batch, vids[next_admit], &(*rows)[next_admit]);
+      SIAS_RETURN_NOT_OK(t.Run());
+      if (!t.done()) suspended.push_back(next_admit);
       next_admit++;
     }
     if (suspended.empty()) {
       if (next_admit >= tasks.size()) break;
-      continue;  // window was full of lookaheads; admission resumes below
+      continue;  // window was full of lookaheads; admission resumes above
     }
     size_t i = suspended.front();
     suspended.pop_front();
-    st = run(tasks[i]);
-    if (!st.ok()) {
-      abandon_all();
-      return st;
-    }
-    if (!tasks[i].done) suspended.push_back(i);
+    SIAS_RETURN_NOT_OK(tasks[i].Run());
+    if (!tasks[i].done()) suspended.push_back(i);
   }
   return Status::OK();
 }
@@ -703,12 +554,10 @@ Status SiasTable::Scan(Transaction* txn, const ScanCallback& cb) {
   // version. More selective I/O than reading the full relation.
   Vid bound = vid_bound();
   for (Vid v = 0; v < bound; ++v) {
-    bool found = false;
-    VersionRef ref;
-    std::string payload;
-    SIAS_RETURN_NOT_OK(GetVisible(txn, v, &found, &ref, &payload));
-    if (!found || ref.header.is_tombstone()) continue;
-    if (!cb(v, Slice(payload))) return Status::OK();
+    std::optional<std::string> row;
+    SIAS_RETURN_NOT_OK(ReadOne(txn, v, &row, nullptr));
+    if (!row.has_value()) continue;
+    if (!cb(v, Slice(*row))) return Status::OK();
   }
   return Status::OK();
 }
@@ -739,13 +588,12 @@ Status SiasTable::FullRelationScan(Transaction* txn, const ScanCallback& cb) {
     }
     guard.Unlatch();
     for (const auto& c : candidates) {
-      bool found = false;
-      VersionRef ref;
-      std::string payload;
-      SIAS_RETURN_NOT_OK(GetVisible(txn, c.vid, &found, &ref, &payload));
-      if (!found || ref.header.is_tombstone()) continue;
-      if (ref.tid == c.tid) {  // this candidate IS the visible version
-        if (!cb(c.vid, Slice(payload))) return Status::OK();
+      std::optional<std::string> row;
+      Tid visible;
+      SIAS_RETURN_NOT_OK(ReadOne(txn, c.vid, &row, &visible));
+      if (!row.has_value()) continue;
+      if (visible == c.tid) {  // this candidate IS the visible version
+        if (!cb(c.vid, Slice(*row))) return Status::OK();
       }
     }
   }
@@ -756,12 +604,11 @@ Status SiasTable::ScanWithTid(Transaction* txn,
                               const VersionScanCallback& cb) {
   Vid bound = vid_bound();
   for (Vid v = 0; v < bound; ++v) {
-    bool found = false;
-    VersionRef ref;
-    std::string payload;
-    SIAS_RETURN_NOT_OK(GetVisible(txn, v, &found, &ref, &payload));
-    if (!found || ref.header.is_tombstone()) continue;
-    if (!cb(v, ref.tid, Slice(payload))) return Status::OK();
+    std::optional<std::string> row;
+    Tid visible;
+    SIAS_RETURN_NOT_OK(ReadOne(txn, v, &row, &visible));
+    if (!row.has_value()) continue;
+    if (!cb(v, visible, Slice(*row))) return Status::OK();
   }
   return Status::OK();
 }
@@ -773,9 +620,8 @@ Vid SiasTable::vid_bound() const {
 
 Result<std::vector<Tid>> SiasTable::ChainOf(Vid vid, VirtualClock* clk) {
   std::vector<Tid> chain;
-  // Same latch-free traversal as the read path (epoch pin, no page latch);
-  // the guards below keep it well-defined even across a dangling anchor
-  // predecessor into a recycled page.
+  // The epoch pin and the guards below keep the walk well-defined even
+  // across a dangling anchor predecessor into a recycled page.
   EpochGuard epoch;
   if (scheme_ == VersionScheme::kSiasV) {
     return map_v_.Get(vid);
@@ -784,7 +630,7 @@ Result<std::vector<Tid>> SiasTable::ChainOf(Vid vid, VirtualClock* clk) {
   Xid newer_xmin = kInvalidXid;  // xmin of the previously visited version
   while (tid.valid()) {
     TupleHeader h;
-    Status s = FetchVersionReadPath(tid, clk, &h, nullptr);
+    Status s = FetchVersion(tid, clk, &h, nullptr);
     if (!s.ok()) break;  // dangling tail: rest already reclaimed
     if (h.vid != vid && !chain.empty()) {
       // The anchor's predecessor pointer is allowed to dangle into a page
@@ -933,16 +779,19 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
   auto count = env_.pool->disk()->PageCount(relation_);
   if (!count.ok()) return count.status();
   // Seal the open append page so every page is GC-eligible; the next append
-  // opens a fresh (possibly recycled) page.
+  // opens a fresh page. That page comes from the free list, or is new and
+  // beyond `count`. GC must not examine a page that appends may land on
+  // while it runs: versions appended after the page's inventory would be
+  // wiped or lost with it. The free list gains pages only from the deferred
+  // wipes GC queues, which run at the end of a pass (vacuum passes do not
+  // overlap), so its snapshot here names every such page.
   region_.SealOpenPage();
-  PageId open = region_.open_page();
+  std::vector<PageNumber> free = region_.free_pages();
+  const std::unordered_set<PageNumber> appendable(free.begin(), free.end());
   LockManager* locks = env_.txns->locks();
-  // Active snapshot bounds for SIAS-V mid-vector reclamation, sampled once:
-  // transactions starting later always resolve to a version GC keeps.
-  std::vector<std::pair<Xid, Xid>> bounds = env_.txns->ActiveSnapshotBounds();
 
   for (PageNumber p = 0; p < *count; ++p) {
-    if (open.valid() && open.page == p) continue;  // still filling
+    if (appendable.count(p) != 0) continue;
     bool pending;
     {
       MutexLock g(&stats_mu_);
@@ -999,6 +848,15 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
       continue;
     }
 
+    // Active snapshot bounds for SIAS-V mid-vector reclamation, sampled
+    // only now that the page's items are locked: no newer version of them
+    // can commit until they are unlocked, so a transaction starting after
+    // this sample resolves to a version GC keeps. A sample taken before the
+    // locks would miss a transaction that began in between and still needs
+    // the version a later commit shadowed.
+    std::vector<std::pair<Xid, Xid>> bounds =
+        env_.txns->ActiveSnapshotBounds();
+
     // Pass 2: classify versions via per-item live sets.
     std::unordered_map<Vid, std::vector<VersionRef>> live_sets;
     std::unordered_map<Vid, bool> item_dead;
@@ -1026,6 +884,22 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     for (const auto& s : slots) {
       if (is_live_here(s.vid, Tid{p, s.slot})) live_on_page++;
     }
+    // SIAS-V: set an item's vector to exactly its kept live set, with
+    // relocated versions remapped to their new homes. Dropping only this
+    // page's entries is not enough: mid-vector reclamation can punch holes
+    // anywhere, and a whole-dead item (empty live set) may still have older
+    // versions on mostly-live pages GC leaves alone — left in the vector,
+    // one of them would become its front and bring the deleted row back.
+    using Remap = std::unordered_map<uint64_t, Tid>;  // old Pack() -> new
+    auto set_vector = [&](Vid v, const Remap& remap) {
+      std::vector<Tid> vec;
+      vec.reserve(live_sets[v].size());
+      for (const auto& ref : live_sets[v]) {
+        auto rm = remap.find(ref.tid.Pack());
+        vec.push_back(rm == remap.end() ? ref.tid : rm->second);
+      }
+      map_v_.Set(v, std::move(vec));
+    };
 
     // Policy: reclaim the whole page when its live share is small enough to
     // be worth relocating. Prune dead slots in place only when the page is
@@ -1039,7 +913,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     if (relocate) {
       // Re-insert live versions (oldest-first per chain so predecessor
       // pointers can be remapped) and fix their successors.
-      std::unordered_map<uint64_t, Tid> remap;  // old tid.Pack() -> new tid
+      Remap remap;
       for (Vid v : vids) {
         auto& live = live_sets[v];
         // live is newest-first; walk from the back (oldest).
@@ -1115,30 +989,11 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
             }
           }
         }
-        if (item_dead[v]) {
-          if (scheme_ == VersionScheme::kSiasChains) {
-            Tid cur = map_.Get(v);
-            if (cur.valid() && cur.page == p) map_.Clear(v);
-          } else {
-            // Drop all vector entries that live on this page.
-            std::vector<Tid> vec = map_v_.Get(v);
-            std::vector<Tid> kept;
-            for (Tid t : vec) {
-              if (t.page != p) kept.push_back(t);
-            }
-            map_v_.Set(v, std::move(kept));
-          }
-        } else if (scheme_ == VersionScheme::kSiasV) {
-          // Rebuild the vector to exactly the kept live set — mid-vector
-          // reclamation can punch holes, so a suffix truncation is not
-          // enough — with relocated versions remapped to their new homes.
-          std::vector<Tid> vec;
-          vec.reserve(live.size());
-          for (const auto& ref : live) {
-            auto rm = remap.find(ref.tid.Pack());
-            vec.push_back(rm == remap.end() ? ref.tid : rm->second);
-          }
-          map_v_.Set(v, std::move(vec));
+        if (scheme_ == VersionScheme::kSiasV) {
+          set_vector(v, remap);
+        } else if (item_dead[v]) {
+          Tid cur = map_.Get(v);
+          if (cur.valid() && cur.page == p) map_.Clear(v);
         }
       }
       // Unpublish is complete: no map path references this page any more.
@@ -1218,15 +1073,9 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
           Tid cur = map_.Get(s.vid);
           if (cur == Tid{p, s.slot}) map_.Clear(s.vid);
         }
-        if (scheme_ == VersionScheme::kSiasV) {
-          // Keep the vector in sync.
-          std::vector<Tid> vec = map_v_.Get(s.vid);
-          std::vector<Tid> kept;
-          for (Tid t : vec) {
-            if (t != Tid{p, s.slot}) kept.push_back(t);
-          }
-          map_v_.Set(s.vid, std::move(kept));
-        }
+      }
+      if (scheme_ == VersionScheme::kSiasV && !dead_slots.empty()) {
+        for (Vid v : vids) set_vector(v, Remap{});
       }
       if (!dead_slots.empty()) {
         {

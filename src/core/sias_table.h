@@ -54,14 +54,15 @@ class SiasTable : public MvccTable {
                 Tid* new_tid = nullptr) override;
   Status Delete(Transaction* txn, Vid vid) override;
   Result<std::optional<std::string>> Read(Transaction* txn, Vid vid) override;
-  /// Pipelined batch read: one resumable traversal task per VID. A task
-  /// that needs a cold page SUBMITS the read (BufferPool::StartFetch) and
-  /// suspends; the driver keeps up to `io_depth` device reads in flight
-  /// across tasks, so a batch of snapshot reads overlaps its page misses on
-  /// the flash channels instead of serializing them. SIAS-V tasks also
+  /// Pipelined batch read: one ReadTask per VID, the same walker Read()
+  /// drives alone. A task that needs a cold page SUBMITS the read
+  /// (BufferPool::StartFetch) and suspends; the driver keeps up to
+  /// `io_depth` device reads in flight across tasks (depth 0 counts as 1),
+  /// so a batch of snapshot reads overlaps its page misses on the flash
+  /// channels instead of serializing them. Above depth 1, SIAS-V tasks also
   /// prefetch the next version's page before suspending (in-walk
-  /// lookahead). Semantics, telemetry and CPU charging match a sequential
-  /// Read() loop exactly.
+  /// lookahead). Depth 1 keeps one read in flight: the virtual time of a
+  /// sequential Read() loop.
   Status ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
                    size_t io_depth,
                    std::vector<std::optional<std::string>>* rows) override;
@@ -96,7 +97,8 @@ class SiasTable : public MvccTable {
   AppendRegion& region() { return region_; }
 
   /// Walks and returns the version chain of `vid`, newest first
-  /// (tests / invariant checks). Runs over the latch-free read path.
+  /// (tests / invariant checks). Reads each version through the latched
+  /// FetchVersion.
   Result<std::vector<Tid>> ChainOf(Vid vid, VirtualClock* clk);
 
   /// Test-only schedule control: when set, the hook is invoked on the read
@@ -118,25 +120,16 @@ class SiasTable : public MvccTable {
   Status FetchVersion(Tid tid, VirtualClock* clk, TupleHeader* header,
                       std::string* payload);
 
-  /// Latch-free fetch over a resident page: optimistic pin
-  /// (BufferPool::TryFetchCached) + atomic slot/header decode, no page
-  /// latch. Returns true when the optimistic path answered — `*status` is
-  /// then OK (outputs filled) or NotFound (slot dead). Returns false when
-  /// the page was not optimistically reachable; the caller falls back to
-  /// the latched FetchVersion. Callers must hold an epoch pin so that the
-  /// bytes a stale map copy points at cannot be wiped mid-read.
-  bool FetchVersionLatchFree(Tid tid, TupleHeader* header,
-                             std::string* payload, Status* status);
+  /// The snapshot-read walker, for both schemes: one resumable read of one
+  /// item (sias_table.cc). Read, the scans and ReadMulti all drive it.
+  class ReadTask;
 
-  /// Snapshot-read fetch: latch-free when possible, counted latched
-  /// fallback otherwise (mvcc.read_latch_acquisitions).
-  Status FetchVersionReadPath(Tid tid, VirtualClock* clk,
-                              TupleHeader* header, std::string* payload);
-
-  /// Finds the version visible to txn, walking the chain/vector.
-  /// Returns NotFound-status-free nullopt-like: found=false when none.
-  Status GetVisible(Transaction* txn, Vid vid, bool* found, VersionRef* ref,
-                    std::string* payload);
+  /// Resolves the version of `vid` visible to txn by driving one ReadTask
+  /// to completion. `*row` receives its payload (left empty when nothing is
+  /// visible or the visible version is a tombstone); `*tid`, when given,
+  /// the visible version (invalid when none).
+  Status ReadOne(Transaction* txn, Vid vid, std::optional<std::string>* row,
+                 Tid* tid);
 
   /// Entry validation for Update/Delete under the row lock
   /// (Algorithm 3 lines 3-6). Returns the base version reference.

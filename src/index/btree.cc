@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -340,124 +339,6 @@ Result<std::vector<uint64_t>> BTree::Lookup(Slice key, VirtualClock* clk) {
   return out;
 }
 
-Result<std::vector<std::vector<uint64_t>>> BTree::LookupMulti(
-    const std::vector<std::string>& keys, size_t io_depth,
-    VirtualClock* clk) {
-  std::vector<std::vector<uint64_t>> out(keys.size());
-  if (io_depth <= 1 || keys.size() <= 1) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      auto r = Lookup(Slice(keys[i]), clk);
-      if (!r.ok()) return r.status();
-      out[i] = std::move(*r);
-    }
-    return out;
-  }
-  TRACE_OP("index", "lookup_multi");
-  ReadLock lock(&tree_latch_);
-
-  // One resumable probe per key: descend from the root, collecting equal
-  // keys along the leaf chain. Where the sequential path would block on a
-  // cold page, the probe submits the read and suspends; the driver keeps
-  // up to io_depth reads in flight across probes.
-  struct ProbeTask {
-    Slice key;
-    size_t out = 0;
-    PageNumber current = kInvalidPageNumber;
-    bool leaf_phase = false;  ///< descending vs walking the leaf chain
-    bool done = false;
-    BufferPool::AsyncFetch fetch;
-  };
-
-  std::vector<ProbeTask> tasks(keys.size());
-  size_t inflight = 0;
-
-  auto abandon_all = [&]() {
-    for (ProbeTask& t : tasks) pool_->AbandonFetch(&t.fetch);
-  };
-
-  auto run = [&](ProbeTask& t) -> Status {
-    while (!t.done) {
-      PageGuard guard;
-      if (t.fetch.valid) {
-        auto g = pool_->FinishFetch(&t.fetch, clk);
-        if (!g.ok()) return g.status();
-        inflight--;
-        guard = std::move(*g);
-      } else {
-        auto f = pool_->StartFetch(PageId{relation_, t.current}, clk);
-        if (!f.ok()) return f.status();
-        if (f->resident) {
-          guard = std::move(f->guard);
-          f->valid = false;
-        } else {
-          t.fetch = std::move(*f);
-          inflight++;
-          return Status::OK();  // suspended on the page read
-        }
-      }
-      guard.LatchShared();
-      NodeView node{guard.data()};
-      if (!t.leaf_phase && !node.is_leaf()) {
-        PageNumber next = DescendChild(node, t.key, 0);
-        guard.Unlatch();
-        t.current = next;
-        continue;
-      }
-      // Leaf: collect while keys match, following the chain right (same
-      // traversal Lookup performs through Range).
-      size_t pos = t.leaf_phase ? 0 : LowerBound(node, t.key, 0);
-      t.leaf_phase = true;
-      bool past_key = false;
-      for (; pos < node.count(); ++pos) {
-        if (node.key(pos).Compare(t.key) != 0) {
-          past_key = true;
-          break;
-        }
-        out[t.out].push_back(node.value(pos));
-      }
-      PageNumber next = node.right();
-      guard.Unlatch();
-      if (past_key || next == kInvalidPageNumber) {
-        t.done = true;
-        return Status::OK();
-      }
-      t.current = next;
-    }
-    return Status::OK();
-  };
-
-  std::deque<size_t> suspended;
-  size_t next_admit = 0;
-  while (true) {
-    while (next_admit < tasks.size() && inflight < io_depth) {
-      ProbeTask& t = tasks[next_admit];
-      t.key = Slice(keys[next_admit]);
-      t.out = next_admit;
-      t.current = root_;
-      Status st = run(t);
-      if (!st.ok()) {
-        abandon_all();
-        return st;
-      }
-      if (!t.done) suspended.push_back(next_admit);
-      next_admit++;
-    }
-    if (suspended.empty()) {
-      if (next_admit >= tasks.size()) break;
-      continue;
-    }
-    size_t i = suspended.front();
-    suspended.pop_front();
-    Status st = run(tasks[i]);
-    if (!st.ok()) {
-      abandon_all();
-      return st;
-    }
-    if (!tasks[i].done) suspended.push_back(i);
-  }
-  return out;
-}
-
 Status BTree::Range(Slice lo, Slice hi, VirtualClock* clk,
                     const RangeCallback& cb) {
   ReadLock lock(&tree_latch_);
@@ -500,129 +381,6 @@ Status BTree::Range(Slice lo, Slice hi, VirtualClock* clk,
       pos = 0;
     }
   }
-}
-
-Status BTree::ScanMulti(const std::vector<ScanRange>& ranges,
-                        size_t io_depth, VirtualClock* clk,
-                        const ScanMultiCallback& cb) {
-  if (io_depth <= 1 || ranges.size() <= 1) {
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      SIAS_RETURN_NOT_OK(Range(Slice(ranges[i].lo), Slice(ranges[i].hi), clk,
-                               [&](Slice k, uint64_t v) {
-                                 return cb(i, k, v);
-                               }));
-    }
-    return Status::OK();
-  }
-  TRACE_OP("index", "scan_multi");
-  ReadLock lock(&tree_latch_);
-
-  // One resumable scan per range: descend to the leaf holding lo, then walk
-  // the leaf chain until hi (or the callback stops it). Where the
-  // sequential path would block on a cold page, the scan submits the read
-  // and suspends; the driver keeps up to io_depth reads in flight across
-  // scans (same machinery as LookupMulti's probes).
-  struct ScanTask {
-    Slice lo;
-    Slice hi;
-    size_t idx = 0;
-    PageNumber current = kInvalidPageNumber;
-    bool leaf_phase = false;  ///< descending vs walking the leaf chain
-    bool done = false;
-    BufferPool::AsyncFetch fetch;
-  };
-
-  std::vector<ScanTask> tasks(ranges.size());
-  size_t inflight = 0;
-
-  auto abandon_all = [&]() {
-    for (ScanTask& t : tasks) pool_->AbandonFetch(&t.fetch);
-  };
-
-  auto run = [&](ScanTask& t) -> Status {
-    while (!t.done) {
-      PageGuard guard;
-      if (t.fetch.valid) {
-        auto g = pool_->FinishFetch(&t.fetch, clk);
-        if (!g.ok()) return g.status();
-        inflight--;
-        guard = std::move(*g);
-      } else {
-        auto f = pool_->StartFetch(PageId{relation_, t.current}, clk);
-        if (!f.ok()) return f.status();
-        if (f->resident) {
-          guard = std::move(f->guard);
-          f->valid = false;
-        } else {
-          t.fetch = std::move(*f);
-          inflight++;
-          return Status::OK();  // suspended on the page read
-        }
-      }
-      guard.LatchShared();
-      NodeView node{guard.data()};
-      if (!t.leaf_phase && !node.is_leaf()) {
-        PageNumber next = DescendChild(node, t.lo, 0);
-        guard.Unlatch();
-        t.current = next;
-        continue;
-      }
-      size_t pos = t.leaf_phase ? 0 : LowerBound(node, t.lo, 0);
-      t.leaf_phase = true;
-      bool finished = false;
-      for (; pos < node.count(); ++pos) {
-        Slice k = node.key(pos);
-        if (!t.hi.empty() && k.Compare(t.hi) >= 0) {
-          finished = true;
-          break;
-        }
-        if (!cb(t.idx, k, node.value(pos))) {
-          finished = true;
-          break;
-        }
-      }
-      PageNumber next = node.right();
-      guard.Unlatch();
-      if (finished || next == kInvalidPageNumber) {
-        t.done = true;
-        return Status::OK();
-      }
-      t.current = next;
-    }
-    return Status::OK();
-  };
-
-  std::deque<size_t> suspended;
-  size_t next_admit = 0;
-  while (true) {
-    while (next_admit < tasks.size() && inflight < io_depth) {
-      ScanTask& t = tasks[next_admit];
-      t.lo = Slice(ranges[next_admit].lo);
-      t.hi = Slice(ranges[next_admit].hi);
-      t.idx = next_admit;
-      t.current = root_;
-      Status st = run(t);
-      if (!st.ok()) {
-        abandon_all();
-        return st;
-      }
-      if (!t.done) suspended.push_back(next_admit);
-      next_admit++;
-    }
-    if (suspended.empty()) {
-      if (next_admit >= tasks.size()) break;
-      continue;
-    }
-    size_t i = suspended.front();
-    suspended.pop_front();
-    Status st = run(tasks[i]);
-    if (!st.ok()) {
-      abandon_all();
-      return st;
-    }
-    if (!tasks[i].done) suspended.push_back(i);
-  }
-  return Status::OK();
 }
 
 uint64_t BTree::size() const {

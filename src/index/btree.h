@@ -53,41 +53,11 @@ class BTree {
   /// All values stored under `key`.
   Result<std::vector<uint64_t>> Lookup(Slice key, VirtualClock* clk);
 
-  /// Batched point lookup: one resumable descent per key under a single
-  /// shared tree latch. A probe that needs a cold page submits the read
-  /// (BufferPool::StartFetch) and suspends; up to `io_depth` page reads
-  /// stay in flight across probes, overlapping index I/O on the device
-  /// channels. result[i] holds the values stored under keys[i], exactly as
-  /// a Lookup() loop would return them.
-  Result<std::vector<std::vector<uint64_t>>> LookupMulti(
-      const std::vector<std::string>& keys, size_t io_depth,
-      VirtualClock* clk);
-
   /// Visits entries with lo <= key < hi in order; callback returns false to
   /// stop. Pass empty `hi` for an unbounded upper end.
   using RangeCallback = std::function<bool(Slice key, uint64_t value)>;
   Status Range(Slice lo, Slice hi, VirtualClock* clk,
                const RangeCallback& cb);
-
-  /// One half-open scan interval for ScanMulti (empty `hi` = unbounded).
-  struct ScanRange {
-    std::string lo;
-    std::string hi;
-  };
-
-  /// Batched range scan: one resumable traversal per range under a single
-  /// shared tree latch, the Range() counterpart of LookupMulti. A scan that
-  /// needs a cold page submits the read (BufferPool::StartFetch) and
-  /// suspends; up to `io_depth` page reads stay in flight across scans, so
-  /// the descents and leaf walks of independent ranges overlap on the
-  /// device channels. The callback receives the originating range index and
-  /// runs under the tree + page latch (like Range's); returning false ends
-  /// that one range's scan. Per range, entries arrive exactly as Range()
-  /// would deliver them.
-  using ScanMultiCallback =
-      std::function<bool(size_t range, Slice key, uint64_t value)>;
-  Status ScanMulti(const std::vector<ScanRange>& ranges, size_t io_depth,
-                   VirtualClock* clk, const ScanMultiCallback& cb);
 
   /// Number of entries (maintained counter).
   uint64_t size() const;

@@ -186,45 +186,6 @@ TEST_F(BTreeTest, ManyDuplicatesAcrossLeafSplits) {
   }
 }
 
-TEST(BTreeLookupMultiTest, MatchesSequentialLookups) {
-  // The batched resumable-probe path must return exactly what a Lookup()
-  // loop returns, per input slot — including duplicate runs, misses, and
-  // repeated keys in one batch. A 16-frame pool under a multi-level tree
-  // forces cold-page suspends mid-descent, so the state-machine resume path
-  // is actually exercised (with read latency so in-flight fetches overlap).
-  MemDevice device(1ull << 30, /*read_latency=*/50, /*write_latency=*/50);
-  DiskManager disk(&device);
-  ASSERT_TRUE(disk.CreateRelation(1).ok());
-  BufferPool pool(&disk, 16);
-  BTree tree(1, &pool);
-  VirtualClock clk;
-  ASSERT_TRUE(tree.Create(&clk).ok());
-  for (int64_t k = 0; k < 2000; ++k) {
-    ASSERT_TRUE(tree.Insert(IntKey(k * 3), k, &clk).ok());
-    if (k % 11 == 0) {  // duplicate runs
-      ASSERT_TRUE(tree.Insert(IntKey(k * 3), k + 100000, &clk).ok());
-    }
-  }
-  ASSERT_GE(tree.height(), 2u) << "the probe must descend through inner "
-                                  "pages for suspends to occur";
-
-  std::vector<std::string> keys;
-  for (int64_t k = 5990; k >= 0; k -= 7) keys.push_back(IntKey(k));
-  keys.push_back(IntKey(3));  // repeated key
-  keys.push_back(IntKey(999999));  // guaranteed miss
-
-  for (size_t depth : {size_t{1}, size_t{4}, size_t{8}}) {
-    auto multi = tree.LookupMulti(keys, depth, &clk);
-    ASSERT_TRUE(multi.ok()) << multi.status().ToString();
-    ASSERT_EQ(multi->size(), keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      auto single = tree.Lookup(keys[i], &clk);
-      ASSERT_TRUE(single.ok());
-      EXPECT_EQ((*multi)[i], *single) << "slot " << i << " depth " << depth;
-    }
-  }
-}
-
 // Randomized model check, parameterized over operation mixes.
 class BTreeRandomTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -285,75 +246,6 @@ INSTANTIATE_TEST_SUITE_P(Mixes, BTreeRandomTest,
                                            std::make_tuple(2, 2000),
                                            std::make_tuple(3, 5000),
                                            std::make_tuple(4, 8000)));
-
-// Oracle check for the batched resumable range scan: ScanMulti over random
-// ranges must deliver, per range, exactly what a sequential Range() loop
-// delivers — under a pool small enough that scans genuinely suspend on cold
-// pages and overlap their reads.
-TEST(BTreeScanMultiTest, MatchesSequentialRangeOracle) {
-  MemDevice device(1ull << 30);
-  DiskManager disk(&device);
-  ASSERT_TRUE(disk.CreateRelation(1).ok());
-  // 32 frames vs a ~200-page tree: most leaf fetches miss.
-  BufferPool pool(&disk, 32);
-  BTree tree(1, &pool);
-  VirtualClock clk;
-  ASSERT_TRUE(tree.Create(&clk).ok());
-
-  Random rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    ASSERT_TRUE(
-        tree.Insert(IntKey(rng.UniformInt(0, 100000)), rng.Uniform(0, 4),
-                    &clk)
-            .ok());
-  }
-
-  std::vector<BTree::ScanRange> ranges;
-  for (int i = 0; i < 40; ++i) {
-    int64_t lo = rng.UniformInt(0, 100000);
-    int64_t hi = lo + rng.UniformInt(0, 5000);
-    BTree::ScanRange r;
-    r.lo = IntKey(lo);
-    r.hi = rng.OneIn(8) ? std::string() : IntKey(hi);  // some unbounded
-    ranges.push_back(std::move(r));
-  }
-
-  // Oracle: one sequential Range per range.
-  std::vector<std::vector<std::pair<std::string, uint64_t>>> expected(
-      ranges.size());
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    ASSERT_TRUE(tree.Range(Slice(ranges[i].lo), Slice(ranges[i].hi), &clk,
-                           [&](Slice k, uint64_t v) {
-                             expected[i].emplace_back(k.ToString(), v);
-                             return true;
-                           })
-                    .ok());
-  }
-
-  for (size_t io_depth : {2, 4, 8}) {
-    std::vector<std::vector<std::pair<std::string, uint64_t>>> got(
-        ranges.size());
-    ASSERT_TRUE(tree.ScanMulti(ranges, io_depth, &clk,
-                               [&](size_t r, Slice k, uint64_t v) {
-                                 got[r].emplace_back(k.ToString(), v);
-                                 return true;
-                               })
-                    .ok());
-    EXPECT_EQ(got, expected) << "io_depth=" << io_depth;
-  }
-
-  // Early-stop: a callback returning false ends only that range's scan.
-  std::vector<size_t> counts(ranges.size(), 0);
-  ASSERT_TRUE(tree.ScanMulti(ranges, 4, &clk,
-                             [&](size_t r, Slice, uint64_t) {
-                               counts[r]++;
-                               return counts[r] < 5;
-                             })
-                  .ok());
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    EXPECT_EQ(counts[i], std::min<size_t>(expected[i].size(), 5));
-  }
-}
 
 }  // namespace
 }  // namespace sias

@@ -4,6 +4,7 @@
 // behaviour (verified by the scheme-specific tests at the bottom).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -252,9 +253,9 @@ TEST_P(MvccSchemeTest, InsertAndUpdateSameTransaction) {
   ASSERT_TRUE(Commit(t2.get()).ok());
 }
 
-TEST_P(MvccSchemeTest, ReadMultiMatchesSequentialReadOracle) {
-  // The resumable batched read path (up to io_depth page reads in flight)
-  // must be indistinguishable from a sequential Read() loop, across version
+TEST_P(MvccSchemeTest, ReadAndReadMultiMatchWriteHistory) {
+  // Read and the batched read path (up to io_depth page reads in flight)
+  // must both return what the write history dictates, across version
   // histories, tombstones, and an old snapshot that predates the churn.
   constexpr int kItems = 64;
   std::vector<Vid> vids;
@@ -262,39 +263,48 @@ TEST_P(MvccSchemeTest, ReadMultiMatchesSequentialReadOracle) {
     vids.push_back(InsertCommitted("base" + std::to_string(i)));
   }
   auto old_snap = Begin();
+  // What a snapshot taken after the churn must see, per item.
+  std::vector<std::optional<std::string>> latest(kItems);
   for (int i = 0; i < kItems; ++i) {
     auto t = Begin();
+    latest[i] = "base" + std::to_string(i);
     if (i % 5 == 0) {
       ASSERT_TRUE(table_->Delete(t.get(), vids[i]).ok());
+      latest[i].reset();
     } else if (i % 2 == 0) {
-      ASSERT_TRUE(table_->Update(t.get(), vids[i],
-                                 Slice("new" + std::to_string(i)))
-                      .ok());
+      latest[i] = "new" + std::to_string(i);
+      ASSERT_TRUE(table_->Update(t.get(), vids[i], Slice(*latest[i])).ok());
     }
     ASSERT_TRUE(Commit(t.get()).ok());
   }
 
   // Batch with repeats and shuffled order, so result[i] must track input
   // order, not storage order.
+  std::vector<int> batch_items;
+  for (int i = kItems - 1; i >= 0; --i) batch_items.push_back(i);
+  for (int i = 0; i < kItems; i += 7) batch_items.push_back(i);
   std::vector<Vid> batch;
-  for (int i = kItems - 1; i >= 0; --i) batch.push_back(vids[i]);
-  for (int i = 0; i < kItems; i += 7) batch.push_back(vids[i]);
+  for (int i : batch_items) batch.push_back(vids[i]);
 
-  for (Transaction* reader : {old_snap.get(), (Transaction*)nullptr}) {
-    std::unique_ptr<Transaction> fresh;
-    if (reader == nullptr) {
-      fresh = Begin();
-      reader = fresh.get();
+  auto fresh = Begin();
+  for (Transaction* reader : {old_snap.get(), fresh.get()}) {
+    const bool old = reader == old_snap.get();
+    auto expected = [&](int i) -> std::optional<std::string> {
+      if (old) return "base" + std::to_string(i);
+      return latest[i];
+    };
+    for (size_t k = 0; k < batch.size(); ++k) {
+      EXPECT_EQ(ReadIn(reader, batch[k]), expected(batch_items[k]))
+          << "item " << batch_items[k] << " old snapshot " << old;
     }
     for (size_t depth : {size_t{1}, size_t{4}, size_t{8}}) {
       std::vector<std::optional<std::string>> rows;
       ASSERT_TRUE(table_->ReadMulti(reader, batch, depth, &rows).ok());
       ASSERT_EQ(rows.size(), batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        auto oracle = table_->Read(reader, batch[i]);
-        ASSERT_TRUE(oracle.ok());
-        EXPECT_EQ(rows[i], *oracle) << "vid " << batch[i] << " depth "
-                                    << depth;
+      for (size_t k = 0; k < batch.size(); ++k) {
+        EXPECT_EQ(rows[k], expected(batch_items[k]))
+            << "item " << batch_items[k] << " depth " << depth
+            << " old snapshot " << old;
       }
     }
     ASSERT_TRUE(Commit(reader).ok());
@@ -430,6 +440,42 @@ TEST_P(MvccSchemeTest, GcRemovesTombstonedItems) {
   EXPECT_GT(gc.versions_discarded, 0u);
   auto t = Begin();
   EXPECT_FALSE(ReadIn(t.get(), vid).has_value());
+  ASSERT_TRUE(Commit(t.get()).ok());
+}
+
+TEST_P(MvccSchemeTest, GcKeepsDeletedItemDeletedAfterLongHistory) {
+  // A deleted item with a long history: its oldest versions share a page
+  // with 50 live rows (mostly live, so GC leaves that page alone), the
+  // tombstone sits pages later. Reclaiming the tombstone's page must not
+  // expose one of the old versions still on the first page.
+  Vid x;
+  {
+    auto t = Begin();
+    auto vid = table_->Insert(t.get(), Slice("x0"));
+    ASSERT_TRUE(vid.ok());
+    x = *vid;
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(table_->Insert(t.get(), Slice(std::string(100, 'r'))).ok());
+    }
+    ASSERT_TRUE(Commit(t.get()).ok());
+  }
+  for (int i = 1; i <= 200; ++i) {
+    auto t = Begin();
+    ASSERT_TRUE(
+        table_->Update(t.get(), x, Slice("x" + std::to_string(i))).ok());
+    ASSERT_TRUE(Commit(t.get()).ok());
+  }
+  {
+    auto t = Begin();
+    ASSERT_TRUE(table_->Delete(t.get(), x).ok());
+    ASSERT_TRUE(Commit(t.get()).ok());
+  }
+  GcStats gc;
+  ASSERT_TRUE(
+      table_->GarbageCollect(env_->txns_.GcHorizon(), &clk_, &gc).ok());
+
+  auto t = Begin();
+  EXPECT_EQ(ReadIn(t.get(), x), std::nullopt);
   ASSERT_TRUE(Commit(t.get()).ok());
 }
 
@@ -671,6 +717,30 @@ TEST_F(PhysicalBehaviourTest, SiasVidMapScanTouchesFewerPagesThanFullScan) {
   EXPECT_EQ(vidmap_rows, 50);
   EXPECT_EQ(full_rows, 50);
   ASSERT_TRUE(env.txns_.Commit(t1.get()).ok());
+}
+
+TEST_F(PhysicalBehaviourTest, SiasWarmReadFetchesTheVisibleVersionOnce) {
+  // The snapshot read takes header and payload from one pinned page: a warm
+  // read of a single-version item costs exactly one buffer-pool hit.
+  for (VersionScheme scheme :
+       {VersionScheme::kSiasChains, VersionScheme::kSiasV}) {
+    SCOPED_TRACE(ToString(scheme));
+    TestEnv env;
+    auto table = env.MakeTable(scheme, 1);
+    auto writer = env.txns_.Begin(&clk_);
+    auto vid = table->Insert(writer.get(), Slice("only"));
+    ASSERT_TRUE(vid.ok());
+    ASSERT_TRUE(env.txns_.Commit(writer.get()).ok());
+
+    auto reader = env.txns_.Begin(&clk_);
+    ASSERT_TRUE(table->Read(reader.get(), *vid).ok());  // warm the page
+    uint64_t hits_before = env.pool_.stats().hits;
+    auto row = table->Read(reader.get(), *vid);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    EXPECT_EQ(row->value_or(""), "only");
+    EXPECT_EQ(env.pool_.stats().hits, hits_before + 1);
+    ASSERT_TRUE(env.txns_.Commit(reader.get()).ok());
+  }
 }
 
 TEST_F(PhysicalBehaviourTest, SiasGcReclaimsAndRecyclesPages) {
