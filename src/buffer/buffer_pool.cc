@@ -10,7 +10,6 @@
 #include "fault/crash_point.h"
 #include "fault/debug_ring.h"
 #include "fault/retry.h"
-#include "obs/op_trace.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -106,6 +105,14 @@ BufferPool::~BufferPool() = default;
 
 void BufferPool::Unpin(size_t frame) {
   frames_[frame].pins.fetch_sub(1, std::memory_order_release);
+}
+
+bool BufferPool::EndPendingRead(PageId id, uint64_t start_seq) {
+  auto it = pending_reads_.find(id);
+  SIAS_CHECK(it != pending_reads_.end());
+  bool stale = it->second.written_back > start_seq;
+  if (--it->second.count == 0) pending_reads_.erase(it);
+  return stale;
 }
 
 void BufferPool::IndexInsert(PageId id, size_t frame) {
@@ -242,6 +249,10 @@ Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
     stats_.dirty_writebacks++;
     stats_.flushes_by_source[static_cast<int>(source)]++;
     m_writebacks_->Increment();
+    auto pending = pending_reads_.find(f.id);
+    if (pending != pending_reads_.end()) {
+      pending->second.written_back = ++writeback_seq_;
+    }
   }
   f.latch.UnlockShared();
   return s;
@@ -307,6 +318,7 @@ Result<BufferPool::AsyncFetch> BufferPool::StartFetch(PageId id,
                                                       VirtualClock* clk) {
   AsyncFetch out;
   out.id = id;
+  uint64_t offset;
   {
     MutexLock lock(&mu_);
     auto it = table_.find(id);
@@ -323,27 +335,26 @@ Result<BufferPool::AsyncFetch> BufferPool::StartFetch(PageId id,
     }
     stats_.misses++;
     m_misses_->Increment();
+    SIAS_ASSIGN_OR_RETURN(offset, disk_->PageOffset(id.relation, id.page));
     SIAS_ASSIGN_OR_RETURN(out.frame, FindVictim(clk));
     // The frame leaves FindVictim private: !valid, stamp odd, absent from
     // table_. The claim pin keeps FindVictim from handing it to a second
     // fetch while the device read below runs outside mu_; it becomes the
     // guard pin once FinishFetch installs the page.
     frames_[out.frame].pins.fetch_add(1, std::memory_order_acq_rel);
-  }
-  Frame& f = frames_[out.frame];
-  auto offset = disk_->PageOffset(id.relation, id.page);
-  if (!offset.ok()) {
-    Unpin(out.frame);  // frame returns to the victim pool (!valid)
-    return offset.status();
+    pending_reads_[id].count++;
+    out.start_seq = writeback_seq_;
   }
   IoRequest req;
   req.op = IoOp::kRead;
-  req.offset = *offset;
+  req.offset = offset;
   req.len = kPageSize;
-  req.out = f.data.get();
+  req.out = frames_[out.frame].data.get();
   auto h = disk_->device()->Submit(req, clk != nullptr ? clk->now() : 0);
   if (!h.ok()) {
-    Unpin(out.frame);
+    MutexLock lock(&mu_);
+    EndPendingRead(id, out.start_seq);
+    Unpin(out.frame);  // frame returns to the victim pool (!valid)
     return h.status();
   }
   out.valid = true;
@@ -383,39 +394,44 @@ Result<PageGuard> BufferPool::FinishFetch(AsyncFetch* fetch,
           return dev->Wait(*h, clk);
         });
   }
-  if (!st.ok()) {
-    Unpin(fetch->frame);
-    return st;
-  }
   SlottedPage sp(f.data.get());
-  if (!sp.VerifyChecksum()) {
-    Unpin(fetch->frame);
-    return Status::Corruption("page checksum mismatch " + id.ToString());
+  if (st.ok() && !sp.VerifyChecksum()) {
+    st = Status::Corruption("page checksum mismatch " + id.ToString());
   }
-  MutexLock lock(&mu_);
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    // A racing fetch installed the page while our read was in flight: pin
-    // the winner; our private frame stays !valid/odd for the next victim
-    // scan.
-    Frame& winner = frames_[it->second];
-    winner.pins.fetch_add(1, std::memory_order_acquire);
-    winner.referenced.store(true, std::memory_order_relaxed);
+  {
+    MutexLock lock(&mu_);
+    const bool stale = EndPendingRead(id, fetch->start_seq);
+    auto it = table_.find(id);
+    if (st.ok() && it != table_.end()) {
+      // A racing fetch installed the page while our read was in flight: pin
+      // the winner; our private frame stays !valid/odd for the next victim
+      // scan.
+      Frame& winner = frames_[it->second];
+      winner.pins.fetch_add(1, std::memory_order_acquire);
+      winner.referenced.store(true, std::memory_order_relaxed);
+      Unpin(fetch->frame);
+      return PageGuard(this, it->second, id);
+    }
+    if (st.ok() && !stale) {
+      f.id = id;
+      f.valid = true;
+      f.dirty.store(false, std::memory_order_relaxed);
+      f.sticky = false;
+      f.referenced.store(true, std::memory_order_relaxed);
+      f.lsn.store(sp.header()->lsn, std::memory_order_relaxed);
+      // The claim pin taken in StartFetch becomes the guard pin (no extra
+      // pin here); lock-free readers cannot have pinned the frame meanwhile
+      // — its tag was kNoTag until PublishFrame below.
+      table_[id] = fetch->frame;
+      PublishFrame(fetch->frame, id);
+      return PageGuard(this, fetch->frame, id);
+    }
     Unpin(fetch->frame);
-    return PageGuard(this, it->second, id);
   }
-  f.id = id;
-  f.valid = true;
-  f.dirty.store(false, std::memory_order_relaxed);
-  f.sticky = false;
-  f.referenced.store(true, std::memory_order_relaxed);
-  f.lsn.store(sp.header()->lsn, std::memory_order_relaxed);
-  // The claim pin taken in StartFetch becomes the guard pin (no extra pin
-  // here); lock-free readers cannot have pinned the frame meanwhile — its
-  // tag was kNoTag until PublishFrame below.
-  table_[id] = fetch->frame;
-  PublishFrame(fetch->frame, id);
-  return PageGuard(this, fetch->frame, id);
+  if (!st.ok()) return st;
+  // A racing fetch installed, dirtied and wrote back the page, and it has
+  // since been evicted: our bytes may predate the device copy. Read again.
+  return FetchPage(id, clk);
 }
 
 void BufferPool::AbandonFetch(AsyncFetch* fetch) {
@@ -429,6 +445,8 @@ void BufferPool::AbandonFetch(AsyncFetch* fetch) {
   // queues drop it; eager devices already finished writing into the still-
   // private frame), so the frame can be handed back to the victim pool.
   disk_->device()->Cancel(fetch->io, nullptr);
+  MutexLock lock(&mu_);
+  EndPendingRead(fetch->id, fetch->start_seq);
   Unpin(fetch->frame);
 }
 
@@ -517,7 +535,6 @@ Status BufferPool::RestorePage(PageId id, const uint8_t* image,
 
 Status BufferPool::FlushPage(PageId id, VirtualClock* clk,
                              FlushSource source) {
-  TRACE_OP("buffer", "flush_page");
   // An in-flight page writer (exclusive latch holder) makes the frame
   // transiently busy; retry outside mu_ — latches are held for microseconds.
   for (;;) {

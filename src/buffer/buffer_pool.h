@@ -139,6 +139,7 @@ class BufferPool {
     PageId id{};
     size_t frame = 0;    ///< private victim frame index when !resident
     IoHandle io{};       ///< in-flight device read when !resident
+    uint64_t start_seq = 0;  ///< pool write-back sequence when read began
   };
 
   /// Begins fetching `id`: on a hit returns a resident AsyncFetch (pinned,
@@ -154,7 +155,10 @@ class BufferPool {
   /// the device (fresh channel reservation per attempt), verifies the
   /// checksum, and installs the frame — unless a racing fetch installed the
   /// same page meanwhile, in which case the private frame is abandoned and
-  /// the winner's frame is pinned instead.
+  /// the winner's frame is pinned instead. If the page was written back
+  /// while the read was in flight (a racing fetch installed, dirtied and
+  /// evicted it), the bytes read may predate the device copy: they are
+  /// dropped and the page is fetched again.
   Result<PageGuard> FinishFetch(AsyncFetch* f, VirtualClock* clk);
 
   /// Discards an unfinished StartFetch (cancels the in-flight read; the
@@ -265,6 +269,10 @@ class BufferPool {
   Status WriteFrame(Frame& f, VirtualClock* clk, FlushSource source,
                     bool* busy = nullptr) SIAS_REQUIRES(mu_);
   void Unpin(size_t frame);
+  /// Ends one in-flight read of `id` begun at write-back sequence
+  /// `start_seq`; true when the page was written back since, so the read
+  /// may be stale.
+  bool EndPendingRead(PageId id, uint64_t start_seq) SIAS_REQUIRES(mu_);
 
   static uint64_t PackTag(PageId id) {
     return (static_cast<uint64_t>(id.relation) << 32) | id.page;
@@ -290,6 +298,15 @@ class BufferPool {
   size_t index_mask_ = 0;
   size_t clock_hand_ SIAS_GUARDED_BY(mu_) = 0;
   BufferPoolStats stats_ SIAS_GUARDED_BY(mu_);
+  /// Device reads in flight per page (StartFetch misses not yet finished or
+  /// abandoned), with the sequence number of the page's latest write-back
+  /// while any of them was in flight. Only misses and write-backs touch it.
+  struct PendingRead {
+    uint32_t count = 0;
+    uint64_t written_back = 0;
+  };
+  std::unordered_map<PageId, PendingRead> pending_reads_ SIAS_GUARDED_BY(mu_);
+  uint64_t writeback_seq_ SIAS_GUARDED_BY(mu_) = 0;
   /// Hits served by TryFetchCached (merged into stats().hits).
   std::atomic<uint64_t> lockfree_hits_{0};
 

@@ -160,7 +160,6 @@ const char* LatchRankName(LatchRank rank) {
     case LatchRank::kDeviceStore: return "device-store";
     case LatchRank::kEpochQueue: return "epoch-queue";
     case LatchRank::kStats: return "stats";
-    case LatchRank::kMetricsSampler: return "metrics-sampler";
     case LatchRank::kMetricsRegistry: return "metrics-registry";
     case LatchRank::kSpanAggregator: return "span-aggregator";
     case LatchRank::kMetrics: return "metrics";

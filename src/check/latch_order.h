@@ -69,10 +69,9 @@ enum class LatchRank : uint8_t {
   kDeviceStore = 91,    ///< DataStore::mu_ (payload bytes)
   kEpochQueue = 93,     ///< EpochManager::queue_mu_ (deferred-free list)
   kStats = 95,          ///< per-component stats mutexes, TraceRecorder
-  kMetricsSampler = 97,  ///< MetricsSampler ring (snapshots the registry)
   kMetricsRegistry = 98,  ///< obs registry map (locks histogram shards)
   kSpanAggregator = 99,  ///< span aggregator (per-txn-type latency, exemplars)
-  kMetrics = 100,       ///< histogram shards / OpTracer (terminal leaves)
+  kMetrics = 100,       ///< histogram shards (terminal leaves)
 };
 
 namespace check {

@@ -9,7 +9,6 @@
 #include "mvcc/visibility.h"
 #include "fault/debug_ring.h"
 #include "obs/metrics.h"
-#include "obs/op_trace.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -449,7 +448,6 @@ Result<Tid> SiasTable::AppendAndInstall(Transaction* txn, Vid vid,
 }
 
 Status SiasTable::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
-  TRACE_OP("mvcc", "sias_update");
   // Algorithm 3: lock (first-updater-wins), validate entrypoint, append.
   SIAS_RETURN_NOT_OK(env_.txns->locks()->AcquireExclusive(
       relation_, vid, txn->xid(), txn->clock()));
@@ -499,7 +497,6 @@ Status SiasTable::Delete(Transaction* txn, Vid vid) {
 
 Result<std::optional<std::string>> SiasTable::Read(Transaction* txn,
                                                    Vid vid) {
-  TRACE_OP("mvcc", "sias_read");
   reads_.fetch_add(1, std::memory_order_relaxed);
   Obs().reads->Increment();
   std::optional<std::string> row;
@@ -510,7 +507,6 @@ Result<std::optional<std::string>> SiasTable::Read(Transaction* txn,
 Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
                             size_t io_depth,
                             std::vector<std::optional<std::string>>* rows) {
-  TRACE_OP("mvcc", "sias_read_multi");
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "read_multi",
                            vids.size());
   reads_.fetch_add(vids.size(), std::memory_order_relaxed);

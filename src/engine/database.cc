@@ -10,7 +10,6 @@
 #include "fault/debug_ring.h"
 #include "fault/retry.h"
 #include "mvcc/epoch.h"
-#include "obs/op_trace.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -80,7 +79,6 @@ Result<std::unique_ptr<Database>> Database::Open(const DatabaseOptions& opts) {
   // the transaction's durability point.
   db->txns_.set_commit_hook([db = db.get()](Transaction* txn) {
     if (db->wal_ == nullptr) return Status::OK();
-    TRACE_OP("wal", "group_commit");
     WalRecord rec;
     rec.type = WalRecordType::kTxnCommit;
     rec.xid = txn->xid();
@@ -212,7 +210,6 @@ Status Database::Tick(VirtualClock* clk) {
 }
 
 Status Database::BgWriterPass(VirtualClock* clk) {
-  TRACE_OP("maintenance", "bgwriter_pass");
   MutexLock g(&maintenance_mu_);
   SIAS_CRASH_POINT("bgwriter.pass");
   bgwriter_passes_.fetch_add(1, std::memory_order_relaxed);
@@ -262,7 +259,6 @@ Status Database::BgWriterPass(VirtualClock* clk) {
 }
 
 Status Database::Checkpoint(VirtualClock* clk) {
-  TRACE_OP("maintenance", "checkpoint");
   MutexLock g(&maintenance_mu_);
   SIAS_CRASH_POINT("ckpt.begin");
   fault::DebugRingLog("ckpt_sharp", wal_ != nullptr ? wal_->current_lsn() : 0);
@@ -637,7 +633,6 @@ Status Database::Vacuum(VirtualClock* clk, GcStats* stats) {
     std::atomic<bool>* flag;
     ~Release() { flag->store(false); }
   } release{&vacuum_running_};
-  TRACE_OP("maintenance", "vacuum");
   // When vacuum runs on a terminal's clock inside an open transaction root
   // (inline GC), its virtual time is that transaction's gc_defer phase —
   // the deferred-wipe interference the span model is meant to expose.
@@ -767,14 +762,6 @@ obs::MetricsSnapshot Database::DumpMetrics() {
       ->Set(static_cast<int64_t>(vidmap_buckets));
   reg.GetGauge("db.vidmap.memory_bytes")
       ->Set(static_cast<int64_t>(vidmap_bytes));
-
-  // Trace-ring health (PR-1 gap: overflow was invisible without custom
-  // code).
-  obs::OpTracer& tracer = obs::OpTracer::Default();
-  reg.GetGauge("db.trace.total_recorded")
-      ->Set(static_cast<int64_t>(tracer.total_recorded()));
-  reg.GetGauge("db.trace.dropped")
-      ->Set(static_cast<int64_t>(tracer.dropped()));
   return reg.Snapshot();
 }
 

@@ -5,7 +5,6 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
-#include "obs/op_trace.h"
 #include "storage/page.h"
 
 namespace sias {
@@ -164,7 +163,6 @@ Status BTree::Insert(Slice key, uint64_t value, VirtualClock* clk) {
 
 Status BTree::SplitAndInsert(PageGuard leaf, std::vector<PageNumber> path,
                              Slice key, uint64_t value, VirtualClock* clk) {
-  TRACE_OP("index", "leaf_split");
   // leaf is exclusively latched. Allocate the right sibling.
   auto ng = pool_->NewPage(relation_, clk);
   if (!ng.ok()) {
@@ -216,7 +214,6 @@ Status BTree::SplitAndInsert(PageGuard leaf, std::vector<PageNumber> path,
   while (true) {
     if (path.empty()) {
       // Split reached the root: grow the tree.
-      TRACE_OP("index", "root_grow");
       auto rg = pool_->NewPage(relation_, clk);
       if (!rg.ok()) return rg.status();
       PageGuard root_guard = std::move(*rg);
@@ -250,7 +247,6 @@ Status BTree::SplitAndInsert(PageGuard leaf, std::vector<PageNumber> path,
       return Status::OK();
     }
     // Split the internal node.
-    TRACE_OP("index", "internal_split");
     auto ig = pool_->NewPage(relation_, clk);
     if (!ig.ok()) {
       parent.Unlatch();

@@ -7,7 +7,6 @@
 #include "fault/crash_point.h"
 #include "mvcc/epoch.h"
 #include "obs/metrics.h"
-#include "obs/op_trace.h"
 #include "obs/span.h"
 #include "storage/page.h"
 
@@ -176,7 +175,6 @@ void MvPbt::InstallLocked(
 
 Status MvPbt::FlushLocked(VirtualClock* clk) {
   if (buffer_.empty()) return Status::OK();
-  TRACE_OP("index", "mvpbt_flush");
   obs::SpanScope span(obs::SpanPhase::kApply, "mvpbt", "flush");
 
   std::shared_ptr<const Partition> part;
@@ -200,7 +198,6 @@ Status MvPbt::MergeLocked(Xid horizon, VirtualClock* clk) {
   if (set == nullptr || set->parts.size() <= opts_.max_partitions) {
     return Status::OK();
   }
-  TRACE_OP("index", "mvpbt_merge");
   obs::SpanScope span(obs::SpanPhase::kApply, "mvpbt", "merge");
 
   std::vector<Record> all;

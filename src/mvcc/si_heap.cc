@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "mvcc/visibility.h"
 #include "obs/metrics.h"
-#include "obs/op_trace.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -156,7 +155,6 @@ Status SiHeap::FetchVersion(Tid tid, VirtualClock* clk, TupleHeader* header,
 }
 
 Result<std::optional<std::string>> SiHeap::Read(Transaction* txn, Vid vid) {
-  TRACE_OP("mvcc", "si_read");
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "si_read", vid);
   std::vector<Tid> candidates;
   {
@@ -297,7 +295,6 @@ Status SiHeap::StampXmax(Transaction* txn, Tid tid, Xid xmax) {
 }
 
 Status SiHeap::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
-  TRACE_OP("mvcc", "si_update");
   SIAS_RETURN_NOT_OK(env_.txns->locks()->AcquireExclusive(
       relation_, vid, txn->xid(), txn->clock()));
   txn->AddLock(relation_, vid);
@@ -583,7 +580,7 @@ Status SiHeap::RebuildLocators() {
   // today, but it shares the latch discipline with steady-state code.
   auto count = env_.pool->disk()->PageCount(relation_);
   if (!count.ok()) return count.status();
-  std::unordered_map<Vid, std::vector<Tid>> rebuilt;
+  std::unordered_map<Vid, std::vector<std::pair<Tid, TupleHeader>>> found;
   Vid max_vid = 0;
   std::vector<uint16_t> free_bytes(*count, 0);
   for (PageNumber p = 0; p < *count; ++p) {
@@ -597,24 +594,41 @@ Status SiHeap::RebuildLocators() {
       if (tuple.empty()) continue;
       TupleHeader h;
       if (!DecodeTupleHeader(tuple, &h)) continue;
-      rebuilt[h.vid].push_back(Tid{p, s});
+      found[h.vid].emplace_back(Tid{p, s}, h);
       max_vid = std::max(max_vid, h.vid + 1);
     }
     free_bytes[p] = static_cast<uint16_t>(
         std::min<size_t>(page.FreeSpace(), 0xffff));
     guard.Unlatch();
   }
-  // Order each item's versions chronologically (xmin ascending) so that
-  // newest-first iteration remains correct after rebuild. FetchVersion
-  // latches pages, so this too stays outside the member mutexes.
-  for (auto& [vid, tids] : rebuilt) {
-    std::sort(tids.begin(), tids.end(), [&](const Tid& a, const Tid& b) {
-      TupleHeader ha, hb;
-      Status sa = FetchVersion(a, nullptr, &ha, nullptr);
-      Status sb = FetchVersion(b, nullptr, &hb, nullptr);
-      if (!sa.ok() || !sb.ok()) return a.Pack() < b.Pack();
-      return ha.xmin < hb.xmin;
-    });
+  // Order each item's versions chronologically so that newest-first
+  // iteration remains correct after rebuild: by creator xid, then by place
+  // in the creator's own update chain. A transaction that updates an item k
+  // times leaves k versions with one xmin, each pointing at the one before.
+  std::unordered_map<Vid, std::vector<Tid>> rebuilt;
+  for (const auto& [vid, versions] : found) {
+    auto header_at = [&](Tid tid) -> const TupleHeader* {
+      for (const auto& [t, h] : versions) {
+        if (t == tid) return &h;
+      }
+      return nullptr;
+    };
+    std::vector<std::pair<std::pair<Xid, size_t>, Tid>> keyed;
+    for (const auto& [tid, h] : versions) {
+      size_t depth = 0;
+      for (const TupleHeader* p = header_at(h.pred());
+           p != nullptr && p->xmin == h.xmin && depth < versions.size();
+           p = header_at(p->pred())) {
+        ++depth;
+      }
+      keyed.push_back({{h.xmin, depth}, tid});
+    }
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    std::vector<Tid>& tids = rebuilt[vid];
+    for (const auto& k : keyed) tids.push_back(k.second);
   }
   {
     MutexLock g(&map_mu_);

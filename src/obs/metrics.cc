@@ -159,104 +159,5 @@ std::string MetricsSnapshot::ToJson() const {
   return out;
 }
 
-std::string PrometheusName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size() + 1);
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(0, 1, '_');
-  return out;
-}
-
-std::string PrometheusEscapeLabelValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-namespace {
-
-/// Renders `{k1="v1",k2="v2"}` (empty string for no labels); `extra` is an
-/// additional pre-rendered label pair (the quantile label).
-std::string RenderLabels(const std::map<std::string, std::string>& labels,
-                         const std::string& extra = "") {
-  if (labels.empty() && extra.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += PrometheusName(k);
-    out += "=\"";
-    out += PrometheusEscapeLabelValue(v);
-    out += '"';
-  }
-  if (!extra.empty()) {
-    if (!first) out += ',';
-    out += extra;
-  }
-  out += '}';
-  return out;
-}
-
-}  // namespace
-
-std::string MetricsSnapshot::ToPrometheusText(
-    const std::map<std::string, std::string>& labels) const {
-  std::string out;
-  std::string base_labels = RenderLabels(labels);
-  for (const auto& [name, v] : counters) {
-    std::string pname = PrometheusName(name);
-    out += "# TYPE " + pname + " counter\n";
-    out += pname + base_labels + " ";
-    AppendInt(&out, v);
-    out += '\n';
-  }
-  for (const auto& [name, v] : gauges) {
-    std::string pname = PrometheusName(name);
-    out += "# TYPE " + pname + " gauge\n";
-    out += pname + base_labels + " ";
-    AppendInt(&out, v);
-    out += '\n';
-  }
-  for (const auto& [name, h] : histograms) {
-    std::string pname = PrometheusName(name);
-    out += "# TYPE " + pname + " summary\n";
-    const struct {
-      const char* q;
-      VDuration v;
-    } quantiles[] = {{"0.5", h.p50},
-                     {"0.9", h.p90},
-                     {"0.99", h.p99},
-                     {"0.999", h.p999}};
-    for (const auto& q : quantiles) {
-      out += pname +
-             RenderLabels(labels,
-                          std::string("quantile=\"") + q.q + "\"") +
-             " ";
-      AppendInt(&out, q.v);
-      out += '\n';
-    }
-    out += pname + "_sum" + base_labels + " ";
-    AppendDouble(&out, h.mean * static_cast<double>(h.count));
-    out += '\n';
-    out += pname + "_count" + base_labels + " ";
-    AppendInt(&out, static_cast<int64_t>(h.count));
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace obs
 }  // namespace sias

@@ -131,23 +131,7 @@ struct MetricsSnapshot {
 
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string ToJson() const;
-
-  /// Prometheus text exposition format (one `# TYPE` line plus samples per
-  /// metric; histograms export as summaries with quantile labels, _sum and
-  /// _count). `labels` are attached to every series, values escaped per the
-  /// format. Metric names are sanitized via PrometheusName().
-  std::string ToPrometheusText(
-      const std::map<std::string, std::string>& labels = {}) const;
 };
-
-/// Sanitizes a metric name for Prometheus: [a-zA-Z0-9_:] pass through,
-/// everything else ('.', '-', ...) becomes '_'; a leading digit gains a '_'
-/// prefix. "mvcc.gc.pages_examined" -> "mvcc_gc_pages_examined".
-std::string PrometheusName(const std::string& name);
-
-/// Escapes a label value per the exposition format: backslash, double quote
-/// and newline become \\, \" and \n.
-std::string PrometheusEscapeLabelValue(const std::string& value);
 
 /// Thread-safe name -> metric registry. Lookup interns the metric on first
 /// use and returns the same pointer forever after (pointers remain valid for
@@ -156,8 +140,8 @@ class MetricsRegistry {
  public:
   /// Runs after Snapshot() builds the registry's own view, outside the
   /// registry mutex, so side aggregators (the span aggregator) can inject
-  /// derived series. Augmenters may acquire their own latches (rank above
-  /// kMetricsSampler) but must not call back into the registry's Get*.
+  /// derived series. Augmenters may acquire their own latches but must not
+  /// call back into the registry's Get*.
   using SnapshotAugmenter = void (*)(MetricsSnapshot*);
   /// Runs from ResetAll(), outside the registry mutex.
   using ResetHook = void (*)();

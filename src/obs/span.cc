@@ -285,7 +285,7 @@ std::string SpanAggregator::ExemplarsToChromeTraceJson() const {
       const SpanRecord& r = ex.records[i];
       if (!first) out += ',';
       first = false;
-      // Same "X"-event shape as OpTracer::ToChromeTraceJson (virtual µs);
+      // Chrome-trace "X" (complete) events in virtual µs;
       // each exemplar gets its own tid so its tree renders as one track.
       snprintf(buf, sizeof(buf),
                "{\"ph\":\"X\",\"cat\":\"%s\",\"name\":\"%s\",\"ts\":%.3f,"

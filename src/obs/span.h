@@ -12,8 +12,7 @@
 // (`txn.phase.*`, `txn.latency.committed|aborted`), a per-txn-type latency
 // aggregate (`txn.latency.<type>`, injected into MetricsSnapshot by a
 // snapshot augmenter), and a bounded top-K slowest-transaction exemplar
-// buffer whose full span trees export as chrome://tracing JSON next to the
-// TRACE_OP stream.
+// buffer whose full span trees export as chrome://tracing JSON.
 //
 // Hot-path cost: one thread_local flag test when no root is active; fixed
 // thread-local arrays otherwise. Push/pop never allocate (the DebugRing
@@ -166,8 +165,8 @@ class SpanAggregator {
     Histogram latency;
   };
 
-  /// Rank kSpanAggregator: above the sampler and registry mutexes (snapshot
-  /// augmenters run under kMetricsSampler), below nothing it would take.
+  /// Rank kSpanAggregator: above the registry mutex, below nothing it would
+  /// take.
   mutable Mutex mu_{LatchRank::kSpanAggregator};
   TypeAgg types_[kMaxTxnTypes] SIAS_GUARDED_BY(mu_);
   int n_types_ SIAS_GUARDED_BY(mu_) = 0;

@@ -4,7 +4,6 @@
 
 #include "common/analysis_annotations.h"
 #include "obs/metrics.h"
-#include "obs/op_trace.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -42,7 +41,6 @@ Status LockManager::AcquireExclusive(RelationId relation, Vid vid, Xid xid,
     state.holder = xid;
     return Status::OK();
   }
-  TRACE_OP("lock", "wait");
   // Wait edge for the requester's span tree, tagged with the current
   // holder's xid; closes after AdvanceTo below so the span carries the
   // modeled virtual wait, not the wall-clock block.
@@ -81,7 +79,6 @@ Status LockManager::AcquireExclusive(RelationId relation, Vid vid, Xid xid,
     Obs().timeouts->Increment();
     return Status::LockTimeout("row lock wait timed out");
   }
-  TRACE_OP("lock", "wakeup");
   st.holder = xid;
   // Model the wait in virtual time: the lock was freed at last_release_vtime.
   if (clk != nullptr) {

@@ -1,7 +1,6 @@
 #include "txn/txn_manager.h"
 
 #include "common/logging.h"
-#include "obs/op_trace.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -18,7 +17,6 @@ TransactionManager::TransactionManager(Clog* clog, LockManager* locks)
 }
 
 std::unique_ptr<Transaction> TransactionManager::Begin(VirtualClock* clock) {
-  TRACE_OP("txn", "begin");
   SPAN_SCOPE("txn", "begin");
   MutexLock g(&mu_);
   Xid xid = next_xid_++;
@@ -55,7 +53,6 @@ void TransactionManager::Finish(Transaction* txn) {
 }
 
 Status TransactionManager::Commit(Transaction* txn) {
-  TRACE_OP("txn", "commit");
   SPAN_SCOPE("txn", "commit");
   if (txn->state() != TxnState::kActive) {
     return Status::TxnInvalidState("commit of finished transaction");
@@ -83,7 +80,6 @@ Status TransactionManager::Commit(Transaction* txn) {
 }
 
 Status TransactionManager::Abort(Transaction* txn) {
-  TRACE_OP("txn", "abort");
   SPAN_SCOPE("txn", "abort");
   if (txn->state() != TxnState::kActive) {
     return Status::TxnInvalidState("abort of finished transaction");

@@ -9,7 +9,6 @@
 #include "fault/crash_point.h"
 #include "fault/debug_ring.h"
 #include "fault/retry.h"
-#include "obs/op_trace.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -121,7 +120,6 @@ Status WalWriter::Resume(Lsn lsn) {
 }
 
 Status WalWriter::FlushTo(Lsn lsn, VirtualClock* clk) {
-  TRACE_OP("wal", "flush");
   // Group-commit span: renamed leader/follower once the role is known (a
   // follower's lsn was already made durable by another terminal's flush).
   obs::SpanScope flush_span(obs::SpanPhase::kWalFlush, "wal", "flush");
@@ -148,7 +146,6 @@ Status WalWriter::FlushTo(Lsn lsn, VirtualClock* clk) {
     // channel reservations overlap, group commit), then waited in LSN
     // order. Devices either execute the payload during Submit or copy it,
     // so one staging buffer serves the whole burst.
-    TRACE_OP("wal", "fsync");
     SIAS_CRASH_POINT("wal.pre_block_write");
     const size_t nblocks =
         static_cast<size_t>((write_end - write_begin) / kPageSize);

@@ -186,6 +186,43 @@ TEST_F(BufferPoolTest, ChecksumWrittenOnFlushVerifiedOnFetch) {
   EXPECT_EQ(fetched.status().code(), StatusCode::kCorruption);
 }
 
+TEST_F(BufferPoolTest, FinishFetchNeverInstallsBytesOlderThanAWriteBack) {
+  // Interleaving of two fetches of one page, driven from one thread: read A
+  // misses and is in flight; fetch B misses too, installs the page, a writer
+  // adds a tuple, and the page is written back and evicted. A's bytes now
+  // predate the device copy and must not be installed.
+  PageId id;
+  {
+    auto g = pool_.NewPage(1, &clk_);
+    ASSERT_TRUE(g.ok());
+    id = g->id();
+    g->page().InsertTuple(Slice("first"));
+    g->MarkDirty();
+  }
+  auto evict = [&] {
+    ASSERT_TRUE(pool_.FlushAll(&clk_).ok());
+    for (size_t i = 0; i < kFrames * 2; ++i) {
+      ASSERT_TRUE(pool_.NewPage(1, &clk_).ok());
+    }
+  };
+  evict();
+  auto a = pool_.StartFetch(id, &clk_);
+  ASSERT_TRUE(a.ok());
+  ASSERT_FALSE(a->resident);
+  {
+    auto b = pool_.FetchPage(id, &clk_);
+    ASSERT_TRUE(b.ok());
+    b->LatchExclusive();
+    b->page().InsertTuple(Slice("second"));
+    b->MarkDirty();
+    b->Unlatch();
+  }
+  evict();
+  auto g = pool_.FinishFetch(&*a, &clk_);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g->page().slot_count(), 2u);
+}
+
 TEST_F(BufferPoolTest, ConcurrentFetchesAreSafe) {
   PageId id;
   {

@@ -314,12 +314,9 @@ constexpr EngineEdge kEngineEdges[] = {
     // Devices record I/O into trace/stats leaves and the payload store.
     {"StorageDevice trace", LatchRank::kDevice, LatchRank::kStats, false},
     {"FlashSsd store", LatchRank::kDevice, LatchRank::kDeviceStore, false},
-    // Metrics: the registry snapshot merges histogram shards; the sampler
-    // snapshots the registry while holding its ring mutex.
+    // Metrics: the registry snapshot merges histogram shards.
     {"MetricsRegistry::Snapshot", LatchRank::kMetricsRegistry,
      LatchRank::kMetrics, false},
-    {"MetricsSampler::Capture", LatchRank::kMetricsSampler,
-     LatchRank::kMetricsRegistry, false},
 };
 
 TEST(LatchCheckTest, DocumentedRankOrderAdmitsEngineSequences) {

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "mvcc/visibility.h"
+#include "obs/metrics.h"
 #include "tests/test_env.h"
 
 namespace sias {
@@ -741,6 +742,93 @@ TEST_F(PhysicalBehaviourTest, SiasWarmReadFetchesTheVisibleVersionOnce) {
     EXPECT_EQ(env.pool_.stats().hits, hits_before + 1);
     ASSERT_TRUE(env.txns_.Commit(reader.get()).ok());
   }
+}
+
+TEST_F(PhysicalBehaviourTest, SiasReadLatchAcquisitionsCountColdReadsOnly) {
+  // mvcc.read_latch_acquisitions (gated at 0 on the warm read-scaling leg)
+  // counts the walker's locked fetches: a read whose page is not resident
+  // adds at least one, a warm read adds none.
+  constexpr size_t kFrames = 16;
+  obs::Counter* latched = obs::MetricsRegistry::Default().GetCounter(
+      "mvcc.read_latch_acquisitions");
+  for (VersionScheme scheme :
+       {VersionScheme::kSiasChains, VersionScheme::kSiasV}) {
+    SCOPED_TRACE(ToString(scheme));
+    TestEnv env(kFrames);
+    auto table = env.MakeTable(scheme, 1);
+    auto writer = env.txns_.Begin(&clk_);
+    auto vid = table->Insert(writer.get(), Slice("cold"));
+    ASSERT_TRUE(vid.ok());
+    // Fill past the first append page so it is sealed (evictable).
+    const std::string filler(200, 'f');
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(table->Insert(writer.get(), Slice(filler)).ok());
+    }
+    ASSERT_TRUE(env.txns_.Commit(writer.get()).ok());
+    ASSERT_TRUE(env.pool_.FlushAll(&clk_).ok());
+    ASSERT_TRUE(env.disk_.CreateRelation(2).ok());
+    for (size_t i = 0; i < kFrames * 2; ++i) {
+      ASSERT_TRUE(env.pool_.NewPage(2, &clk_).ok());
+    }
+
+    auto reader = env.txns_.Begin(&clk_);
+    int64_t before = latched->Value();
+    auto row = table->Read(reader.get(), *vid);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    EXPECT_EQ(row->value_or(""), "cold");
+    EXPECT_GE(latched->Value() - before, 1);
+
+    before = latched->Value();
+    row = table->Read(reader.get(), *vid);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    EXPECT_EQ(row->value_or(""), "cold");
+    EXPECT_EQ(latched->Value() - before, 0);
+    ASSERT_TRUE(env.txns_.Commit(reader.get()).ok());
+  }
+}
+
+TEST_F(PhysicalBehaviourTest, SiRebuildOrdersOneTransactionsUpdatesByChain) {
+  // One transaction updates an item three times. SI placement rotates over
+  // the pages with room, so its versions land out of physical order, all
+  // with the same xmin. The rebuilt locators must still list them oldest
+  // first, or the next writer sees a committed xmax on the "newest" version
+  // and reports the item deleted.
+  TestEnv env;
+  auto table_ptr = env.MakeTable(VersionScheme::kSi, 1);
+  auto* table = static_cast<SiHeap*>(table_ptr.get());
+  Vid x;
+  {
+    auto t = env.txns_.Begin(&clk_);
+    const std::string filler(3000, 'f');  // two per page
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(table->Insert(t.get(), Slice(filler)).ok());
+    }
+    auto vid = table->Insert(t.get(), Slice("x0"));
+    ASSERT_TRUE(vid.ok());
+    x = *vid;
+    ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
+  }
+  std::vector<Tid> placed;
+  {
+    auto t = env.txns_.Begin(&clk_);
+    for (int i = 1; i <= 3; ++i) {
+      Tid tid;
+      ASSERT_TRUE(
+          table->Update(t.get(), x, Slice("x" + std::to_string(i)), &tid)
+              .ok());
+      placed.push_back(tid);
+    }
+    ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
+  }
+  // Precondition: the last update sits before the first in scan order.
+  ASSERT_LT(placed[2].Pack(), placed[0].Pack());
+  ASSERT_TRUE(table->RebuildLocators().ok());
+  auto t = env.txns_.Begin(&clk_);
+  EXPECT_TRUE(table->Update(t.get(), x, Slice("x4")).ok());
+  auto row = table->Read(t.get(), x);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(row->value_or(""), "x4");
+  ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
 }
 
 TEST_F(PhysicalBehaviourTest, SiasGcReclaimsAndRecyclesPages) {

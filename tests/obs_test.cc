@@ -1,19 +1,18 @@
 // Observability layer tests: metric registration and identity, sharded
-// counter aggregation under concurrent writers, histogram summaries, JSON
-// snapshots, and trace ring-buffer semantics (wraparound, drop accounting).
+// counter aggregation under concurrent writers, histogram summaries and JSON
+// snapshots.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/op_trace.h"
 
 namespace sias {
 namespace obs {
 namespace {
 
-// Tests construct their own registry/tracer instances: Default() is
+// Tests construct their own registry instances: Default() is
 // process-global and accumulates engine activity from other tests.
 
 TEST(MetricsRegistryTest, LookupInternsAndReturnsStablePointers) {
@@ -142,117 +141,6 @@ TEST(MetricsRegistryTest, ResetAllZeroesCountersAndHistograms) {
   EXPECT_EQ(reg.GetHistogram("h")->Snapshot().count(), 0u);
   // Gauges are owner-refreshed; ResetAll leaves them alone.
   EXPECT_EQ(reg.GetGauge("g")->Value(), 3);
-}
-
-TEST(OpTracerTest, DisabledRecordsNothingThroughScopes) {
-  OpTracer tracer(/*capacity=*/8);
-  ASSERT_FALSE(tracer.enabled());
-  { ScopedTrace t(tracer, "cat", "op"); }
-  EXPECT_EQ(tracer.total_recorded(), 0u);
-  EXPECT_TRUE(tracer.Events().empty());
-}
-
-TEST(OpTracerTest, EnabledScopeRecordsOneEvent) {
-  OpTracer tracer(/*capacity=*/8);
-  tracer.set_enabled(true);
-  { ScopedTrace t(tracer, "mvcc", "read"); }
-  EXPECT_EQ(tracer.total_recorded(), 1u);
-  auto events = tracer.Events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].category, "mvcc");
-  EXPECT_STREQ(events[0].name, "read");
-}
-
-TEST(OpTracerTest, RingWrapsKeepingNewestAndCountsDrops) {
-  constexpr size_t kCap = 16;
-  OpTracer tracer(kCap);
-  tracer.set_enabled(true);
-  constexpr uint64_t kTotal = 100;
-  for (uint64_t i = 0; i < kTotal; ++i) {
-    tracer.Record("cat", "op", /*start_ns=*/i, /*dur_ns=*/1);
-  }
-  EXPECT_EQ(tracer.total_recorded(), kTotal);
-  EXPECT_EQ(tracer.dropped(), kTotal - kCap);
-  auto events = tracer.Events();
-  ASSERT_EQ(events.size(), kCap);
-  // Oldest-first ordering over the newest kCap events.
-  for (size_t i = 0; i < kCap; ++i) {
-    EXPECT_EQ(events[i].start_ns, kTotal - kCap + i);
-  }
-}
-
-TEST(OpTracerTest, ConcurrentRecordersLoseNothingBelowCapacity) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 500;
-  OpTracer tracer(kThreads * kPerThread);
-  tracer.set_enabled(true);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer] {
-      for (int i = 0; i < kPerThread; ++i) {
-        ScopedTrace s(tracer, "stress", "op");
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(tracer.total_recorded(), uint64_t{kThreads} * kPerThread);
-  EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_EQ(tracer.Events().size(), size_t{kThreads} * kPerThread);
-}
-
-TEST(OpTracerTest, OverflowBumpsCataloguedDroppedCounter) {
-  // Silent trace loss regression: every ring overwrite must surface in the
-  // process-wide obs.trace.dropped counter, not just the tracer's own
-  // dropped() figure.
-  Counter* dropped =
-      MetricsRegistry::Default().GetCounter("obs.trace.dropped");
-  int64_t before = dropped->Value();
-  constexpr size_t kCap = 16;
-  constexpr uint64_t kTotal = 100;
-  OpTracer tracer(kCap);
-  tracer.set_enabled(true);
-  for (uint64_t i = 0; i < kTotal; ++i) {
-    tracer.Record("cat", "op", /*start_ns=*/i, /*dur_ns=*/1);
-  }
-  EXPECT_EQ(tracer.dropped(), kTotal - kCap);
-  EXPECT_EQ(dropped->Value() - before,
-            static_cast<int64_t>(kTotal - kCap));
-}
-
-TEST(OpTracerTest, ClearEmptiesRingButKeepsNothingElse) {
-  OpTracer tracer(8);
-  tracer.set_enabled(true);
-  tracer.Record("c", "n", 1, 2);
-  tracer.Clear();
-  EXPECT_TRUE(tracer.Events().empty());
-  EXPECT_TRUE(tracer.enabled());
-}
-
-TEST(OpTracerTest, ChromeTraceJsonShape) {
-  OpTracer tracer(8);
-  tracer.set_enabled(true);
-  tracer.Record("wal", "flush", /*start_ns=*/2000, /*dur_ns=*/3000);
-  std::string json = tracer.ToChromeTraceJson();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"wal\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"flush\""), std::string::npos);
-}
-
-TEST(OpTracerTest, TraceOpMacroUsesDefaultTracer) {
-  OpTracer& def = OpTracer::Default();
-  def.Clear();
-  def.set_enabled(true);
-  uint64_t before = def.total_recorded();
-  { TRACE_OP("test", "macro_scope"); }
-  def.set_enabled(false);
-  EXPECT_GE(def.total_recorded(), before + 1);
-  bool found = false;
-  for (const auto& e : def.Events()) {
-    if (std::string(e.name) == "macro_scope") found = true;
-  }
-  EXPECT_TRUE(found);
-  def.Clear();
 }
 
 }  // namespace

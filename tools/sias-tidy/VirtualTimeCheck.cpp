@@ -21,7 +21,7 @@ constexpr unsigned kWaiverWindowLines = 5;
 VirtualTimeCheck::VirtualTimeCheck(StringRef Name, ClangTidyContext *Context)
     : ClangTidyCheck(Name, Context),
       AllowedPaths(Options.get("AllowedPaths",
-                               "src/obs/;bench/;tests/;examples/;tools/")) {}
+                               "bench/;tests/;examples/;tools/")) {}
 
 void VirtualTimeCheck::storeOptions(ClangTidyOptions::OptionMap &Opts) {
   Options.store(Opts, "AllowedPaths", AllowedPaths);

@@ -47,11 +47,9 @@ ALL_CHECKS = (
 )
 
 # Paths (relative to the repo root, '/'-separated) where wall-clock use is
-# legitimate: the obs/ layer exports real timestamps by design, and test /
-# bench / example mains measure wall throughput. tools/ is the analyzer
-# itself.
+# legitimate: test / bench / example mains measure wall throughput. tools/
+# is the analyzer itself.
 VIRTUAL_TIME_ALLOWED_PREFIXES = (
-    "src/obs/",
     "bench/",
     "tests/",
     "examples/",
@@ -740,9 +738,9 @@ def check_metric_literal(sf: ScannedFile, tables: Tables) -> list[Finding]:
     if sf.rel.startswith(("src/obs/metrics", "tools/")):
         return findings  # the registry's own definition / the analyzer
     if "/" in sf.rel and not sf.rel.startswith("src/"):
-        # The catalogue governs production telemetry. Unit tests (obs_test,
-        # sampler_test) register scratch names to exercise the registry
-        # itself; bare-filename fixtures stay covered.
+        # The catalogue governs production telemetry. Unit tests (obs_test)
+        # register scratch names to exercise the registry itself;
+        # bare-filename fixtures stay covered.
         return findings
     for i, ln in enumerate(sf.code):
         for m in REGISTRY_CALL_RE.finditer(ln):
