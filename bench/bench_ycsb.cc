@@ -68,7 +68,8 @@ Cell RunMix(VersionScheme scheme, int read_pct, uint64_t records,
   VirtualClock flush_clk(load_clk.now() + result->makespan);
   SIAS_CHECK((*db)->Checkpoint(&flush_clk).ok());
   std::string label =
-      MetricsLabel("ycsb", scheme, "r" + std::to_string(read_pct));
+      MetricsLabel("ycsb", scheme,
+                   std::string("r").append(std::to_string(read_pct)));
   EmitMetricsLine(label, db->get());
   Cell cell;
   cell.ops_per_vsec = result->OpsPerVSecond();
@@ -121,8 +122,9 @@ double RunDepth(size_t io_depth, uint64_t records, uint64_t operations,
 
   auto result = runner.Run(load_clk.now());
   SIAS_CHECK_MSG(result.ok(), "%s", result.status().ToString().c_str());
-  std::string label = MetricsLabel("ycsb", VersionScheme::kSiasV,
-                                   "d" + std::to_string(io_depth));
+  std::string label =
+      MetricsLabel("ycsb", VersionScheme::kSiasV,
+                   std::string("d").append(std::to_string(io_depth)));
   EmitMetricsLine(label, db->get());
   std::map<std::string, double> numbers;
   numbers["io_depth"] = static_cast<double>(io_depth);

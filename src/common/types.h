@@ -66,7 +66,11 @@ struct Tid {
   }
 
   std::string ToString() const {
-    return "(" + std::to_string(page) + "," + std::to_string(slot) + ")";
+    return std::string("(")
+        .append(std::to_string(page))
+        .append(",")
+        .append(std::to_string(slot))
+        .append(")");
   }
 };
 

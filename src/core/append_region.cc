@@ -51,8 +51,7 @@ Status AppendRegion::OpenNewPageLocked(VirtualClock* clk) {
   return Status::OK();
 }
 
-Result<Tid> AppendRegion::Append(Slice tuple, Xid xid, uint64_t aux,
-                                 VirtualClock* clk) {
+Result<Tid> AppendRegion::Append(Slice tuple, Xid xid, VirtualClock* clk) {
   MutexLock g(&mu_);
   for (int attempt = 0; attempt < 3; ++attempt) {
     if (open_page_ == kInvalidPageNumber) {
@@ -77,7 +76,6 @@ Result<Tid> AppendRegion::Append(Slice tuple, Xid xid, uint64_t aux,
       rec.xid = xid;
       rec.relation = relation_;
       rec.tid = tid;
-      rec.aux = aux;
       rec.body.assign(reinterpret_cast<const char*>(tuple.data()),
                       tuple.size());
       SIAS_ASSIGN_OR_RETURN(lsn, wal_->Append(rec));

@@ -35,8 +35,8 @@ class AppendRegion {
       : relation_(relation), pool_(pool), wal_(wal) {}
 
   /// Appends an encoded tuple version; returns its TID. Logs a
-  /// kHeapInsert WAL record with `aux` (the VID) when WAL is attached.
-  Result<Tid> Append(Slice tuple, Xid xid, uint64_t aux, VirtualClock* clk);
+  /// kHeapInsert WAL record when WAL is attached.
+  Result<Tid> Append(Slice tuple, Xid xid, VirtualClock* clk);
 
   /// Hands a GC-reclaimed page back for reuse.
   void AddFreePage(PageNumber page);

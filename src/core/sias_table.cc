@@ -90,26 +90,6 @@ Tid SiasTable::Entrypoint(Vid vid) const {
                                                : map_v_.Entrypoint(vid);
 }
 
-Status SiasTable::FetchVersion(Tid tid, VirtualClock* clk,
-                               TupleHeader* header, std::string* payload) {
-  auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, clk);
-  if (!r.ok()) return r.status();
-  PageGuard guard = std::move(*r);
-  guard.LatchShared();
-  Slice tuple = guard.page().GetTuple(tid.slot);
-  if (tuple.empty() || !DecodeTupleHeader(tuple, header)) {
-    guard.Unlatch();
-    return Status::NotFound("version slot dead");
-  }
-  if (payload != nullptr) {
-    Slice p = TuplePayload(tuple);
-    payload->assign(reinterpret_cast<const char*>(p.data()), p.size());
-    if (clk != nullptr) clk->Cpu(kCpuTupleCopy);
-  }
-  guard.Unlatch();
-  return Status::OK();
-}
-
 namespace {
 /// What the tasks of one snapshot-read batch share: the reader and the
 /// window of device reads they keep in flight.
@@ -368,7 +348,7 @@ Result<Vid> SiasTable::Insert(Transaction* txn, Slice row, Tid* tid_out) {
   std::string encoded;
   EncodeTuple(h, row, &encoded);
   SIAS_ASSIGN_OR_RETURN(
-      Tid tid, region_.Append(Slice(encoded), txn->xid(), vid, txn->clock()));
+      Tid tid, region_.Append(Slice(encoded), txn->xid(), txn->clock()));
   if (scheme_ == VersionScheme::kSiasChains) {
     map_.Set(vid, tid);
     txn->AddUndo([this, vid, tid] { map_.CompareAndSet(vid, tid, Tid{}); });
@@ -385,8 +365,7 @@ Result<Vid> SiasTable::Insert(Transaction* txn, Slice row, Tid* tid_out) {
   return vid;
 }
 
-Result<SiasTable::VersionRef> SiasTable::ValidateForWrite(Transaction* txn,
-                                                          Vid vid) {
+Result<VersionRef> SiasTable::ValidateForWrite(Transaction* txn, Vid vid) {
   // Under the row lock: the entrypoint can only be an aborted leftover (a
   // racing abort's undo runs before its lock release, so by the time we got
   // the lock the map is restored), our own version, or a committed version.
@@ -394,7 +373,7 @@ Result<SiasTable::VersionRef> SiasTable::ValidateForWrite(Transaction* txn,
   Tid tid = Entrypoint(vid);
   if (!tid.valid()) return Status::NotFound("no such data item");
   TupleHeader h;
-  Status s = FetchVersion(tid, txn->clock(), &h, nullptr);
+  Status s = heap().Fetch(tid, txn->clock(), &h, nullptr);
   if (s.IsNotFound()) return Status::NotFound("data item vanished");
   SIAS_RETURN_NOT_OK(s);
 
@@ -430,7 +409,7 @@ Result<Tid> SiasTable::AppendAndInstall(Transaction* txn, Vid vid,
   std::string encoded;
   EncodeTuple(header, payload, &encoded);
   SIAS_ASSIGN_OR_RETURN(
-      Tid tid, region_.Append(Slice(encoded), txn->xid(), vid, txn->clock()));
+      Tid tid, region_.Append(Slice(encoded), txn->xid(), txn->clock()));
   if (scheme_ == VersionScheme::kSiasChains) {
     if (!map_.CompareAndSet(vid, expected_entry, tid)) {
       return Status::Internal("entrypoint CAS failed under row lock");
@@ -457,9 +436,7 @@ Status SiasTable::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
   TupleHeader h;
   h.xmin = txn->xid();
   h.vid = vid;
-  if (scheme_ == VersionScheme::kSiasChains) {
-    h.set_pred(base.tid);  // *ptr -> old entrypoint (Algorithm 3 line 11)
-  }
+  h.set_pred(base.tid);  // *ptr -> old entrypoint (Algorithm 3 line 11)
   auto r = AppendAndInstall(txn, vid, h, row, base.tid);
   SIAS_RETURN_NOT_OK(r.status());
   if (new_tid != nullptr) *new_tid = *r;
@@ -483,9 +460,7 @@ Status SiasTable::Delete(Transaction* txn, Vid vid) {
   h.xmin = txn->xid();
   h.vid = vid;
   h.flags = kTupleFlagTombstone;
-  if (scheme_ == VersionScheme::kSiasChains) {
-    h.set_pred(base.tid);
-  }
+  h.set_pred(base.tid);
   auto r = AppendAndInstall(txn, vid, h, Slice(), base.tid);
   SIAS_RETURN_NOT_OK(r.status());
   {
@@ -545,51 +520,26 @@ Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
   return Status::OK();
 }
 
-Status SiasTable::Scan(Transaction* txn, const ScanCallback& cb) {
-  // Algorithm 1: iterate the VidMap; for each VID resolve the visible
-  // version. More selective I/O than reading the full relation.
-  Vid bound = vid_bound();
-  for (Vid v = 0; v < bound; ++v) {
-    std::optional<std::string> row;
-    SIAS_RETURN_NOT_OK(ReadOne(txn, v, &row, nullptr));
-    if (!row.has_value()) continue;
-    if (!cb(v, Slice(*row))) return Status::OK();
-  }
-  return Status::OK();
-}
-
 Status SiasTable::FullRelationScan(Transaction* txn, const ScanCallback& cb) {
   // The traditional scan path described in §4.2.1: fetch ALL tuple
   // versions; each becomes a candidate whose visibility is decided by
   // resolving its data item's visible version and comparing.
-  auto count = env_.pool->disk()->PageCount(relation_);
-  if (!count.ok()) return count.status();
-  for (PageNumber p = 0; p < *count; ++p) {
-    auto r = env_.pool->FetchPage(PageId{relation_, p}, txn->clock());
+  SIAS_ASSIGN_OR_RETURN(PageNumber count, heap().PageCount());
+  std::vector<VersionRef> candidates;
+  for (PageNumber p = 0; p < count; ++p) {
+    candidates.clear();
+    auto r = heap().VisitPage(p, txn->clock(), [&](const VersionRef& v, Slice) {
+      candidates.push_back(v);
+      return true;
+    });
     if (!r.ok()) return r.status();
-    PageGuard guard = std::move(*r);
-    guard.LatchShared();
-    SlottedPage page = guard.page();
-    struct Candidate {
-      Vid vid;
-      Tid tid;
-    };
-    std::vector<Candidate> candidates;
-    for (uint16_t s = 0; s < page.slot_count(); ++s) {
-      Slice tuple = page.GetTuple(s);
-      if (tuple.empty()) continue;
-      TupleHeader h;
-      if (!DecodeTupleHeader(tuple, &h)) continue;
-      candidates.push_back(Candidate{h.vid, Tid{p, s}});
-    }
-    guard.Unlatch();
-    for (const auto& c : candidates) {
+    for (const VersionRef& c : candidates) {
       std::optional<std::string> row;
       Tid visible;
-      SIAS_RETURN_NOT_OK(ReadOne(txn, c.vid, &row, &visible));
+      SIAS_RETURN_NOT_OK(ReadOne(txn, c.header.vid, &row, &visible));
       if (!row.has_value()) continue;
       if (visible == c.tid) {  // this candidate IS the visible version
-        if (!cb(c.vid, Slice(*row))) return Status::OK();
+        if (!cb(c.header.vid, Slice(*row))) return Status::OK();
       }
     }
   }
@@ -598,6 +548,8 @@ Status SiasTable::FullRelationScan(Transaction* txn, const ScanCallback& cb) {
 
 Status SiasTable::ScanWithTid(Transaction* txn,
                               const VersionScanCallback& cb) {
+  // Algorithm 1: iterate the VidMap; for each VID resolve the visible
+  // version. More selective I/O than reading the full relation.
   Vid bound = vid_bound();
   for (Vid v = 0; v < bound; ++v) {
     std::optional<std::string> row;
@@ -626,7 +578,7 @@ Result<std::vector<Tid>> SiasTable::ChainOf(Vid vid, VirtualClock* clk) {
   Xid newer_xmin = kInvalidXid;  // xmin of the previously visited version
   while (tid.valid()) {
     TupleHeader h;
-    Status s = FetchVersion(tid, clk, &h, nullptr);
+    Status s = heap().Fetch(tid, clk, &h, nullptr);
     if (!s.ok()) break;  // dangling tail: rest already reclaimed
     if (h.vid != vid && !chain.empty()) {
       // The anchor's predecessor pointer is allowed to dangle into a page
@@ -675,7 +627,7 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
     }
     while (tid.valid()) {
       TupleHeader h;
-      Status s = FetchVersion(tid, clk, &h, nullptr);
+      Status s = heap().Fetch(tid, clk, &h, nullptr);
       if (s.IsNotFound()) break;  // dangling tail: rest already reclaimed
       SIAS_RETURN_NOT_OK(s);
       TxnStatus creator = clog.Get(h.xmin);
@@ -708,7 +660,7 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
   }
   for (Tid tid : order) {
     TupleHeader h;
-    Status s = FetchVersion(tid, clk, &h, nullptr);
+    Status s = heap().Fetch(tid, clk, &h, nullptr);
     if (s.IsNotFound()) continue;
     SIAS_RETURN_NOT_OK(s);
     TxnStatus creator = clog.Get(h.xmin);
@@ -733,7 +685,10 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
   // certainly visible and hides v). Future snapshots always resolve to s
   // or newer. If no active pair needs v, it is dead despite sitting above
   // the horizon anchor — this also retires the anchor itself once nothing
-  // old enough remains. The newest version is always kept.
+  // old enough remains. A shadow with v's own xmin hides v from every
+  // snapshot (both commit together), so v always goes: kept, a relocated v
+  // could tie with its successor when recovery orders the item's versions.
+  // The newest version is always kept.
   if (bounds != nullptr && live->size() > 1) {
     std::vector<VersionRef> kept;
     kept.reserve(live->size());
@@ -751,7 +706,8 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
         Xid s_xmin = kept[shadow].header.xmin;
         drop = true;
         for (const auto& [lo, hi] : *bounds) {
-          if (v.header.xmin < hi && s_xmin >= lo) {
+          if (v.header.xmin != s_xmin && v.header.xmin < hi &&
+              s_xmin >= lo) {
             drop = false;
             break;
           }
@@ -798,26 +754,12 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     if (pending) continue;
 
     // Pass 1: inventory of the page.
-    struct SlotInfo {
-      uint16_t slot;
-      Vid vid;
-    };
-    std::vector<SlotInfo> slots;
-    {
-      auto r = env_.pool->FetchPage(PageId{relation_, p}, clk);
-      if (!r.ok()) return r.status();
-      PageGuard guard = std::move(*r);
-      guard.LatchShared();
-      SlottedPage page = guard.page();
-      for (uint16_t s = 0; s < page.slot_count(); ++s) {
-        Slice tuple = page.GetTuple(s);
-        if (tuple.empty()) continue;
-        TupleHeader h;
-        if (!DecodeTupleHeader(tuple, &h)) continue;
-        slots.push_back(SlotInfo{s, h.vid});
-      }
-      guard.Unlatch();
-    }
+    std::vector<VersionRef> slots;
+    auto inventory = heap().VisitPage(p, clk, [&](const VersionRef& v, Slice) {
+      slots.push_back(v);
+      return true;
+    });
+    if (!inventory.ok()) return inventory.status();
     if (stats != nullptr) stats->pages_examined++;
     Obs().gc_pages_examined->Increment();
     if (slots.empty()) continue;
@@ -825,7 +767,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     // Lock every item referenced by the page; skip the page if any item is
     // being written right now (retry on the next GC cycle).
     std::unordered_set<Vid> vids;
-    for (const auto& s : slots) vids.insert(s.vid);
+    for (const auto& s : slots) vids.insert(s.header.vid);
     std::vector<Vid> locked;
     bool all_locked = true;
     for (Vid v : vids) {
@@ -878,7 +820,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     };
     size_t live_on_page = 0;
     for (const auto& s : slots) {
-      if (is_live_here(s.vid, Tid{p, s.slot})) live_on_page++;
+      if (is_live_here(s.header.vid, s.tid)) live_on_page++;
     }
     // SIAS-V: set an item's vector to exactly its kept live set, with
     // relocated versions remapped to their new homes. Dropping only this
@@ -918,17 +860,15 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
           // Read the full tuple.
           TupleHeader h;
           std::string payload;
-          Status s = FetchVersion(it->tid, clk, &h, &payload);
+          Status s = heap().Fetch(it->tid, clk, &h, &payload);
           if (!s.ok()) continue;
-          if (scheme_ == VersionScheme::kSiasChains) {
-            auto rm = remap.find(h.pred().Pack());
-            if (h.pred().valid() && rm != remap.end()) {
-              h.set_pred(rm->second);
-            }
+          auto rm = remap.find(h.pred().Pack());
+          if (h.pred().valid() && rm != remap.end()) {
+            h.set_pred(rm->second);
           }
           std::string encoded;
           EncodeTuple(h, Slice(payload), &encoded);
-          auto nr = region_.Append(Slice(encoded), h.xmin, v, clk);
+          auto nr = region_.Append(Slice(encoded), h.xmin, clk);
           if (!nr.ok()) {
             unlock_all();
             return nr.status();
@@ -965,8 +905,9 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
               TupleHeader sh;
               if (!stuple.empty() && DecodeTupleHeader(stuple, &sh)) {
                 sh.set_pred(new_tid);
-                OverwriteTupleHeader(sh,
-                                     const_cast<uint8_t*>(stuple.data()));
+                // One atomic store: latch-free readers load this word.
+                OverwritePredWord(const_cast<uint8_t*>(stuple.data()),
+                                  sh.pred_page, sh.pred_slot, sh.flags);
                 Lsn lsn = kInvalidLsn;
                 if (env_.wal != nullptr) {
                   WalRecord rec;
@@ -1059,15 +1000,15 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
       // non-pending page in between.
       std::vector<uint16_t> dead_slots;
       for (const auto& s : slots) {
-        if (is_live_here(s.vid, Tid{p, s.slot})) continue;
-        dead_slots.push_back(s.slot);
+        if (is_live_here(s.header.vid, s.tid)) continue;
+        dead_slots.push_back(s.tid.slot);
         if (stats != nullptr) stats->versions_discarded++;
         Obs().gc_versions_discarded->Increment();
-        if (scheme_ == VersionScheme::kSiasChains && item_dead[s.vid]) {
+        if (scheme_ == VersionScheme::kSiasChains &&
+            item_dead[s.header.vid]) {
           // Whole item dead (tombstone below horizon): if this slot is the
           // entrypoint being pruned, drop the mapping with it.
-          Tid cur = map_.Get(s.vid);
-          if (cur == Tid{p, s.slot}) map_.Clear(s.vid);
+          if (map_.Get(s.header.vid) == s.tid) map_.Clear(s.header.vid);
         }
       }
       if (scheme_ == VersionScheme::kSiasV && !dead_slots.empty()) {
@@ -1117,132 +1058,26 @@ TableStats SiasTable::stats() const {
   return out;
 }
 
-Status SiasTable::ApplyInsert(Tid tid, uint64_t vid_aux, Slice tuple,
-                              Lsn lsn) {
-  (void)vid_aux;
-  DiskManager* disk = env_.pool->disk();
-  auto count = disk->PageCount(relation_);
-  if (!count.ok()) return count.status();
-  while (*count <= tid.page) {
-    auto g = env_.pool->NewPage(relation_, nullptr, kPageFlagAppendRegion);
-    if (!g.ok()) return g.status();
-    count = disk->PageCount(relation_);
-  }
-  auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, nullptr);
-  if (!r.ok()) return r.status();
-  PageGuard guard = std::move(*r);
-  guard.LatchExclusive();
-  SlottedPage page = guard.page();
-  if (page.header()->lsn >= lsn) {
-    guard.Unlatch();
-    return Status::OK();
-  }
-  // GC recycling re-Init()s an emptied append page without a WAL record of
-  // its own. An insert redo at slot 0 that is *newer* than the surviving
-  // page image (the LSN gate above already passed) can only mean the page
-  // was recycled in between — replay the re-initialization here, otherwise
-  // the old generation's slots shadow the new one's.
-  if (tid.slot == 0 && page.slot_count() > 0) {
-    page.Init(relation_, tid.page, kPageFlagAppendRegion);
-  }
-  // A page can be allocated in the disk map yet read back all-zero: the
-  // torn-page prepass re-extends a relation up to its newest full-page
-  // image, and a lower page whose only flush died in the device cache was
-  // never durably written. Its creating inserts are still ahead in the
-  // redo window — start them on a fresh page.
-  if (page.header()->lower == 0) {
-    page.Init(relation_, tid.page, kPageFlagAppendRegion);
-  }
-  Status result = Status::OK();
-  if (tid.slot < page.slot_count()) {
-    result = page.OverwriteTuple(tid.slot, tuple);
-  } else if (tid.slot == page.slot_count()) {
-    uint16_t slot = page.InsertTuple(tuple);
-    if (slot != tid.slot) result = Status::Corruption("redo slot mismatch");
-  } else {
-    result = Status::Corruption(
-        "redo slot gap page=" + std::to_string(tid.page) +
-        " slot=" + std::to_string(tid.slot) +
-        " slot_count=" + std::to_string(page.slot_count()) +
-        " page_lsn=" + std::to_string(page.header()->lsn) +
-        " rec_lsn=" + std::to_string(lsn));
-  }
-  if (result.ok()) guard.MarkDirty(lsn);
-  guard.Unlatch();
-  return result;
-}
-
-Status SiasTable::ApplyOverwrite(Tid tid, Slice tuple, Lsn lsn) {
-  auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, nullptr);
-  if (!r.ok()) return r.status();
-  PageGuard guard = std::move(*r);
-  guard.LatchExclusive();
-  SlottedPage page = guard.page();
-  if (page.header()->lsn >= lsn) {
-    guard.Unlatch();
-    return Status::OK();
-  }
-  Status s = page.OverwriteTuple(tid.slot, tuple);
-  if (s.ok()) guard.MarkDirty(lsn);
-  guard.Unlatch();
-  return s;
-}
-
-Status SiasTable::ApplySlotDelete(Tid tid, Lsn lsn) {
-  auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, nullptr);
-  if (!r.ok()) return r.status();
-  PageGuard guard = std::move(*r);
-  guard.LatchExclusive();
-  SlottedPage page = guard.page();
-  if (page.header()->lsn >= lsn) {
-    guard.Unlatch();
-    return Status::OK();
-  }
-  Status s = page.DeleteTuple(tid.slot);
-  if (s.ok() || s.IsNotFound()) guard.MarkDirty(lsn);
-  guard.Unlatch();
-  return s.IsNotFound() ? Status::OK() : s;
-}
-
-Status SiasTable::RebuildMap() {
+Status SiasTable::Rebuild() {
+  // Committed versions only: crashed and aborted writes are garbage.
   const Clog& clog = *env_.txns->clog();
-  auto count = env_.pool->disk()->PageCount(relation_);
-  if (!count.ok()) return count.status();
-
-  // Collect committed versions per item, then order by xmin descending
-  // (version chains are chronological, so this reproduces them exactly).
-  struct V {
-    Tid tid;
-    Xid xmin;
-  };
-  std::unordered_map<Vid, std::vector<V>> items;
+  std::unordered_map<Vid, std::vector<VersionRef>> items;
   Vid max_vid = 0;
-  for (PageNumber p = 0; p < *count; ++p) {
-    auto r = env_.pool->FetchPage(PageId{relation_, p}, nullptr);
-    if (!r.ok()) return r.status();
-    PageGuard guard = std::move(*r);
-    guard.LatchShared();
-    SlottedPage page = guard.page();
-    for (uint16_t s = 0; s < page.slot_count(); ++s) {
-      Slice tuple = page.GetTuple(s);
-      if (tuple.empty()) continue;
-      TupleHeader h;
-      if (!DecodeTupleHeader(tuple, &h)) continue;
-      max_vid = std::max(max_vid, h.vid + 1);
-      if (!clog.IsCommitted(h.xmin)) continue;  // crashed/aborted: garbage
-      items[h.vid].push_back(V{Tid{p, s}, h.xmin});
-    }
-    guard.Unlatch();
-  }
+  SIAS_RETURN_NOT_OK(heap().Scan(nullptr, [&](const VersionRef& v, Slice) {
+    max_vid = std::max(max_vid, v.header.vid + 1);
+    if (clog.IsCommitted(v.header.xmin)) items[v.header.vid].push_back(v);
+    return true;
+  }));
   for (auto& [vid, versions] : items) {
-    std::sort(versions.begin(), versions.end(),
-              [](const V& a, const V& b) { return a.xmin > b.xmin; });
+    SortChronologically(&versions);
     if (scheme_ == VersionScheme::kSiasChains) {
-      map_.Set(vid, versions.front().tid);
+      map_.Set(vid, versions.back().tid);
     } else {
       std::vector<Tid> vec;
       vec.reserve(versions.size());
-      for (const auto& v : versions) vec.push_back(v.tid);
+      for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
+        vec.push_back(it->tid);
+      }
       map_v_.Set(vid, std::move(vec));
     }
   }

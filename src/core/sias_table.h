@@ -5,8 +5,9 @@
 //    predecessor pointer *ptr; the VidMap holds only the entrypoint
 //    (this text's SIAS-Chains).
 //  * kSiasV: the VidMap entry holds the full vector of version TIDs, newest
-//    first (the EDBT 2014 "SIAS-V in Action" demo variant); versions need
-//    no predecessor pointer.
+//    first (the EDBT 2014 "SIAS-V in Action" demo variant); reads never
+//    follow the predecessor pointer. It is still recorded, so that recovery
+//    can order one transaction's versions of an item (mvcc/heap_pages.h).
 //
 // In both variants:
 //  * every modification is executed as an append (paper §1);
@@ -28,6 +29,7 @@
 #include "core/append_region.h"
 #include "core/vid_map.h"
 #include "core/vid_map_v.h"
+#include "mvcc/heap_pages.h"
 #include "mvcc/mvcc_table.h"
 #include "mvcc/tuple.h"
 
@@ -66,13 +68,14 @@ class SiasTable : public MvccTable {
   Status ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
                    size_t io_depth,
                    std::vector<std::optional<std::string>>* rows) override;
-  Status Scan(Transaction* txn, const ScanCallback& cb) override;
   Status ScanWithTid(Transaction* txn,
                      const VersionScanCallback& cb) override;
   Vid vid_bound() const override;
   Status GarbageCollect(Xid horizon, VirtualClock* clk,
                         GcStats* stats) override;
   TableStats stats() const override;
+  /// Rebuilds the VidMap from the committed versions in the heap.
+  Status Rebuild() override;
 
   /// The "traditional" full-relation scan of §4.2.1 (reads every tuple
   /// version and checks each candidate against the chain) — kept as the
@@ -82,15 +85,6 @@ class SiasTable : public MvccTable {
   /// Fraction of heap pages that are reclaimable/allocated (space metric).
   AppendRegionStats append_stats() const { return region_.stats(); }
 
-  /// Recovery redo of a logged version append.
-  Status ApplyInsert(Tid tid, uint64_t vid_aux, Slice tuple, Lsn lsn);
-  Status ApplyOverwrite(Tid tid, Slice tuple, Lsn lsn);
-  Status ApplySlotDelete(Tid tid, Lsn lsn);
-
-  /// Rebuilds the VidMap from the heap: "all information that is required
-  /// for a reconstruction is stored on each tuple version" (paper §6).
-  Status RebuildMap();
-
   /// Direct access for tests/benches.
   VidMap& vid_map() { return map_; }
   VidMapV& vid_map_v() { return map_v_; }
@@ -98,7 +92,7 @@ class SiasTable : public MvccTable {
 
   /// Walks and returns the version chain of `vid`, newest first
   /// (tests / invariant checks). Reads each version through the latched
-  /// FetchVersion.
+  /// HeapPages::Fetch.
   Result<std::vector<Tid>> ChainOf(Vid vid, VirtualClock* clk);
 
   /// Test-only schedule control: when set, the hook is invoked on the read
@@ -109,16 +103,8 @@ class SiasTable : public MvccTable {
   static void SetReadPauseHookForTest(void (*hook)(Vid));
 
  private:
-  struct VersionRef {
-    Tid tid;
-    TupleHeader header;
-  };
-
+  HeapPages heap() const { return HeapPages(env_.pool, relation_); }
   Tid Entrypoint(Vid vid) const;
-
-  /// Reads header (+payload) of the version at tid, pinned and latched.
-  Status FetchVersion(Tid tid, VirtualClock* clk, TupleHeader* header,
-                      std::string* payload);
 
   /// The snapshot-read walker, for both schemes: one resumable read of one
   /// item (sias_table.cc). Read, the scans and ReadMulti all drive it.
@@ -147,9 +133,10 @@ class SiasTable : public MvccTable {
   /// (TransactionManager::ActiveSnapshotBounds) additionally enables
   /// mid-vector reclamation: committed versions between the newest and the
   /// anchor that no active snapshot can resolve as its visible version are
-  /// dropped from the live set (range tracking). Chains keep the plain
-  /// anchor cut — dropping a mid-chain version would require rewriting the
-  /// predecessor pointer of an older, immutable version.
+  /// dropped from the live set (range tracking), and so is every committed
+  /// version shadowed by a kept one of the same transaction. Chains keep
+  /// the plain anchor cut — dropping a mid-chain version would require
+  /// rewriting the predecessor pointer of an older, immutable version.
   Status LiveVersions(Vid vid, Xid horizon,
                       const std::vector<std::pair<Xid, Xid>>* bounds,
                       VirtualClock* clk, std::vector<VersionRef>* live,

@@ -68,7 +68,7 @@ class VidMap {
   size_t memory_bytes() const { return bucket_count() * kPageSize; }
 
   /// Checkpoint persistence. The map is also fully reconstructible from the
-  /// heap (paper §6 Recovery) — see SiasTable::RebuildMap.
+  /// heap (paper §6 Recovery) — see SiasTable::Rebuild.
   void Serialize(std::string* out) const;
   Status Deserialize(Slice in);
 

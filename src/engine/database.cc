@@ -10,6 +10,7 @@
 #include "fault/debug_ring.h"
 #include "fault/retry.h"
 #include "mvcc/epoch.h"
+#include "mvcc/heap_pages.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -460,12 +461,15 @@ Status Database::Recover(const RecoverOptions& ropts) {
   }
   fault::DebugRingLog("recover_start", start_lsn);
 
-  // Build relation -> heap routing from the catalog.
-  std::unordered_map<RelationId, MvccTable*> route;
+  // Relation -> flags of the pages redo creates: SIAS heaps are append
+  // regions. Records of relations missing here are skipped.
+  std::unordered_map<RelationId, uint32_t> page_flags;
   {
     MutexLock g(&catalog_mu_);
     for (auto& [name, table] : tables_) {
-      route[table->heap()->relation()] = table->heap();
+      page_flags[table->heap()->relation()] =
+          table->scheme() == VersionScheme::kSi ? kPageFlagNone
+                                                : kPageFlagAppendRegion;
     }
   }
 
@@ -514,16 +518,6 @@ Status Database::Recover(const RecoverOptions& ropts) {
       max_seen_xid = std::max(max_seen_xid, r.xid);
       clog_.Extend(r.xid);
     }
-    // Sabotage knob (crash tests): drop this heap redo record on the floor
-    // to prove the invariant suite catches a recovery that loses work.
-    bool skip_apply = false;
-    if (r.type == WalRecordType::kHeapInsert ||
-        r.type == WalRecordType::kHeapOverwrite ||
-        r.type == WalRecordType::kHeapSlotDelete) {
-      skip_apply = heap_redo_index == ropts.skip_redo_record;
-      heap_redo_index++;
-    }
-    if (skip_apply) continue;
     switch (r.type) {
       case WalRecordType::kTxnCommit:
         clog_.SetCommitted(r.xid);
@@ -531,44 +525,17 @@ Status Database::Recover(const RecoverOptions& ropts) {
       case WalRecordType::kTxnAbort:
         clog_.SetAborted(r.xid);
         break;
-      case WalRecordType::kHeapInsert: {
-        auto it = route.find(r.relation);
-        if (it == route.end()) break;  // dropped/undeclared relation
-        if (it->second->scheme() == VersionScheme::kSi) {
-          SIAS_RETURN_NOT_OK(static_cast<SiHeap*>(it->second)->ApplyInsert(
-              r.tid, Slice(r.body), reader.lsn()));
-        } else {
-          SIAS_RETURN_NOT_OK(static_cast<SiasTable*>(it->second)->ApplyInsert(
-              r.tid, r.aux, Slice(r.body), reader.lsn()));
-        }
-        break;
-      }
-      case WalRecordType::kHeapOverwrite: {
-        auto it = route.find(r.relation);
-        if (it == route.end()) break;
-        Status s;
-        if (it->second->scheme() == VersionScheme::kSi) {
-          s = static_cast<SiHeap*>(it->second)->ApplyOverwrite(
-              r.tid, Slice(r.body), reader.lsn());
-        } else {
-          s = static_cast<SiasTable*>(it->second)->ApplyOverwrite(
-              r.tid, Slice(r.body), reader.lsn());
-        }
-        if (!s.ok() && !s.IsNotFound()) return s;
-        break;
-      }
+      case WalRecordType::kHeapInsert:
+      case WalRecordType::kHeapOverwrite:
       case WalRecordType::kHeapSlotDelete: {
-        auto it = route.find(r.relation);
-        if (it == route.end()) break;
-        Status s;
-        if (it->second->scheme() == VersionScheme::kSi) {
-          s = static_cast<SiHeap*>(it->second)->ApplySlotDelete(r.tid,
-                                                                reader.lsn());
-        } else {
-          s = static_cast<SiasTable*>(it->second)->ApplySlotDelete(
-              r.tid, reader.lsn());
-        }
-        if (!s.ok() && !s.IsNotFound()) return s;
+        // Sabotage knob (crash tests): drop this heap redo record on the
+        // floor to prove the invariant suite catches a recovery that loses
+        // work.
+        if (heap_redo_index++ == ropts.skip_redo_record) break;
+        auto it = page_flags.find(r.relation);
+        if (it == page_flags.end()) break;  // dropped/undeclared relation
+        SIAS_RETURN_NOT_OK(HeapPages(pool_.get(), r.relation)
+                               .Redo(r, reader.lsn(), it->second));
         break;
       }
       case WalRecordType::kCheckpoint:
@@ -603,13 +570,7 @@ Status Database::Recover(const RecoverOptions& ropts) {
   {
     MutexLock g(&catalog_mu_);
     for (auto& [name, table] : tables_) {
-      if (table->scheme() == VersionScheme::kSi) {
-        SIAS_RETURN_NOT_OK(
-            static_cast<SiHeap*>(table->heap())->RebuildLocators());
-      } else {
-        SIAS_RETURN_NOT_OK(
-            static_cast<SiasTable*>(table->heap())->RebuildMap());
-      }
+      SIAS_RETURN_NOT_OK(table->heap()->Rebuild());
       SIAS_RETURN_NOT_OK(table->RebuildIndexes(recovery_txn.get(), &clk));
     }
   }

@@ -112,7 +112,7 @@ Status CrashRunner::RunWorkload() {
     }
 
     int64_t key = static_cast<int64_t>(rng.Uniform(0, cfg_.keys - 1));
-    std::string val = "v" + std::to_string(i);
+    std::string val = std::string("v").append(std::to_string(i));
     auto txn = db_->Begin(&clk_);
     std::vector<std::pair<int64_t, std::string>> writes;
     Status s = WriteKey(table_, &vids_, txn.get(), key, val);

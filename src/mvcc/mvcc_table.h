@@ -116,14 +116,18 @@ class MvccTable {
     return Status::NotSupported("scheme does not address versions by TID");
   }
 
-  /// Visits every data item visible in txn's snapshot.
-  virtual Status Scan(Transaction* txn, const ScanCallback& cb) = 0;
-
-  /// Like Scan but also yields the physical TID of the visible version
-  /// (used for index rebuilds after recovery).
+  /// Visits every data item visible in txn's snapshot, with the physical
+  /// TID of its visible version (index rebuilds after recovery need it).
   using VersionScanCallback = std::function<bool(Vid, Tid, Slice)>;
   virtual Status ScanWithTid(Transaction* txn,
                              const VersionScanCallback& cb) = 0;
+
+  /// ScanWithTid without the TID.
+  Status Scan(Transaction* txn, const ScanCallback& cb) {
+    return ScanWithTid(txn, [&cb](Vid vid, Tid, Slice row) {
+      return cb(vid, row);
+    });
+  }
 
   /// One past the largest VID ever assigned.
   virtual Vid vid_bound() const = 0;
@@ -133,6 +137,11 @@ class MvccTable {
                                 GcStats* stats) = 0;
 
   virtual TableStats stats() const = 0;
+
+  /// Recovery: rebuilds the in-memory version index from the heap once
+  /// redo is done ("all information that is required for a reconstruction
+  /// is stored on each tuple version", paper §6).
+  virtual Status Rebuild() = 0;
 };
 
 }  // namespace sias

@@ -134,26 +134,6 @@ Result<Vid> SiHeap::Insert(Transaction* txn, Slice row, Tid* tid_out) {
   return vid;
 }
 
-Status SiHeap::FetchVersion(Tid tid, VirtualClock* clk, TupleHeader* header,
-                            std::string* payload) {
-  auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, clk);
-  if (!r.ok()) return r.status();
-  PageGuard guard = std::move(*r);
-  guard.LatchShared();
-  Slice tuple = guard.page().GetTuple(tid.slot);
-  if (tuple.empty() || !DecodeTupleHeader(tuple, header)) {
-    guard.Unlatch();
-    return Status::NotFound("version slot dead");
-  }
-  if (payload != nullptr) {
-    Slice p = TuplePayload(tuple);
-    payload->assign(reinterpret_cast<const char*>(p.data()), p.size());
-    if (clk != nullptr) clk->Cpu(kCpuTupleCopy);
-  }
-  guard.Unlatch();
-  return Status::OK();
-}
-
 Result<std::optional<std::string>> SiHeap::Read(Transaction* txn, Vid vid) {
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "si_read", vid);
   std::vector<Tid> candidates;
@@ -173,7 +153,7 @@ Result<std::optional<std::string>> SiHeap::Read(Transaction* txn, Vid vid) {
   for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
     TupleHeader h;
     std::string payload;
-    Status s = FetchVersion(*it, txn->clock(), &h, &payload);
+    Status s = heap().Fetch(*it, txn->clock(), &h, &payload);
     if (s.IsNotFound()) continue;  // vacuumed under us
     SIAS_RETURN_NOT_OK(s);
     examined++;
@@ -196,7 +176,7 @@ Result<std::optional<std::string>> SiHeap::ReadAtTid(Transaction* txn,
                                                      Tid tid, Vid* vid_out) {
   TupleHeader h;
   std::string payload;
-  Status s = FetchVersion(tid, txn->clock(), &h, &payload);
+  Status s = heap().Fetch(tid, txn->clock(), &h, &payload);
   if (s.IsNotFound()) return std::optional<std::string>{};  // vacuumed
   SIAS_RETURN_NOT_OK(s);
   txn->clock()->Cpu(kCpuVisibilityCheck);
@@ -220,7 +200,7 @@ Result<Tid> SiHeap::ValidateForWrite(Transaction* txn, Vid vid) {
   // Walk newest-first for the first version whose creator is decided.
   for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
     TupleHeader h;
-    Status s = FetchVersion(*it, txn->clock(), &h, nullptr);
+    Status s = heap().Fetch(*it, txn->clock(), &h, nullptr);
     if (s.IsNotFound()) continue;
     SIAS_RETURN_NOT_OK(s);
     const Clog& clog = *env_.txns->clog();
@@ -336,59 +316,16 @@ Status SiHeap::Delete(Transaction* txn, Vid vid) {
   return Status::OK();
 }
 
-Status SiHeap::Scan(Transaction* txn, const ScanCallback& cb) {
-  // The "traditional scan" (paper §4.2.1): read the WHOLE relation, check
-  // every tuple version individually.
-  auto count = env_.pool->disk()->PageCount(relation_);
-  if (!count.ok()) return count.status();
-  for (PageNumber p = 0; p < *count; ++p) {
-    auto r = env_.pool->FetchPage(PageId{relation_, p}, txn->clock());
-    if (!r.ok()) return r.status();
-    PageGuard guard = std::move(*r);
-    guard.LatchShared();
-    SlottedPage page = guard.page();
-    for (uint16_t s = 0; s < page.slot_count(); ++s) {
-      Slice tuple = page.GetTuple(s);
-      if (tuple.empty()) continue;
-      TupleHeader h;
-      if (!DecodeTupleHeader(tuple, &h)) continue;
-      txn->clock()->Cpu(kCpuVisibilityCheck);
-      if (!SiTupleVisible(h, txn->snapshot(), *env_.txns->clog())) continue;
-      if (!cb(h.vid, TuplePayload(tuple))) {
-        guard.Unlatch();
-        return Status::OK();
-      }
-    }
-    guard.Unlatch();
-  }
-  return Status::OK();
-}
-
 Status SiHeap::ScanWithTid(Transaction* txn,
                            const VersionScanCallback& cb) {
-  auto count = env_.pool->disk()->PageCount(relation_);
-  if (!count.ok()) return count.status();
-  for (PageNumber p = 0; p < *count; ++p) {
-    auto r = env_.pool->FetchPage(PageId{relation_, p}, txn->clock());
-    if (!r.ok()) return r.status();
-    PageGuard guard = std::move(*r);
-    guard.LatchShared();
-    SlottedPage page = guard.page();
-    for (uint16_t s = 0; s < page.slot_count(); ++s) {
-      Slice tuple = page.GetTuple(s);
-      if (tuple.empty()) continue;
-      TupleHeader h;
-      if (!DecodeTupleHeader(tuple, &h)) continue;
-      txn->clock()->Cpu(kCpuVisibilityCheck);
-      if (!SiTupleVisible(h, txn->snapshot(), *env_.txns->clog())) continue;
-      if (!cb(h.vid, Tid{p, s}, TuplePayload(tuple))) {
-        guard.Unlatch();
-        return Status::OK();
-      }
-    }
-    guard.Unlatch();
-  }
-  return Status::OK();
+  // The "traditional scan" (paper §4.2.1): read the WHOLE relation, check
+  // every tuple version individually.
+  const Clog& clog = *env_.txns->clog();
+  return heap().Scan(txn->clock(), [&](const VersionRef& v, Slice tuple) {
+    txn->clock()->Cpu(kCpuVisibilityCheck);
+    if (!SiTupleVisible(v.header, txn->snapshot(), clog)) return true;
+    return cb(v.header.vid, v.tid, TuplePayload(tuple));
+  });
 }
 
 Vid SiHeap::vid_bound() const {
@@ -466,169 +403,37 @@ TableStats SiHeap::stats() const {
   return stats_;
 }
 
-Status SiHeap::ApplyInsert(Tid tid, Slice tuple, Lsn lsn) {
-  // Redo: ensure the relation is long enough, then re-place the tuple at
-  // the logged slot unless the page already reflects the change (LSN gate).
-  DiskManager* disk = env_.pool->disk();
-  auto count = disk->PageCount(relation_);
-  if (!count.ok()) return count.status();
-  while (*count <= tid.page) {
-    auto g = env_.pool->NewPage(relation_, nullptr);
-    if (!g.ok()) return g.status();
-    count = disk->PageCount(relation_);
-  }
-  auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, nullptr);
-  if (!r.ok()) return r.status();
-  PageGuard guard = std::move(*r);
-  guard.LatchExclusive();
-  SlottedPage page = guard.page();
-  if (page.header()->lsn >= lsn) {
-    guard.Unlatch();
-    return Status::OK();  // already applied before the crash
-  }
-  // A page can be allocated in the disk map yet read back all-zero: the
-  // torn-page prepass re-extends a relation up to its newest full-page
-  // image, and a lower page whose only flush died in the device cache was
-  // never durably written. Its creating inserts are still ahead in the
-  // redo window — start them on a fresh page.
-  if (page.header()->lower == 0) {
-    page.Init(relation_, tid.page, 0);
-  }
-  if (tid.slot < page.slot_count()) {
-    // Slot exists (page flushed mid-sequence); overwrite is idempotent.
-    Status s = page.OverwriteTuple(tid.slot, tuple);
-    if (!s.ok()) {
-      guard.Unlatch();
-      return s;
-    }
-  } else if (tid.slot == page.slot_count()) {
-    uint16_t slot = page.InsertTuple(tuple);
-    if (slot != tid.slot) {
-      guard.Unlatch();
-      return Status::Corruption(
-          "redo slot mismatch page=" + std::to_string(tid.page) +
-          " slot=" + std::to_string(tid.slot) +
-          " slot_count=" + std::to_string(page.slot_count()) +
-          " free=" + std::to_string(page.FreeSpace()) +
-          " rec_lsn=" + std::to_string(lsn));
-    }
-  } else {
-    guard.Unlatch();
-    return Status::Corruption(
-        "redo slot gap page=" + std::to_string(tid.page) +
-        " slot=" + std::to_string(tid.slot) +
-        " slot_count=" + std::to_string(page.slot_count()) +
-        " page_lsn=" + std::to_string(page.header()->lsn) +
-        " rec_lsn=" + std::to_string(lsn));
-  }
-  guard.MarkDirty(lsn);
-  guard.Unlatch();
-  TupleHeader h;
-  if (DecodeTupleHeader(tuple, &h)) {
-    MutexLock g(&map_mu_);
-    auto& vec = versions_[h.vid];
-    if (std::find(vec.begin(), vec.end(), tid) == vec.end()) {
-      vec.push_back(tid);
-    }
-    next_vid_ = std::max(next_vid_, h.vid + 1);
-  }
-  {
-    MutexLock g(&fsm_mu_);
-    if (fsm_.size() <= tid.page) fsm_.resize(tid.page + 1, 0);
-  }
-  return Status::OK();
-}
-
-Status SiHeap::ApplyOverwrite(Tid tid, Slice tuple, Lsn lsn) {
-  auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, nullptr);
-  if (!r.ok()) return r.status();
-  PageGuard guard = std::move(*r);
-  guard.LatchExclusive();
-  SlottedPage page = guard.page();
-  if (page.header()->lsn >= lsn) {
-    guard.Unlatch();
-    return Status::OK();
-  }
-  Status s = page.OverwriteTuple(tid.slot, tuple);
-  if (s.ok()) guard.MarkDirty(lsn);
-  guard.Unlatch();
-  return s;
-}
-
-Status SiHeap::ApplySlotDelete(Tid tid, Lsn lsn) {
-  auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, nullptr);
-  if (!r.ok()) return r.status();
-  PageGuard guard = std::move(*r);
-  guard.LatchExclusive();
-  SlottedPage page = guard.page();
-  if (page.header()->lsn >= lsn) {
-    guard.Unlatch();
-    return Status::OK();
-  }
-  Status s = page.DeleteTuple(tid.slot);
-  if (s.ok() || s.IsNotFound()) guard.MarkDirty(lsn);
-  guard.Unlatch();
-  return s.IsNotFound() ? Status::OK() : s;
-}
-
-Status SiHeap::RebuildLocators() {
+Status SiHeap::Rebuild() {
   // Build into locals with NO member mutex held: the heap scan fetches and
   // latches pages, and GarbageCollect nests map_mu_/fsm_mu_ *inside* the
   // page latch (ranks kPage < kSiHeapMap < kSiHeapFsm) — holding map_mu_
-  // across the scan, as this function once did, is exactly the rank
-  // inversion the latch checker aborts on. Recovery is single-threaded
-  // today, but it shares the latch discipline with steady-state code.
-  auto count = env_.pool->disk()->PageCount(relation_);
-  if (!count.ok()) return count.status();
-  std::unordered_map<Vid, std::vector<std::pair<Tid, TupleHeader>>> found;
+  // across the scan is exactly the rank inversion the latch checker aborts
+  // on. Recovery is single-threaded today, but it shares the latch
+  // discipline with steady-state code.
+  SIAS_ASSIGN_OR_RETURN(PageNumber count, heap().PageCount());
+  std::unordered_map<Vid, std::vector<VersionRef>> found;
   Vid max_vid = 0;
-  std::vector<uint16_t> free_bytes(*count, 0);
-  for (PageNumber p = 0; p < *count; ++p) {
-    auto r = env_.pool->FetchPage(PageId{relation_, p}, nullptr);
+  std::vector<uint16_t> free_bytes(count, 0);
+  for (PageNumber p = 0; p < count; ++p) {
+    size_t free_space = 0;
+    auto r = heap().VisitPage(
+        p, nullptr,
+        [&](const VersionRef& v, Slice) {
+          found[v.header.vid].push_back(v);
+          max_vid = std::max(max_vid, v.header.vid + 1);
+          return true;
+        },
+        &free_space);
     if (!r.ok()) return r.status();
-    PageGuard guard = std::move(*r);
-    guard.LatchShared();
-    SlottedPage page = guard.page();
-    for (uint16_t s = 0; s < page.slot_count(); ++s) {
-      Slice tuple = page.GetTuple(s);
-      if (tuple.empty()) continue;
-      TupleHeader h;
-      if (!DecodeTupleHeader(tuple, &h)) continue;
-      found[h.vid].emplace_back(Tid{p, s}, h);
-      max_vid = std::max(max_vid, h.vid + 1);
-    }
-    free_bytes[p] = static_cast<uint16_t>(
-        std::min<size_t>(page.FreeSpace(), 0xffff));
-    guard.Unlatch();
+    free_bytes[p] =
+        static_cast<uint16_t>(std::min<size_t>(free_space, 0xffff));
   }
-  // Order each item's versions chronologically so that newest-first
-  // iteration remains correct after rebuild: by creator xid, then by place
-  // in the creator's own update chain. A transaction that updates an item k
-  // times leaves k versions with one xmin, each pointing at the one before.
+  // Chronological order keeps newest-first iteration correct.
   std::unordered_map<Vid, std::vector<Tid>> rebuilt;
-  for (const auto& [vid, versions] : found) {
-    auto header_at = [&](Tid tid) -> const TupleHeader* {
-      for (const auto& [t, h] : versions) {
-        if (t == tid) return &h;
-      }
-      return nullptr;
-    };
-    std::vector<std::pair<std::pair<Xid, size_t>, Tid>> keyed;
-    for (const auto& [tid, h] : versions) {
-      size_t depth = 0;
-      for (const TupleHeader* p = header_at(h.pred());
-           p != nullptr && p->xmin == h.xmin && depth < versions.size();
-           p = header_at(p->pred())) {
-        ++depth;
-      }
-      keyed.push_back({{h.xmin, depth}, tid});
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
+  for (auto& [vid, versions] : found) {
+    SortChronologically(&versions);
     std::vector<Tid>& tids = rebuilt[vid];
-    for (const auto& k : keyed) tids.push_back(k.second);
+    for (const VersionRef& v : versions) tids.push_back(v.tid);
   }
   {
     MutexLock g(&map_mu_);

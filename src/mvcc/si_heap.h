@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/latch.h"
+#include "mvcc/heap_pages.h"
 #include "mvcc/mvcc_table.h"
 #include "mvcc/tuple.h"
 #include "txn/lock_manager.h"
@@ -38,21 +39,14 @@ class SiHeap : public MvccTable {
   Result<std::optional<std::string>> Read(Transaction* txn, Vid vid) override;
   Result<std::optional<std::string>> ReadAtTid(Transaction* txn, Tid tid,
                                                Vid* vid_out) override;
-  Status Scan(Transaction* txn, const ScanCallback& cb) override;
   Status ScanWithTid(Transaction* txn,
                      const VersionScanCallback& cb) override;
   Vid vid_bound() const override;
   Status GarbageCollect(Xid horizon, VirtualClock* clk,
                         GcStats* stats) override;
   TableStats stats() const override;
-
-  /// Recovery: re-applies a logged tuple placement / overwrite (redo path).
-  Status ApplyInsert(Tid tid, Slice tuple, Lsn lsn);
-  Status ApplyOverwrite(Tid tid, Slice tuple, Lsn lsn);
-  Status ApplySlotDelete(Tid tid, Lsn lsn);
-
-  /// Recovery: rebuilds the in-memory version locators by scanning the heap.
-  Status RebuildLocators();
+  /// Rebuilds the version locators and the free-space map from the heap.
+  Status Rebuild() override;
 
  private:
   /// Places an encoded tuple on some page with room; returns its TID.
@@ -62,13 +56,11 @@ class SiHeap : public MvccTable {
   /// Stamps xmax on the version at `tid` (the in-place invalidation).
   Status StampXmax(Transaction* txn, Tid tid, Xid xmax);
 
-  /// Reads a version's header (+payload if wanted) at tid.
-  Status FetchVersion(Tid tid, VirtualClock* clk, TupleHeader* header,
-                      std::string* payload);
-
   /// Validates the newest version for update/delete under the row lock and
   /// returns its TID. Implements first-updater-wins.
   Result<Tid> ValidateForWrite(Transaction* txn, Vid vid);
+
+  HeapPages heap() const { return HeapPages(env_.pool, relation_); }
 
   RelationId relation_;
   TableEnv env_;

@@ -6,7 +6,9 @@
 // SI uses xmin + xmax (in-place invalidation). SIAS uses xmin + VID +
 // predecessor pointer and keeps xmax permanently unset: "There is explicitly
 // no invalidation information stored on each tuple version" — invalidation
-// is coded by the chain structure.
+// is coded by the chain structure. Every scheme records the predecessor:
+// SIAS-Chains reads through it; SI and SIAS-V keep it so that recovery can
+// order one transaction's versions of an item (mvcc/heap_pages.h).
 #pragma once
 
 #include <atomic>

@@ -244,7 +244,7 @@ TEST_F(AppendRegionTest, CoLocatesSequentialAppends) {
   std::string tuple = MakeTuple(100);
   std::set<PageNumber> pages;
   for (int i = 0; i < 20; ++i) {
-    auto tid = region_.Append(Slice(tuple), 2, 1, &clk_);
+    auto tid = region_.Append(Slice(tuple), 2, &clk_);
     ASSERT_TRUE(tid.ok());
     pages.insert(tid->page);
   }
@@ -256,7 +256,7 @@ TEST_F(AppendRegionTest, RollsToNewPageWhenFull) {
   std::string tuple = MakeTuple(2000);
   std::set<PageNumber> pages;
   for (int i = 0; i < 12; ++i) {  // ~4 tuples of 2 KB per 8 KB page
-    auto tid = region_.Append(Slice(tuple), 2, 1, &clk_);
+    auto tid = region_.Append(Slice(tuple), 2, &clk_);
     ASSERT_TRUE(tid.ok());
     pages.insert(tid->page);
   }
@@ -268,12 +268,12 @@ TEST_F(AppendRegionTest, RecyclesFreedPages) {
   std::string tuple = MakeTuple(3000);
   // Fill and seal a couple of pages.
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(region_.Append(Slice(tuple), 2, 1, &clk_).ok());
+    ASSERT_TRUE(region_.Append(Slice(tuple), 2, &clk_).ok());
   }
   region_.SealOpenPage();
   region_.AddFreePage(0);
   uint64_t recycled_before = region_.stats().pages_recycled;
-  auto tid = region_.Append(Slice(tuple), 2, 1, &clk_);
+  auto tid = region_.Append(Slice(tuple), 2, &clk_);
   ASSERT_TRUE(tid.ok());
   EXPECT_EQ(tid->page, 0u);  // reused page 0
   EXPECT_EQ(region_.stats().pages_recycled, recycled_before + 1);
@@ -281,7 +281,7 @@ TEST_F(AppendRegionTest, RecyclesFreedPages) {
 
 TEST_F(AppendRegionTest, SealedPagesAreEvictionEligibleOpenIsNot) {
   std::string tuple = MakeTuple(100);
-  ASSERT_TRUE(region_.Append(Slice(tuple), 2, 1, &clk_).ok());
+  ASSERT_TRUE(region_.Append(Slice(tuple), 2, &clk_).ok());
   PageId open = region_.open_page();
   ASSERT_TRUE(open.valid());
   // Blow the pool: the sticky open page must survive.
@@ -298,7 +298,7 @@ TEST_F(AppendRegionTest, SealedPagesAreEvictionEligibleOpenIsNot) {
 
 TEST_F(AppendRegionTest, OversizedTupleRejected) {
   std::string tuple = MakeTuple(kPageSize);
-  auto tid = region_.Append(Slice(tuple), 2, 1, &clk_);
+  auto tid = region_.Append(Slice(tuple), 2, &clk_);
   EXPECT_FALSE(tid.ok());
 }
 

@@ -187,7 +187,8 @@ TEST_P(EngineTest, OldSnapshotStillFindsOldKeyThroughIndex) {
 
 TEST_P(EngineTest, IndexRangeScansInOrder) {
   for (int64_t i = 10; i > 0; --i) {
-    InsertAccount(i, "o" + std::to_string(i), 1.0 * static_cast<double>(i));
+    InsertAccount(i, std::string("o").append(std::to_string(i)),
+                  1.0 * static_cast<double>(i));
   }
   auto txn = db_->Begin(&clk_);
   std::vector<int64_t> ids;

@@ -69,7 +69,7 @@ TEST_P(VisibilityPropertyTest, SnapshotsSeeCommitPrefix) {
     OpenTxn& ot = open[pick];
     if (action <= 2) {
       // insert
-      std::string val = "v" + std::to_string(step);
+      std::string val = std::string("v").append(std::to_string(step));
       auto vid = table->Insert(ot.txn.get(), Slice(val));
       ASSERT_TRUE(vid.ok());
       ot.own[*vid] = val;
@@ -77,7 +77,7 @@ TEST_P(VisibilityPropertyTest, SnapshotsSeeCommitPrefix) {
     } else if (action <= 4 && !known_vids.empty()) {
       // update a random item (may conflict -> abort this txn)
       Vid v = known_vids[rng.Uniform(0, known_vids.size() - 1)];
-      std::string val = "u" + std::to_string(step);
+      std::string val = std::string("u").append(std::to_string(step));
       Status s = table->Update(ot.txn.get(), v, Slice(val));
       if (s.ok()) {
         ot.own[v] = val;

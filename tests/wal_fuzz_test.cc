@@ -142,7 +142,7 @@ TEST_P(CrashPointTest, RecoversCommittedPrefix) {
       ASSERT_TRUE(db->Checkpoint(&clk).ok());
     }
     int64_t key = static_cast<int64_t>(rng.Uniform(0, 19));
-    std::string val = "v" + std::to_string(i);
+    std::string val = std::string("v").append(std::to_string(i));
     auto txn = db->Begin(&clk);
     Status s;
     if (vids.count(key)) {
