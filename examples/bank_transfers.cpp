@@ -8,6 +8,9 @@
 //     workload (in-place invalidations vs appends).
 //
 //   build/examples/bank_transfers [accounts] [transfers_per_thread]
+//
+// Exits non-zero if money is not conserved, if SI reports no in-place
+// invalidation, or if a SIAS scheme reports any.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +22,7 @@
 #include "device/mem_device.h"
 #include "engine/database.h"
 #include "index/key_codec.h"
+#include "obs/metrics.h"
 
 using namespace sias;
 
@@ -60,6 +64,10 @@ RunOutcome RunBank(VersionScheme scheme, int accounts, int per_thread) {
     (void)(*db)->Commit(txn.get());
   }
 
+  // The registry counter is process-wide: count the transfers' share.
+  obs::Counter* inplace = obs::MetricsRegistry::Default().GetCounter(
+      "mvcc.inplace_invalidations");
+  const int64_t inplace_before = inplace->Value();
   std::atomic<uint64_t> committed{0}, conflicts{0};
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
@@ -99,6 +107,7 @@ RunOutcome RunBank(VersionScheme scheme, int accounts, int per_thread) {
     });
   }
   for (auto& th : threads) th.join();
+  const int64_t inplace_delta = inplace->Value() - inplace_before;
 
   // Verify conservation of money.
   RunOutcome out{};
@@ -113,8 +122,7 @@ RunOutcome RunBank(VersionScheme scheme, int accounts, int per_thread) {
 
   out.committed = committed.load();
   out.conflicts = conflicts.load();
-  out.inplace_invalidations =
-      accounts_table->heap()->stats().inplace_invalidations;
+  out.inplace_invalidations = static_cast<uint64_t>(inplace_delta);
   out.device = ssd.stats();
   return out;
 }
@@ -127,16 +135,21 @@ int main(int argc, char** argv) {
 
   printf("Concurrent transfers: %d accounts, 4 threads x %d transfers\n\n",
          accounts, per_thread);
+  bool ok = true;
   for (VersionScheme scheme :
        {VersionScheme::kSi, VersionScheme::kSiasChains,
         VersionScheme::kSiasV}) {
     RunOutcome out = RunBank(scheme, accounts, per_thread);
     double expected = 100.0 * accounts;
+    bool conserved = out.total_balance == expected;
+    bool appends_only = out.inplace_invalidations == 0;
+    ok = ok && conserved &&
+         appends_only == (scheme != VersionScheme::kSi);
     printf("%-12s committed=%llu conflicts=%llu  total=%.2f (%s)\n",
            ToString(scheme), static_cast<unsigned long long>(out.committed),
            static_cast<unsigned long long>(out.conflicts),
            out.total_balance,
-           out.total_balance == expected ? "conserved ✓" : "LOST MONEY ✗");
+           conserved ? "conserved ✓" : "LOST MONEY ✗");
     printf("             in-place invalidations=%llu  flash: %s\n\n",
            static_cast<unsigned long long>(out.inplace_invalidations),
            out.device.ToString().c_str());
@@ -144,5 +157,9 @@ int main(int argc, char** argv) {
   printf("Note how the SI baseline performs one in-place invalidation per "
          "update while both SIAS variants perform none — every SIAS "
          "modification is an append (paper, Figure 1).\n");
-  return 0;
+  if (!ok) {
+    fprintf(stderr, "FAILED: money lost, or in-place invalidations do not "
+                    "match the scheme\n");
+  }
+  return ok ? 0 : 1;
 }

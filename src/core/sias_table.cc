@@ -1,59 +1,20 @@
 #include "core/sias_table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <unordered_set>
 
 #include "common/logging.h"
 #include "mvcc/epoch.h"
+#include "mvcc/mvcc_counters.h"
 #include "mvcc/visibility.h"
 #include "fault/debug_ring.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace sias {
 
 namespace {
-/// Same metric names as SiHeap: the registry resolves both schemes onto the
-/// shared mvcc.* counters, keeping bench comparisons apples-to-apples.
-struct MvccCounters {
-  obs::Counter* reads;
-  obs::Counter* read_misses;
-  /// Latched fallbacks taken by the snapshot read path (cold page, probe
-  /// overflow, lost optimistic race). 0 on a warm read-only workload.
-  obs::Counter* read_latch_acquisitions;
-  obs::Counter* versions_appended;
-  obs::Counter* version_hops;
-  obs::Counter* visibility_checks;
-  obs::Counter* ww_conflicts;
-  obs::HistogramMetric* traversal_depth;
-  obs::Counter* gc_pages_examined;
-  obs::Counter* gc_pages_reclaimed;
-  obs::Counter* gc_versions_discarded;
-  obs::Counter* gc_versions_relocated;
-
-  MvccCounters() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    reads = reg.GetCounter("mvcc.reads");
-    read_misses = reg.GetCounter("mvcc.read_misses");
-    read_latch_acquisitions = reg.GetCounter("mvcc.read_latch_acquisitions");
-    versions_appended = reg.GetCounter("mvcc.versions_appended");
-    version_hops = reg.GetCounter("mvcc.version_hops");
-    visibility_checks = reg.GetCounter("mvcc.visibility_checks");
-    ww_conflicts = reg.GetCounter("mvcc.ww_conflicts");
-    traversal_depth = reg.GetHistogram("mvcc.traversal_depth");
-    gc_pages_examined = reg.GetCounter("mvcc.gc.pages_examined");
-    gc_pages_reclaimed = reg.GetCounter("mvcc.gc.pages_reclaimed");
-    gc_versions_discarded = reg.GetCounter("mvcc.gc.versions_discarded");
-    gc_versions_relocated = reg.GetCounter("mvcc.gc.versions_relocated");
-  }
-};
-
-MvccCounters& Obs() {
-  static MvccCounters* c = new MvccCounters();
-  return *c;
-}
-
 /// See SiasTable::SetReadPauseHookForTest.
 std::atomic<void (*)(Vid)> g_read_pause_hook{nullptr};
 
@@ -170,13 +131,11 @@ class SiasTable::ReadTask {
   }
 
   /// Traversal telemetry: depth = versions examined before resolving (or
-  /// exhausting) the walk; a walk that resolves no visible version is a
-  /// read miss.
+  /// exhausting) the walk.
   void Finish() {
     done_ = true;
     DropLookahead();
-    Obs().traversal_depth->Record(static_cast<VDuration>(examined_));
-    if (!visible_.valid()) Obs().read_misses->Increment();
+    MvccObs().traversal_depth->Record(static_cast<VDuration>(examined_));
   }
 
   /// Raced-walk restart (stale anchor / pruned slot): reload the map, up to
@@ -255,7 +214,7 @@ Status SiasTable::ReadTask::Run() {
       SIAS_ASSIGN_OR_RETURN(guard, pool->FinishFetch(&lookahead_, clk()));
       batch_->inflight--;
     } else if (!pool->TryFetchCached(page_id, &guard)) {
-      Obs().read_latch_acquisitions->Increment();
+      MvccObs().read_latch_acquisitions->Increment();
       SIAS_ASSIGN_OR_RETURN(BufferPool::AsyncFetch f,
                             pool->StartFetch(page_id, clk()));
       if (!f.resident) {
@@ -296,7 +255,7 @@ Status SiasTable::ReadTask::Run() {
     }
     examined_++;
     if (clk() != nullptr) clk()->Cpu(kCpuVisibilityCheck);
-    Obs().visibility_checks->Increment();
+    MvccObs().visibility_checks->Increment();
     if (SiasVersionVisible(h, batch_->txn->snapshot(),
                            *table_->env_.txns->clog())) {
       visible_ = tid;
@@ -310,10 +269,7 @@ Status SiasTable::ReadTask::Run() {
       Finish();
       return Status::OK();
     }
-    if (!first_) {
-      Obs().version_hops->Increment();
-      table_->read_version_hops_.fetch_add(1, std::memory_order_relaxed);
-    }
+    MvccObs().version_hops->Increment();
     first_ = false;
     if (chains()) {
       tid_ = h.pred();
@@ -356,11 +312,7 @@ Result<Vid> SiasTable::Insert(Transaction* txn, Slice row, Tid* tid_out) {
     SIAS_CHECK(map_v_.PushFront(vid, Tid{}, tid));
     txn->AddUndo([this, vid, tid] { map_v_.PopFrontIf(vid, tid); });
   }
-  {
-    MutexLock g(&stats_mu_);
-    stats_.inserts++;
-  }
-  Obs().versions_appended->Increment();
+  MvccObs().versions_appended->Increment();
   if (tid_out != nullptr) *tid_out = tid;
   return vid;
 }
@@ -390,9 +342,7 @@ Result<VersionRef> SiasTable::ValidateForWrite(Transaction* txn, Vid vid) {
     // must be visible in our snapshot, otherwise a concurrent transaction
     // committed a newer version after we started and we must roll back.
     if (!txn->snapshot().Contains(h.xmin)) {
-      Obs().ww_conflicts->Increment();
-      MutexLock g(&stats_mu_);
-      stats_.ww_conflicts++;
+      MvccObs().ww_conflicts->Increment();
       return Status::SerializationFailure(
           "entrypoint updated by concurrent transaction");
     }
@@ -440,11 +390,7 @@ Status SiasTable::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
   auto r = AppendAndInstall(txn, vid, h, row, base.tid);
   SIAS_RETURN_NOT_OK(r.status());
   if (new_tid != nullptr) *new_tid = *r;
-  {
-    MutexLock g(&stats_mu_);
-    stats_.updates++;
-  }
-  Obs().versions_appended->Increment();
+  MvccObs().versions_appended->Increment();
   return Status::OK();
 }
 
@@ -463,19 +409,15 @@ Status SiasTable::Delete(Transaction* txn, Vid vid) {
   h.set_pred(base.tid);
   auto r = AppendAndInstall(txn, vid, h, Slice(), base.tid);
   SIAS_RETURN_NOT_OK(r.status());
-  {
-    MutexLock g(&stats_mu_);
-    stats_.deletes++;
-  }
   return Status::OK();
 }
 
 Result<std::optional<std::string>> SiasTable::Read(Transaction* txn,
                                                    Vid vid) {
-  reads_.fetch_add(1, std::memory_order_relaxed);
-  Obs().reads->Increment();
+  MvccObs().reads->Increment();
   std::optional<std::string> row;
   SIAS_RETURN_NOT_OK(ReadOne(txn, vid, &row, nullptr));
+  if (!row.has_value()) MvccObs().read_misses->Increment();
   return row;
 }
 
@@ -484,8 +426,7 @@ Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
                             std::vector<std::optional<std::string>>* rows) {
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "read_multi",
                            vids.size());
-  reads_.fetch_add(vids.size(), std::memory_order_relaxed);
-  Obs().reads->Add(static_cast<int64_t>(vids.size()));
+  MvccObs().reads->Add(static_cast<int64_t>(vids.size()));
   rows->assign(vids.size(), std::optional<std::string>{});
 
   // One task per VID, all under one epoch pin. The driver admits tasks
@@ -517,6 +458,8 @@ Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
     SIAS_RETURN_NOT_OK(tasks[i].Run());
     if (!tasks[i].done()) suspended.push_back(i);
   }
+  MvccObs().read_misses->Add(
+      std::count(rows->begin(), rows->end(), std::nullopt));
   return Status::OK();
 }
 
@@ -746,7 +689,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     if (appendable.count(p) != 0) continue;
     bool pending;
     {
-      MutexLock g(&stats_mu_);
+      MutexLock g(&gc_mu_);
       pending = gc_pending_.count(p) != 0;
     }
     // Logically empty, physical wipe still queued behind the epoch
@@ -761,7 +704,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     });
     if (!inventory.ok()) return inventory.status();
     if (stats != nullptr) stats->pages_examined++;
-    Obs().gc_pages_examined->Increment();
+    MvccObs().gc_pages_examined->Increment();
     if (slots.empty()) continue;
 
     // Lock every item referenced by the page; skip the page if any item is
@@ -876,7 +819,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
           Tid new_tid = *nr;
           remap[it->tid.Pack()] = new_tid;
           if (stats != nullptr) stats->versions_relocated++;
-          Obs().gc_versions_relocated->Increment();
+          MvccObs().gc_versions_relocated->Increment();
 
           // Fix the reference to this version.
           if (scheme_ == VersionScheme::kSiasV) {
@@ -942,7 +885,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
       // (no premature recycling under a pinned reader). Stats are counted
       // at enqueue: the reclamation decision is made here.
       {
-        MutexLock g(&stats_mu_);
+        MutexLock g(&gc_mu_);
         bool inserted = gc_pending_.insert(p).second;
         SIAS_CHECK(inserted);
       }
@@ -950,9 +893,9 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
         stats->versions_discarded += slots.size() - live_on_page;
         stats->pages_reclaimed++;
       }
-      Obs().gc_versions_discarded->Add(
+      MvccObs().gc_versions_discarded->Add(
           static_cast<int64_t>(slots.size() - live_on_page));
-      Obs().gc_pages_reclaimed->Increment();
+      MvccObs().gc_pages_reclaimed->Increment();
       EpochManager::Global().Retire([this, p] {
         auto r = env_.pool->FetchPage(PageId{relation_, p}, nullptr);
         if (r.ok()) {
@@ -985,7 +928,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
           }
           region_.AddFreePage(p);
         }
-        MutexLock g(&stats_mu_);
+        MutexLock g(&gc_mu_);
         gc_pending_.erase(p);
         // On a failed fetch the page is neither wiped nor recycled; the
         // erase above lets the next GC cycle retry it (its map references
@@ -1003,7 +946,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
         if (is_live_here(s.header.vid, s.tid)) continue;
         dead_slots.push_back(s.tid.slot);
         if (stats != nullptr) stats->versions_discarded++;
-        Obs().gc_versions_discarded->Increment();
+        MvccObs().gc_versions_discarded->Increment();
         if (scheme_ == VersionScheme::kSiasChains &&
             item_dead[s.header.vid]) {
           // Whole item dead (tombstone below horizon): if this slot is the
@@ -1016,7 +959,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
       }
       if (!dead_slots.empty()) {
         {
-          MutexLock g(&stats_mu_);
+          MutexLock g(&gc_mu_);
           bool inserted = gc_pending_.insert(p).second;
           SIAS_CHECK(inserted);
         }
@@ -1032,7 +975,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
             guard.MarkDirty();
             guard.Release();
           }
-          MutexLock g(&stats_mu_);
+          MutexLock g(&gc_mu_);
           gc_pending_.erase(p);
         });
       }
@@ -1045,17 +988,6 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
   EpochManager::Global().Advance();
   EpochManager::Global().TryReclaim();
   return Status::OK();
-}
-
-TableStats SiasTable::stats() const {
-  TableStats out;
-  {
-    MutexLock g(&stats_mu_);
-    out = stats_;
-  }
-  out.reads += reads_.load(std::memory_order_relaxed);
-  out.version_hops += read_version_hops_.load(std::memory_order_relaxed);
-  return out;
 }
 
 Status SiasTable::Rebuild() {

@@ -20,7 +20,6 @@
 //  * deletes append a tombstone version (§4.2.2).
 #pragma once
 
-#include <atomic>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -73,7 +72,6 @@ class SiasTable : public MvccTable {
   Vid vid_bound() const override;
   Status GarbageCollect(Xid horizon, VirtualClock* clk,
                         GcStats* stats) override;
-  TableStats stats() const override;
   /// Rebuilds the VidMap from the committed versions in the heap.
   Status Rebuild() override;
 
@@ -150,18 +148,13 @@ class SiasTable : public MvccTable {
   VidMapV map_v_;   ///< used when scheme_ == kSiasV
   AppendRegion region_;
 
-  mutable Mutex stats_mu_{LatchRank::kStats};
-  TableStats stats_ SIAS_GUARDED_BY(stats_mu_);
-  /// Read-path counters, kept out of stats_mu_: the snapshot read path is
-  /// latch-free, so it must not serialize on a stats mutex either. Folded
-  /// into TableStats by stats().
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> read_version_hops_{0};
+  /// A leaf: nothing is acquired while it is held.
+  mutable Mutex gc_mu_{LatchRank::kStats};
   /// Pages whose physical wipe / slot prune is queued behind the epoch
   /// horizon. Skipped by GC page selection (they are already logically
   /// empty — re-examining would double-reclaim) and recycled into the
   /// append region only by the deferred callback itself.
-  std::unordered_set<PageNumber> gc_pending_ SIAS_GUARDED_BY(stats_mu_);
+  std::unordered_set<PageNumber> gc_pending_ SIAS_GUARDED_BY(gc_mu_);
 };
 
 }  // namespace sias

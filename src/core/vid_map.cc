@@ -3,30 +3,9 @@
 #include <array>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
+#include "mvcc/mvcc_counters.h"
 
 namespace sias {
-
-namespace {
-/// Shared by VidMap and VidMapV — entry churn is comparable across schemes.
-struct VidMapCounters {
-  obs::Counter* vids_allocated;
-  obs::Counter* entry_updates;
-  obs::Counter* entry_clears;
-
-  VidMapCounters() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    vids_allocated = reg.GetCounter("vidmap.vids_allocated");
-    entry_updates = reg.GetCounter("vidmap.entry_updates");
-    entry_clears = reg.GetCounter("vidmap.entry_clears");
-  }
-};
-
-VidMapCounters& Obs() {
-  static VidMapCounters* c = new VidMapCounters();
-  return *c;
-}
-}  // namespace
 
 VidMap::Bucket* VidMap::EnsureBucket(Vid vid) {
   return dir_.Ensure(static_cast<size_t>(vid / kEntriesPerBucket));
@@ -39,7 +18,7 @@ const VidMap::Bucket* VidMap::BucketFor(Vid vid) const {
 Vid VidMap::AllocateVid() {
   Vid vid = next_vid_.fetch_add(1, std::memory_order_acq_rel);
   EnsureBucket(vid);
-  Obs().vids_allocated->Increment();
+  MvccObs().vids_allocated->Increment();
   return vid;
 }
 
@@ -47,7 +26,7 @@ Vid VidMap::AllocateVidBatch(uint64_t count) {
   SIAS_CHECK(count > 0);
   Vid first = next_vid_.fetch_add(count, std::memory_order_acq_rel);
   EnsureBucket(first + count - 1);
-  Obs().vids_allocated->Add(static_cast<int64_t>(count));
+  MvccObs().vids_allocated->Add(static_cast<int64_t>(count));
   return first;
 }
 
@@ -63,7 +42,7 @@ void VidMap::Set(Vid vid, Tid tid) {
   Bucket* b = EnsureBucket(vid);
   b->slots[vid % kEntriesPerBucket].store(tid.Pack(),
                                           std::memory_order_release);
-  Obs().entry_updates->Increment();
+  MvccObs().entry_updates->Increment();
   // Recovery may Set beyond the allocation high-water mark; keep it in sync.
   Vid cur = next_vid_.load(std::memory_order_relaxed);
   while (cur <= vid && !next_vid_.compare_exchange_weak(
@@ -77,14 +56,14 @@ bool VidMap::CompareAndSet(Vid vid, Tid expected, Tid desired) {
   uint64_t des = desired.valid() ? desired.Pack() : kEmpty;
   bool ok = b->slots[vid % kEntriesPerBucket].compare_exchange_strong(
       exp, des, std::memory_order_acq_rel);
-  if (ok) Obs().entry_updates->Increment();
+  if (ok) MvccObs().entry_updates->Increment();
   return ok;
 }
 
 void VidMap::Clear(Vid vid) {
   Bucket* b = EnsureBucket(vid);
   b->slots[vid % kEntriesPerBucket].store(kEmpty, std::memory_order_release);
-  Obs().entry_clears->Increment();
+  MvccObs().entry_clears->Increment();
 }
 
 size_t VidMap::bucket_count() const { return dir_.count(); }

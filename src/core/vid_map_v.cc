@@ -6,30 +6,9 @@
 
 #include "common/logging.h"
 #include "mvcc/epoch.h"
-#include "obs/metrics.h"
+#include "mvcc/mvcc_counters.h"
 
 namespace sias {
-
-namespace {
-/// Same vidmap.* names as VidMap: churn comparisons span both schemes.
-struct VidMapCounters {
-  obs::Counter* vids_allocated;
-  obs::Counter* entry_updates;
-  obs::Counter* entry_clears;
-
-  VidMapCounters() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    vids_allocated = reg.GetCounter("vidmap.vids_allocated");
-    entry_updates = reg.GetCounter("vidmap.entry_updates");
-    entry_clears = reg.GetCounter("vidmap.entry_clears");
-  }
-};
-
-VidMapCounters& Obs() {
-  static VidMapCounters* c = new VidMapCounters();
-  return *c;
-}
-}  // namespace
 
 VidMapV::~VidMapV() {
   // The owning table Quiesces the epoch queue before members are
@@ -84,7 +63,7 @@ bool VidMapV::Install(std::atomic<const VersionVector*>* slot,
 Vid VidMapV::AllocateVid() {
   Vid vid = next_vid_.fetch_add(1, std::memory_order_acq_rel);
   EnsureBucket(vid);
-  Obs().vids_allocated->Increment();
+  MvccObs().vids_allocated->Increment();
   return vid;
 }
 
@@ -120,7 +99,7 @@ bool VidMapV::PushFront(Vid vid, Tid expected_front, Tid tid) {
   next->push_back(tid);
   if (cur != nullptr) next->insert(next->end(), cur->begin(), cur->end());
   if (!Install(slot, cur, next)) return false;
-  Obs().entry_updates->Increment();
+  MvccObs().entry_updates->Increment();
   return true;
 }
 
@@ -133,7 +112,7 @@ bool VidMapV::PopFrontIf(Vid vid, Tid tid) {
           ? nullptr
           : new VersionVector(cur->begin() + 1, cur->end());
   if (!Install(slot, cur, next)) return false;
-  Obs().entry_updates->Increment();
+  MvccObs().entry_updates->Increment();
   return true;
 }
 
@@ -146,7 +125,7 @@ bool VidMapV::ReplaceTid(Vid vid, Tid old_tid, Tid new_tid) {
   auto* next = new VersionVector(*cur);
   (*next)[static_cast<size_t>(it - cur->begin())] = new_tid;
   if (!Install(slot, cur, next)) return false;
-  Obs().entry_updates->Increment();
+  MvccObs().entry_updates->Increment();
   return true;
 }
 
@@ -158,13 +137,13 @@ void VidMapV::TruncateAfter(Vid vid, size_t keep) {
       keep == 0 ? nullptr
                 : new VersionVector(cur->begin(),
                                     cur->begin() + static_cast<long>(keep));
-  if (Install(slot, cur, next)) Obs().entry_updates->Increment();
+  if (Install(slot, cur, next)) MvccObs().entry_updates->Increment();
 }
 
 void VidMapV::Clear(Vid vid) {
   auto* slot = SlotForMutable(vid);
   const VersionVector* cur = slot->load(std::memory_order_seq_cst);
-  if (Install(slot, cur, nullptr)) Obs().entry_clears->Increment();
+  if (Install(slot, cur, nullptr)) MvccObs().entry_clears->Increment();
 }
 
 void VidMapV::Set(Vid vid, std::vector<Tid> versions) {
@@ -176,7 +155,7 @@ void VidMapV::Set(Vid vid, std::vector<Tid> versions) {
   // fail against a concurrent mutator, only assert that it did not.
   bool ok = Install(slot, cur, next);
   SIAS_CHECK(ok);
-  Obs().entry_updates->Increment();
+  MvccObs().entry_updates->Increment();
   Vid bump = next_vid_.load(std::memory_order_relaxed);
   while (bump <= vid && !next_vid_.compare_exchange_weak(
                             bump, vid + 1, std::memory_order_acq_rel)) {

@@ -20,20 +20,6 @@
 
 namespace sias {
 
-/// Operation counters per table.
-struct TableStats {
-  uint64_t inserts = 0;
-  uint64_t updates = 0;
-  uint64_t deletes = 0;
-  uint64_t reads = 0;
-  /// Version-chain hops taken beyond the entrypoint during reads.
-  uint64_t version_hops = 0;
-  /// In-place invalidation page dirties (SI only).
-  uint64_t inplace_invalidations = 0;
-  /// Conflicts surfaced as serialization failures.
-  uint64_t ww_conflicts = 0;
-};
-
 /// Garbage-collection result counters.
 struct GcStats {
   uint64_t pages_examined = 0;
@@ -135,8 +121,6 @@ class MvccTable {
   /// Reclaims versions invisible to every snapshot at or after `horizon`.
   virtual Status GarbageCollect(Xid horizon, VirtualClock* clk,
                                 GcStats* stats) = 0;
-
-  virtual TableStats stats() const = 0;
 
   /// Recovery: rebuilds the in-memory version index from the heap once
   /// redo is done ("all information that is required for a reconstruction

@@ -3,44 +3,11 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "mvcc/mvcc_counters.h"
 #include "mvcc/visibility.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace sias {
-
-namespace {
-/// Scheme-agnostic MVCC counters; SiasTable reports into the same names.
-struct MvccCounters {
-  obs::Counter* reads;
-  obs::Counter* read_misses;
-  obs::Counter* versions_appended;
-  obs::Counter* version_hops;
-  obs::Counter* visibility_checks;
-  obs::Counter* ww_conflicts;
-  obs::HistogramMetric* traversal_depth;
-  obs::Counter* gc_pages_examined;
-  obs::Counter* gc_versions_discarded;
-
-  MvccCounters() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    reads = reg.GetCounter("mvcc.reads");
-    read_misses = reg.GetCounter("mvcc.read_misses");
-    versions_appended = reg.GetCounter("mvcc.versions_appended");
-    version_hops = reg.GetCounter("mvcc.version_hops");
-    visibility_checks = reg.GetCounter("mvcc.visibility_checks");
-    ww_conflicts = reg.GetCounter("mvcc.ww_conflicts");
-    traversal_depth = reg.GetHistogram("mvcc.traversal_depth");
-    gc_pages_examined = reg.GetCounter("mvcc.gc.pages_examined");
-    gc_versions_discarded = reg.GetCounter("mvcc.gc.versions_discarded");
-  }
-};
-
-MvccCounters& Obs() {
-  static MvccCounters* c = new MvccCounters();
-  return *c;
-}
-}  // namespace
 
 SiHeap::SiHeap(RelationId relation, TableEnv env)
     : relation_(relation), env_(env) {}
@@ -125,29 +92,20 @@ Result<Vid> SiHeap::Insert(Transaction* txn, Slice row, Tid* tid_out) {
     MutexLock g(&map_mu_);
     versions_[vid].push_back(tid);
   }
-  {
-    MutexLock g(&stats_mu_);
-    stats_.inserts++;
-  }
-  Obs().versions_appended->Increment();
+  MvccObs().versions_appended->Increment();
   if (tid_out != nullptr) *tid_out = tid;
   return vid;
 }
 
 Result<std::optional<std::string>> SiHeap::Read(Transaction* txn, Vid vid) {
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "si_read", vid);
-  std::vector<Tid> candidates;
+  MvccObs().reads->Increment();
+  std::vector<Tid> candidates;  // none for an unknown VID: a miss
   {
     MutexLock g(&map_mu_);
     auto it = versions_.find(vid);
-    if (it == versions_.end()) return std::optional<std::string>{};
-    candidates = it->second;
+    if (it != versions_.end()) candidates = it->second;
   }
-  {
-    MutexLock g(&stats_mu_);
-    stats_.reads++;
-  }
-  Obs().reads->Increment();
   // Newest-first: mirrors an index scan returning the latest entry first.
   size_t examined = 0;
   for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
@@ -158,17 +116,15 @@ Result<std::optional<std::string>> SiHeap::Read(Transaction* txn, Vid vid) {
     SIAS_RETURN_NOT_OK(s);
     examined++;
     txn->clock()->Cpu(kCpuVisibilityCheck);
-    Obs().visibility_checks->Increment();
+    MvccObs().visibility_checks->Increment();
     if (SiTupleVisible(h, txn->snapshot(), *env_.txns->clog())) {
-      Obs().traversal_depth->Record(static_cast<VDuration>(examined));
+      MvccObs().traversal_depth->Record(static_cast<VDuration>(examined));
       return std::optional<std::string>{std::move(payload)};
     }
-    Obs().version_hops->Increment();
-    MutexLock g(&stats_mu_);
-    stats_.version_hops++;
+    MvccObs().version_hops->Increment();
   }
-  Obs().traversal_depth->Record(static_cast<VDuration>(examined));
-  Obs().read_misses->Increment();
+  MvccObs().traversal_depth->Record(static_cast<VDuration>(examined));
+  MvccObs().read_misses->Increment();
   return std::optional<std::string>{};
 }
 
@@ -216,19 +172,13 @@ Result<Tid> SiHeap::ValidateForWrite(Transaction* txn, Vid vid) {
       }
       // Otherwise a concurrent transaction created or invalidated the
       // newest version after we started: first-updater-wins => we lose.
-      Obs().ww_conflicts->Increment();
-      {
-        MutexLock g(&stats_mu_);
-        stats_.ww_conflicts++;
-      }
+      MvccObs().ww_conflicts->Increment();
       return Status::SerializationFailure(
           "tuple updated by concurrent transaction");
     }
     if (h.xmax != kInvalidXid && h.xmax != txn->xid() &&
         clog.Get(h.xmax) != TxnStatus::kAborted) {
-      Obs().ww_conflicts->Increment();
-      MutexLock g(&stats_mu_);
-      stats_.ww_conflicts++;
+      MvccObs().ww_conflicts->Increment();
       return Status::SerializationFailure("tuple already invalidated");
     }
     return *it;
@@ -267,10 +217,7 @@ Status SiHeap::StampXmax(Transaction* txn, Tid tid, Xid xmax) {
   OverwriteTupleHeader(h, const_cast<uint8_t*>(tuple.data()));
   guard.MarkDirty(lsn);
   guard.Unlatch();
-  {
-    MutexLock g(&stats_mu_);
-    stats_.inplace_invalidations++;
-  }
+  MvccObs().inplace_invalidations->Increment();
   return Status::OK();
 }
 
@@ -294,11 +241,7 @@ Status SiHeap::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
     MutexLock g(&map_mu_);
     versions_[vid].push_back(tid);
   }
-  {
-    MutexLock g(&stats_mu_);
-    stats_.updates++;
-  }
-  Obs().versions_appended->Increment();
+  MvccObs().versions_appended->Increment();
   if (new_tid != nullptr) *new_tid = tid;
   return Status::OK();
 }
@@ -309,10 +252,6 @@ Status SiHeap::Delete(Transaction* txn, Vid vid) {
   txn->AddLock(relation_, vid);
   SIAS_ASSIGN_OR_RETURN(Tid old_tid, ValidateForWrite(txn, vid));
   SIAS_RETURN_NOT_OK(StampXmax(txn, old_tid, txn->xid()));
-  {
-    MutexLock g(&stats_mu_);
-    stats_.deletes++;
-  }
   return Status::OK();
 }
 
@@ -345,7 +284,7 @@ Status SiHeap::GarbageCollect(Xid horizon, VirtualClock* clk,
     guard.LatchExclusive();
     SlottedPage page = guard.page();
     if (stats != nullptr) stats->pages_examined++;
-    Obs().gc_pages_examined->Increment();
+    MvccObs().gc_pages_examined->Increment();
     bool changed = false;
     for (uint16_t s = 0; s < page.slot_count(); ++s) {
       Slice tuple = page.GetTuple(s);
@@ -363,7 +302,7 @@ Status SiHeap::GarbageCollect(Xid horizon, VirtualClock* clk,
       SIAS_CHECK(page.DeleteTuple(s).ok());
       changed = true;
       if (stats != nullptr) stats->versions_discarded++;
-      Obs().gc_versions_discarded->Increment();
+      MvccObs().gc_versions_discarded->Increment();
       {
         MutexLock g(&map_mu_);
         auto it = versions_.find(h.vid);
@@ -396,11 +335,6 @@ Status SiHeap::GarbageCollect(Xid horizon, VirtualClock* clk,
     guard.Unlatch();
   }
   return Status::OK();
-}
-
-TableStats SiHeap::stats() const {
-  MutexLock g(&stats_mu_);
-  return stats_;
 }
 
 Status SiHeap::Rebuild() {

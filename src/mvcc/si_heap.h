@@ -44,7 +44,6 @@ class SiHeap : public MvccTable {
   Vid vid_bound() const override;
   Status GarbageCollect(Xid horizon, VirtualClock* clk,
                         GcStats* stats) override;
-  TableStats stats() const override;
   /// Rebuilds the version locators and the free-space map from the heap.
   Status Rebuild() override;
 
@@ -76,9 +75,6 @@ class SiHeap : public MvccTable {
   /// Approximate free bytes per page.
   std::vector<uint16_t> fsm_ SIAS_GUARDED_BY(fsm_mu_);
   size_t fsm_cursor_ SIAS_GUARDED_BY(fsm_mu_) = 0;
-
-  mutable Mutex stats_mu_{LatchRank::kStats};
-  TableStats stats_ SIAS_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace sias
