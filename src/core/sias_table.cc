@@ -305,12 +305,11 @@ Result<Vid> SiasTable::Insert(Transaction* txn, Slice row, Tid* tid_out) {
   EncodeTuple(h, row, &encoded);
   SIAS_ASSIGN_OR_RETURN(
       Tid tid, region_.Append(Slice(encoded), txn->xid(), txn->clock()));
+  txn->LogWrite(this, vid, tid, kInvalidTid);
   if (scheme_ == VersionScheme::kSiasChains) {
     map_.Set(vid, tid);
-    txn->AddUndo([this, vid, tid] { map_.CompareAndSet(vid, tid, Tid{}); });
   } else {
     SIAS_CHECK(map_v_.PushFront(vid, Tid{}, tid));
-    txn->AddUndo([this, vid, tid] { map_v_.PopFrontIf(vid, tid); });
   }
   MvccObs().versions_appended->Increment();
   if (tid_out != nullptr) *tid_out = tid;
@@ -360,20 +359,29 @@ Result<Tid> SiasTable::AppendAndInstall(Transaction* txn, Vid vid,
   EncodeTuple(header, payload, &encoded);
   SIAS_ASSIGN_OR_RETURN(
       Tid tid, region_.Append(Slice(encoded), txn->xid(), txn->clock()));
+  // Logged before the install: undoing a failed install is a no-op, since
+  // the map never held `tid`.
+  txn->LogWrite(this, vid, tid, expected_entry);
   if (scheme_ == VersionScheme::kSiasChains) {
     if (!map_.CompareAndSet(vid, expected_entry, tid)) {
       return Status::Internal("entrypoint CAS failed under row lock");
     }
-    txn->AddUndo([this, vid, tid, expected_entry] {
-      map_.CompareAndSet(vid, tid, expected_entry);
-    });
   } else {
     if (!map_v_.PushFront(vid, expected_entry, tid)) {
       return Status::Internal("vector push failed under row lock");
     }
-    txn->AddUndo([this, vid, tid] { map_v_.PopFrontIf(vid, tid); });
   }
   return tid;
+}
+
+void SiasTable::UndoWrite(const TxnWrite& write) {
+  // Conditional on `new_tid` still being the entrypoint, so the undo cannot
+  // clobber anything installed after it.
+  if (scheme_ == VersionScheme::kSiasChains) {
+    map_.CompareAndSet(write.vid, write.new_tid, write.expected_tid);
+  } else {
+    map_v_.PopFrontIf(write.vid, write.new_tid);
+  }
 }
 
 Status SiasTable::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {

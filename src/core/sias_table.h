@@ -54,6 +54,9 @@ class SiasTable : public MvccTable {
   Status Update(Transaction* txn, Vid vid, Slice row,
                 Tid* new_tid = nullptr) override;
   Status Delete(Transaction* txn, Vid vid) override;
+  /// Restores the entrypoint the write replaced: Chains swing it back from
+  /// `new_tid` to `expected_tid`, SIAS-V pops `new_tid` off the vector.
+  void UndoWrite(const TxnWrite& write) override;
   Result<std::optional<std::string>> Read(Transaction* txn, Vid vid) override;
   /// Pipelined batch read: one ReadTask per VID, the same walker Read()
   /// drives alone. A task that needs a cold page SUBMITS the read
@@ -119,8 +122,8 @@ class SiasTable : public MvccTable {
   /// (Algorithm 3 lines 3-6). Returns the base version reference.
   Result<VersionRef> ValidateForWrite(Transaction* txn, Vid vid);
 
-  /// Appends a version and installs it as the new entrypoint, registering
-  /// abort undo.
+  /// Appends a version, logs it in the transaction's write log and installs
+  /// it as the new entrypoint.
   Result<Tid> AppendAndInstall(Transaction* txn, Vid vid,
                                const TupleHeader& header, Slice payload,
                                Tid expected_entry);

@@ -77,9 +77,12 @@ Result<std::unique_ptr<Database>> Database::Open(const DatabaseOptions& opts) {
   }
 
   // Commit hook: append the commit record and group-commit flush it —
-  // the transaction's durability point.
+  // the transaction's durability point. A transaction with an empty write
+  // log has none (DESIGN.md §3, item 6): everything it read was made
+  // durable before it became visible, and recovery treats its xid, which
+  // left nothing behind, as aborted.
   db->txns_.set_commit_hook([db = db.get()](Transaction* txn) {
-    if (db->wal_ == nullptr) return Status::OK();
+    if (db->wal_ == nullptr || txn->writes().empty()) return Status::OK();
     WalRecord rec;
     rec.type = WalRecordType::kTxnCommit;
     rec.xid = txn->xid();
@@ -93,7 +96,7 @@ Result<std::unique_ptr<Database>> Database::Open(const DatabaseOptions& opts) {
     return Status::OK();
   });
   db->txns_.set_abort_hook([db = db.get()](Transaction* txn) {
-    if (db->wal_ == nullptr) return Status::OK();
+    if (db->wal_ == nullptr || txn->writes().empty()) return Status::OK();
     WalRecord rec;
     rec.type = WalRecordType::kTxnAbort;
     rec.xid = txn->xid();

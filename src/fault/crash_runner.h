@@ -1,11 +1,11 @@
 // CrashRunner — the crash-consistency harness.
 //
-// Drives a deterministic keyed workload (inserts, updates, aborts, explicit
-// checkpoint / paced-checkpoint / bgwriter / vacuum passes) against a
-// Database whose devices are FaultyDevice write-back caches, kills the
-// engine at a chosen crash point via an armed FaultInjector, reopens on the
-// surviving bytes, runs Recover(), and checks the crash-consistency
-// invariant suite:
+// Drives a deterministic keyed workload (inserts, updates, aborts, read-only
+// transactions, explicit checkpoint / paced-checkpoint / bgwriter / vacuum
+// passes) against a Database whose devices are FaultyDevice write-back
+// caches, kills the engine at a chosen crash point via an armed
+// FaultInjector, reopens on the surviving bytes, runs Recover(), and checks
+// the crash-consistency invariant suite:
 //
 //   1. every committed key is readable through the index with its last
 //      committed value;
@@ -70,6 +70,7 @@ struct CrashReport {
   int committed = 0;     ///< transactions whose Commit returned OK
   int aborted = 0;       ///< transactions the workload aborted on purpose
   int uncertain = 0;     ///< Commits that raced the cut (outcome unknown)
+  int read_only = 0;     ///< read-only transactions committed and checked
   std::vector<std::string> seen_points;  ///< crash points reached
 };
 
@@ -102,6 +103,9 @@ class CrashRunner {
 
  private:
   Status OpenDb();
+  /// A read-only transaction: looks `key` up through the index and scans
+  /// the table, checks both against the committed set, commits.
+  Status ReadOnlyCheck(int64_t key);
 
   CrashConfig cfg_;
   FaultInjector injector_;

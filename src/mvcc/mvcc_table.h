@@ -66,6 +66,10 @@ class MvccTable {
   /// Deletes the item (SI: xmax stamp; SIAS: tombstone version).
   virtual Status Delete(Transaction* txn, Vid vid) = 0;
 
+  /// Abort: takes back one logged write of this table (TxnWrite), called
+  /// newest first while the transaction still holds its row locks.
+  virtual void UndoWrite(const TxnWrite& write) = 0;
+
   /// Returns the row visible in txn's snapshot, or nullopt if none.
   virtual Result<std::optional<std::string>> Read(Transaction* txn,
                                                   Vid vid) = 0;

@@ -88,6 +88,7 @@ Result<Vid> SiHeap::Insert(Transaction* txn, Slice row, Tid* tid_out) {
   std::string encoded;
   EncodeTuple(h, row, &encoded);
   SIAS_ASSIGN_OR_RETURN(Tid tid, PlaceTuple(Slice(encoded), txn, nullptr));
+  txn->LogWrite(this, vid, tid, kInvalidTid);
   {
     MutexLock g(&map_mu_);
     versions_[vid].push_back(tid);
@@ -226,8 +227,10 @@ Status SiHeap::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
       relation_, vid, txn->xid(), txn->clock()));
   txn->AddLock(relation_, vid);
   SIAS_ASSIGN_OR_RETURN(Tid old_tid, ValidateForWrite(txn, vid));
-  // 1) invalidate old version in place;
+  // 1) invalidate old version in place (logged now: the stamp needs a
+  // commit record even if placing the new version fails);
   SIAS_RETURN_NOT_OK(StampXmax(txn, old_tid, txn->xid()));
+  TxnWrite& write = txn->LogWrite(this, vid, kInvalidTid, old_tid);
   // 2) create the new version on an arbitrary page.
   TupleHeader h;
   h.xmin = txn->xid();
@@ -237,6 +240,7 @@ Status SiHeap::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
   std::string encoded;
   EncodeTuple(h, row, &encoded);
   SIAS_ASSIGN_OR_RETURN(Tid tid, PlaceTuple(Slice(encoded), txn, nullptr));
+  write.new_tid = tid;
   {
     MutexLock g(&map_mu_);
     versions_[vid].push_back(tid);
@@ -252,6 +256,7 @@ Status SiHeap::Delete(Transaction* txn, Vid vid) {
   txn->AddLock(relation_, vid);
   SIAS_ASSIGN_OR_RETURN(Tid old_tid, ValidateForWrite(txn, vid));
   SIAS_RETURN_NOT_OK(StampXmax(txn, old_tid, txn->xid()));
+  txn->LogWrite(this, vid, kInvalidTid, old_tid);
   return Status::OK();
 }
 

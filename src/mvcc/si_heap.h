@@ -36,6 +36,9 @@ class SiHeap : public MvccTable {
   Status Update(Transaction* txn, Vid vid, Slice row,
                 Tid* new_tid = nullptr) override;
   Status Delete(Transaction* txn, Vid vid) override;
+  /// Nothing to take back: the aborted xid's versions and xmax stamps are
+  /// ignored by visibility once the clog says aborted.
+  void UndoWrite(const TxnWrite&) override {}
   Result<std::optional<std::string>> Read(Transaction* txn, Vid vid) override;
   Result<std::optional<std::string>> ReadAtTid(Transaction* txn, Tid tid,
                                                Vid* vid_out) override;

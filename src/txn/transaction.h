@@ -1,8 +1,8 @@
-// Transaction handle: xid, snapshot, held locks, undo hooks and the
+// Transaction handle: xid, snapshot, held locks, the write log and the
 // terminal's virtual clock.
 #pragma once
 
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -11,10 +11,22 @@
 
 namespace sias {
 
+class MvccTable;
+
 enum class TxnState {
   kActive,
   kCommitted,
   kAborted,
+};
+
+/// One heap write of a transaction. Abort hands it back to `table`
+/// (MvccTable::UndoWrite), newest first; Commit only asks whether the log is
+/// empty, since a transaction that wrote nothing has nothing to make durable.
+struct TxnWrite {
+  MvccTable* table;
+  Vid vid;
+  Tid new_tid;       ///< version the write created (invalid: SI delete)
+  Tid expected_tid;  ///< entrypoint it replaced (invalid: insert)
 };
 
 /// A running transaction. Created by TransactionManager::Begin and finished
@@ -29,11 +41,16 @@ class Transaction {
   TxnState state() const { return state_; }
   VirtualClock* clock() { return clock_; }
 
-  /// Registers an action to run if the transaction aborts (e.g. restore a
-  /// VidMap entrypoint). Run in reverse registration order.
-  void AddUndo(std::function<void()> undo) {
-    undo_.push_back(std::move(undo));
+  /// Logs a heap write. Every scheme calls it at its first heap write of an
+  /// Insert/Update/Delete, so a non-empty log means "has versions or xmax
+  /// stamps that need a commit record". The reference stays valid until the
+  /// next LogWrite.
+  TxnWrite& LogWrite(MvccTable* table, Vid vid, Tid new_tid,
+                     Tid expected_tid) {
+    writes_.push_back({table, vid, new_tid, expected_tid});
+    return writes_.back();
   }
+  const std::vector<TxnWrite>& writes() const { return writes_; }
 
   /// Registers a row lock for release at end-of-transaction.
   void AddLock(RelationId relation, Vid vid) {
@@ -50,7 +67,7 @@ class Transaction {
   Snapshot snapshot_;
   VirtualClock* clock_;
   TxnState state_ = TxnState::kActive;
-  std::vector<std::function<void()>> undo_;
+  std::vector<TxnWrite> writes_;
   std::vector<std::pair<RelationId, Vid>> locks_;
 };
 

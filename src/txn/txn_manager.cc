@@ -1,6 +1,7 @@
 #include "txn/txn_manager.h"
 
 #include "common/logging.h"
+#include "mvcc/mvcc_table.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -13,7 +14,6 @@ TransactionManager::TransactionManager(Clog* clog, LockManager* locks)
   m_aborts_ = reg.GetCounter("txn.abort");
   m_commit_latency_ = reg.GetHistogram("txn.commit_latency");
   m_active_ = reg.GetGauge("txn.active");
-  m_horizon_lag_ = reg.GetGauge("txn.gc_horizon_lag");
 }
 
 std::unique_ptr<Transaction> TransactionManager::Begin(VirtualClock* clock) {
@@ -30,11 +30,6 @@ std::unique_ptr<Transaction> TransactionManager::Begin(VirtualClock* clock) {
   active_.emplace(xid, snap_min);
   m_begins_->Increment();
   m_active_->Set(static_cast<int64_t>(active_.size()));
-  // How far GC visibility trails the oldest runner (xids of history the
-  // oldest snapshot still pins).
-  Xid horizon = next_xid_;
-  for (const auto& [axid, smin] : active_) horizon = std::min(horizon, smin);
-  m_horizon_lag_->Set(static_cast<int64_t>(active_.begin()->first - horizon));
   return std::make_unique<Transaction>(xid, std::move(snap), clock);
 }
 
@@ -49,7 +44,6 @@ void TransactionManager::Finish(Transaction* txn) {
     locks_->Release(relation, vid, txn->xid(), now);
   }
   txn->locks_.clear();
-  txn->undo_.clear();
 }
 
 Status TransactionManager::Commit(Transaction* txn) {
@@ -84,9 +78,9 @@ Status TransactionManager::Abort(Transaction* txn) {
   if (txn->state() != TxnState::kActive) {
     return Status::TxnInvalidState("abort of finished transaction");
   }
-  // Undo in reverse registration order (e.g. restore VidMap entrypoints).
-  for (auto it = txn->undo_.rbegin(); it != txn->undo_.rend(); ++it) {
-    (*it)();
+  // Take the writes back newest first (e.g. restore VidMap entrypoints).
+  for (auto it = txn->writes_.rbegin(); it != txn->writes_.rend(); ++it) {
+    it->table->UndoWrite(*it);
   }
   if (abort_hook_) {
     Status s = abort_hook_(txn);

@@ -24,10 +24,11 @@ class TransactionManager {
  public:
   /// Hook invoked during Commit *before* the clog flips to committed —
   /// the Database uses it to append + flush the WAL commit record
-  /// (durability point), charging the committing terminal's clock.
+  /// (durability point), charging the committing terminal's clock. It may
+  /// skip both for a transaction whose write log is empty.
   using CommitHook = std::function<Status(Transaction*)>;
-  /// Hook invoked during Abort before status flips (WAL abort record;
-  /// need not be flushed).
+  /// Hook invoked during Abort, after the write log is undone and before
+  /// the status flips (WAL abort record; need not be flushed).
   using AbortHook = std::function<Status(Transaction*)>;
 
   TransactionManager(Clog* clog, LockManager* locks);
@@ -41,7 +42,7 @@ class TransactionManager {
   /// Commits: WAL hook, clog flip, lock release, active-set removal.
   Status Commit(Transaction* txn);
 
-  /// Aborts: undo actions (reverse order), clog flip, lock release.
+  /// Aborts: write log undone newest first, clog flip, lock release.
   Status Abort(Transaction* txn);
 
   /// Oldest xid that might still be running: versions superseded before this
@@ -88,7 +89,6 @@ class TransactionManager {
   obs::Counter* m_aborts_;
   obs::HistogramMetric* m_commit_latency_;
   obs::Gauge* m_active_;
-  obs::Gauge* m_horizon_lag_;
 
   /// Rank kTxnManager: held only for xid allocation / active-set updates,
   /// never across commit hooks, clog flips or lock releases.

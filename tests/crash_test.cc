@@ -25,6 +25,7 @@
 #include "fault/faulty_device.h"
 #include "common/vclock.h"
 #include "fault/retry.h"
+#include "index/key_codec.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -530,6 +531,53 @@ TEST(AsyncFaultDevice, RetryResubmitsThroughTheCalendar) {
             recovered_before + 1);
   inj.Disarm();
 }
+
+// ---------------------------------------------------------------------------
+// Write-free commits write no commit record; every writer still must.
+// ---------------------------------------------------------------------------
+
+TEST(CrashWorkload, InterleavesCheckedReadOnlyTransactions) {
+  CrashConfig cfg;
+  cfg.seed = 0xE0;
+  CrashRunner runner(cfg);
+  ASSERT_TRUE(runner.RunWorkload().ok());
+  EXPECT_FALSE(runner.report().crashed);
+  EXPECT_EQ(runner.report().read_only, cfg.txns / 4);
+}
+
+class InsertOnlyCommitTest : public ::testing::TestWithParam<VersionScheme> {};
+
+TEST_P(InsertOnlyCommitTest, SurvivesPowerCutAfterCommit) {
+  // An SI insert takes no row lock, so "took a lock" is the wrong test for
+  // "needs a commit record": the commit must still be durable.
+  CrashConfig cfg;
+  cfg.scheme = GetParam();
+  cfg.txns = 0;  // just open and arm; the transaction below is the workload
+  CrashRunner runner(cfg);
+  ASSERT_TRUE(runner.RunWorkload().ok());
+  {
+    auto txn = runner.db()->Begin(runner.clock());
+    ASSERT_TRUE(
+        runner.table()->Insert(txn.get(), Row{{int64_t{7}, std::string("x")}})
+            .ok());
+    ASSERT_TRUE(runner.db()->Commit(txn.get()).ok());
+  }
+  runner.injector()->TriggerPowerCut(/*tear=*/false);
+  ASSERT_TRUE(runner.ReopenAndRecover().ok());
+
+  auto txn = runner.db()->Begin(runner.clock());
+  auto hits = runner.table()->IndexLookup(txn.get(), 0, Slice(IntKey(7)));
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  ASSERT_EQ(hits->size(), 1u) << "committed insert lost by the power cut";
+  EXPECT_EQ((*hits)[0].second.GetString(1), "x");
+  ASSERT_TRUE(runner.db()->Commit(txn.get()).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, InsertOnlyCommitTest,
+                         ::testing::Values(VersionScheme::kSi,
+                                           VersionScheme::kSiasChains,
+                                           VersionScheme::kSiasV),
+                         [](const auto& info) { return SchemeTag(info.param); });
 
 // ---------------------------------------------------------------------------
 // Recovery idempotence + observability.

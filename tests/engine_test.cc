@@ -7,6 +7,7 @@
 #include "device/mem_device.h"
 #include "engine/database.h"
 #include "index/key_codec.h"
+#include "obs/metrics.h"
 
 namespace sias {
 namespace {
@@ -345,6 +346,100 @@ TEST_P(EngineTest, RecoveryIdempotentAcrossDoubleCrash) {
   }).ok());
   EXPECT_EQ(count, 6);
   ASSERT_TRUE(db_->Commit(txn.get()).ok());
+}
+
+// WAL and commit counters moved by `body`.
+struct WalDelta {
+  int64_t records, flushes, commits;
+};
+
+template <typename Body>
+WalDelta MeasureWal(Body body) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  auto now = [&] {
+    return WalDelta{reg.GetCounter("wal.records")->Value(),
+                    reg.GetCounter("wal.flushes")->Value(),
+                    reg.GetCounter("txn.commit")->Value()};
+  };
+  WalDelta before = now();
+  body();
+  WalDelta after = now();
+  return {after.records - before.records, after.flushes - before.flushes,
+          after.commits - before.commits};
+}
+
+TEST_P(EngineTest, ReadOnlyTransactionsNeverTouchTheWal) {
+  Vid vid = InsertAccount(1, "alice", 10.0);
+  InsertAccount(2, "bob", 20.0);
+  WalDelta d = MeasureWal([&] {
+    auto txn = db_->Begin(&clk_);
+    auto row = accounts_->Get(txn.get(), vid);
+    ASSERT_TRUE(row.ok());
+    ASSERT_TRUE(row->has_value());
+    int rows = 0;
+    ASSERT_TRUE(accounts_->Scan(txn.get(), [&](Vid, const Row&) {
+      rows++;
+      return true;
+    }).ok());
+    EXPECT_EQ(rows, 2);
+    EXPECT_TRUE(txn->writes().empty());
+    VTime before_commit = clk_.now();
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+    EXPECT_EQ(clk_.now(), before_commit) << "no durability wait to charge";
+  });
+  EXPECT_EQ(d.records, 0);
+  EXPECT_EQ(d.flushes, 0);
+  EXPECT_EQ(d.commits, 1);
+
+  // An aborted read appends no abort record either.
+  d = MeasureWal([&] {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(accounts_->Get(txn.get(), vid).ok());
+    ASSERT_TRUE(db_->Abort(txn.get()).ok());
+  });
+  EXPECT_EQ(d.records, 0);
+  EXPECT_EQ(d.flushes, 0);
+}
+
+TEST_P(EngineTest, LockOnlyCommitWritesNoRecordAndReleasesItsLocks) {
+  Vid deleted = InsertAccount(1, "gone", 1.0);
+  {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(accounts_->Delete(txn.get(), deleted).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  // `deleted` is gone and `next` is not assigned yet: a heap update of
+  // either takes its row lock, then fails with NotFound before any write.
+  MvccTable* heap = accounts_->heap();
+  Vid next = heap->vid_bound();
+  WalDelta d = MeasureWal([&] {
+    auto txn = db_->Begin(&clk_);
+    EXPECT_TRUE(heap->Update(txn.get(), deleted, Slice("x")).IsNotFound());
+    EXPECT_TRUE(heap->Update(txn.get(), next, Slice("y")).IsNotFound());
+    EXPECT_EQ(txn->locks().size(), 2u);
+    EXPECT_TRUE(txn->writes().empty());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  });
+  EXPECT_EQ(d.records, 0);
+  EXPECT_EQ(d.flushes, 0);
+  EXPECT_EQ(d.commits, 1);
+  EXPECT_EQ(db_->txns()->locks()->HeldCount(), 0u);
+
+  // Later writers get both locks at once: a held lock would surface as a
+  // lock timeout instead.
+  auto txn = db_->Begin(&clk_);
+  EXPECT_TRUE(heap->Update(txn.get(), deleted, Slice("x")).IsNotFound());
+  auto vid = accounts_->Insert(txn.get(), Account(2, "carol", 5.0));
+  ASSERT_TRUE(vid.ok());
+  ASSERT_EQ(*vid, next);
+  ASSERT_TRUE(accounts_->Update(txn.get(), next, Account(2, "carol", 6.0)).ok());
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  auto reader = db_->Begin(&clk_);
+  auto row = accounts_->Get(reader.get(), next);
+  ASSERT_TRUE(row.ok());
+  ASSERT_TRUE(row->has_value());
+  EXPECT_DOUBLE_EQ((*row)->GetDouble(2), 6.0);
+  ASSERT_TRUE(db_->Commit(reader.get()).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, EngineTest,

@@ -782,6 +782,64 @@ TEST_F(PhysicalBehaviourTest, SiasVVectorTracksVersionsNewestFirst) {
   ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
 }
 
+TEST_F(PhysicalBehaviourTest, SiasAbortOfMixedWritesRestoresEveryEntrypoint) {
+  for (VersionScheme scheme :
+       {VersionScheme::kSiasChains, VersionScheme::kSiasV}) {
+    SCOPED_TRACE(ToString(scheme));
+    TestEnv env;
+    auto table_ptr = env.MakeTable(scheme, 1);
+    auto* table = static_cast<SiasTable*>(table_ptr.get());
+    std::vector<Vid> vids;
+    auto t0 = env.txns_.Begin(&clk_);
+    for (const char* row : {"a0", "b0", "c0"}) {
+      auto vid = table->Insert(t0.get(), Slice(row));
+      ASSERT_TRUE(vid.ok());
+      vids.push_back(*vid);
+    }
+    ASSERT_TRUE(env.txns_.Commit(t0.get()).ok());
+    auto t1 = env.txns_.Begin(&clk_);
+    ASSERT_TRUE(table->Update(t1.get(), vids[0], Slice("a1")).ok());
+    ASSERT_TRUE(env.txns_.Commit(t1.get()).ok());
+    auto state = [&](Vid vid) {
+      return scheme == VersionScheme::kSiasChains
+                 ? std::vector<Tid>{table->vid_map().Get(vid)}
+                 : table->vid_map_v().Get(vid);
+    };
+    std::vector<std::vector<Tid>> before;
+    for (Vid v : vids) before.push_back(state(v));
+
+    auto t = env.txns_.Begin(&clk_);
+    auto fresh = table->Insert(t.get(), Slice("n0"));
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE(table->Update(t.get(), vids[0], Slice("a2")).ok());
+    ASSERT_TRUE(table->Update(t.get(), vids[0], Slice("a3")).ok());
+    ASSERT_TRUE(table->Delete(t.get(), vids[1]).ok());
+    ASSERT_TRUE(table->Update(t.get(), vids[2], Slice("c1")).ok());
+    ASSERT_TRUE(table->Delete(t.get(), vids[2]).ok());
+    ASSERT_TRUE(table->Update(t.get(), *fresh, Slice("n1")).ok());
+    EXPECT_EQ(t->writes().size(), 7u);
+    ASSERT_TRUE(env.txns_.Abort(t.get()).ok());
+
+    for (size_t i = 0; i < vids.size(); ++i) {
+      EXPECT_EQ(state(vids[i]), before[i]) << "vid " << vids[i];
+    }
+    std::vector<Tid> fresh_state = state(*fresh);
+    EXPECT_TRUE(fresh_state.empty() || fresh_state == std::vector<Tid>{Tid{}})
+        << "aborted insert still has an entrypoint";
+    auto r = env.txns_.Begin(&clk_);
+    const char* expected[] = {"a1", "b0", "c0"};
+    for (size_t i = 0; i < vids.size(); ++i) {
+      auto row = table->Read(r.get(), vids[i]);
+      ASSERT_TRUE(row.ok());
+      EXPECT_EQ(row->value_or("<none>"), expected[i]);
+    }
+    auto row = table->Read(r.get(), *fresh);
+    ASSERT_TRUE(row.ok());
+    EXPECT_FALSE(row->has_value());
+    ASSERT_TRUE(env.txns_.Commit(r.get()).ok());
+  }
+}
+
 TEST_F(PhysicalBehaviourTest, SiasCoLocatesRecentVersions) {
   // Versions created together land on the same append page (co-location),
   // while SI scatters them by free space.

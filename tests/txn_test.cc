@@ -9,6 +9,7 @@
 
 #include "device/mem_device.h"
 #include "engine/database.h"
+#include "mvcc/mvcc_table.h"
 #include "txn/clog.h"
 #include "txn/lock_manager.h"
 #include "txn/snapshot.h"
@@ -145,24 +146,50 @@ TEST_F(TxnManagerTest, CommitFlipsClogAndState) {
   EXPECT_FALSE(mgr_.Commit(t.get()).ok());  // double commit rejected
 }
 
-TEST_F(TxnManagerTest, AbortRunsUndoInReverseOrder) {
+/// A table that only records which logged writes it was asked to undo.
+class UndoRecorder : public MvccTable {
+ public:
+  VersionScheme scheme() const override { return VersionScheme::kSiasV; }
+  RelationId relation() const override { return 1; }
+  Result<Vid> Insert(Transaction*, Slice, Tid*) override { return Vid{0}; }
+  Status Update(Transaction*, Vid, Slice, Tid*) override {
+    return Status::OK();
+  }
+  Status Delete(Transaction*, Vid) override { return Status::OK(); }
+  void UndoWrite(const TxnWrite& write) override {
+    undone.push_back(write.vid);
+  }
+  Result<std::optional<std::string>> Read(Transaction*, Vid) override {
+    return std::optional<std::string>{};
+  }
+  Status ScanWithTid(Transaction*, const VersionScanCallback&) override {
+    return Status::OK();
+  }
+  Vid vid_bound() const override { return 0; }
+  Status GarbageCollect(Xid, VirtualClock*, GcStats*) override {
+    return Status::OK();
+  }
+  Status Rebuild() override { return Status::OK(); }
+
+  std::vector<Vid> undone;
+};
+
+TEST_F(TxnManagerTest, AbortUndoesWriteLogNewestFirst) {
+  UndoRecorder table;
   auto t = mgr_.Begin(&clk_);
-  std::vector<int> order;
-  t->AddUndo([&] { order.push_back(1); });
-  t->AddUndo([&] { order.push_back(2); });
+  t->LogWrite(&table, 1, Tid{0, 1}, kInvalidTid);
+  t->LogWrite(&table, 2, Tid{0, 2}, Tid{0, 0});
   ASSERT_TRUE(mgr_.Abort(t.get()).ok());
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2);
-  EXPECT_EQ(order[1], 1);
+  EXPECT_EQ(table.undone, (std::vector<Vid>{2, 1}));
   EXPECT_EQ(clog_.Get(t->xid()), TxnStatus::kAborted);
 }
 
-TEST_F(TxnManagerTest, CommitDoesNotRunUndo) {
+TEST_F(TxnManagerTest, CommitDoesNotUndoWrites) {
+  UndoRecorder table;
   auto t = mgr_.Begin(&clk_);
-  bool ran = false;
-  t->AddUndo([&] { ran = true; });
+  t->LogWrite(&table, 1, Tid{0, 1}, kInvalidTid);
   ASSERT_TRUE(mgr_.Commit(t.get()).ok());
-  EXPECT_FALSE(ran);
+  EXPECT_TRUE(table.undone.empty());
 }
 
 TEST_F(TxnManagerTest, FailedCommitHookAborts) {
