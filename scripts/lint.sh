@@ -3,10 +3,9 @@
 #
 #   1. clang-tidy over every first-party translation unit (src/, tests/,
 #      bench/), using the check set in .clang-tidy.
-#   2. sias-tidy: the project's own four checks (sias-epoch-escape,
-#      sias-latch-rank, sias-virtual-time, sias-metric-literal). Uses the
-#      clang-tidy plugin when it is built, else the portable engine
-#      tools/sias-tidy/sias_tidy_lite.py.
+#   2. sias-tidy: the project's own checks (sias-epoch-escape,
+#      sias-latch-rank, sias-virtual-time, sias-metric-literal,
+#      sias-rank-table) via tools/sias-tidy/sias_tidy_lite.py.
 #   3. Python: ruff + mypy --strict over the scripts listed in
 #      pyproject.toml, when those tools are installed.
 #
@@ -16,8 +15,8 @@
 #
 # Legs whose toolchain is absent are skipped with a notice telling you what
 # to install, so the script is safe to call from a GCC-only environment;
-# the CI lint/sias-tidy jobs run on images that have the tools and treat
-# any finding as a failure.
+# the CI lint job runs on an image that has the tools and treats any
+# finding as a failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,9 +27,7 @@ status=0
 # ---------------------------------------------------------------------------
 TIDY="${CLANG_TIDY:-clang-tidy}"
 BUILD_DIR=build-lint
-have_tidy=0
 if command -v "$TIDY" >/dev/null 2>&1; then
-  have_tidy=1
   # clang-tidy needs a compilation database. Configure a dedicated build
   # tree so lint never dirties the main build/ directory.
   if [ ! -f "$BUILD_DIR/compile_commands.json" ]; then
@@ -52,41 +49,17 @@ else
 fi
 
 # ---------------------------------------------------------------------------
-# Leg 2: sias-tidy domain checks (plugin if built, else the lite engine)
+# Leg 2: sias-tidy domain checks
 # ---------------------------------------------------------------------------
-PLUGIN=""
-for so in "$BUILD_DIR"/tools/sias-tidy/libSiasTidyChecks.so \
-          build*/tools/sias-tidy/libSiasTidyChecks.so; do
-  if [ -f "$so" ]; then PLUGIN="$so"; break; fi
-done
-
-if [ "$have_tidy" -eq 1 ] && [ -n "$PLUGIN" ]; then
-  echo "lint: sias-tidy via plugin $PLUGIN"
-  sias_files=("$@")
-  if [ ${#sias_files[@]} -eq 0 ]; then
-    mapfile -t sias_files < <(find src -name '*.cc' | sort)
-  fi
-  for f in "${sias_files[@]}"; do
-    "$TIDY" -load "$PLUGIN" -p "$BUILD_DIR" --quiet \
-            --checks='-*,sias-*' --warnings-as-errors='sias-*' "$f" \
-      || status=1
-  done
-else
-  if [ "$have_tidy" -eq 1 ]; then
-    echo "lint: sias-tidy plugin not built" \
-         "(cmake -DSIAS_BUILD_TIDY_PLUGIN=ON; needs llvm-dev + clang-tidy" \
-         "headers); using the portable engine"
-  fi
-  echo "lint: sias-tidy via tools/sias-tidy/sias_tidy_lite.py"
-  python3 tools/sias-tidy/sias_tidy_lite.py src tests bench examples \
-    || status=1
-fi
+echo "lint: sias-tidy via tools/sias-tidy/sias_tidy_lite.py"
+python3 tools/sias-tidy/sias_tidy_lite.py src tests bench examples \
+  || status=1
 
 # ---------------------------------------------------------------------------
 # Leg 3: Python scripts (ruff + mypy --strict, configured in pyproject.toml)
 # ---------------------------------------------------------------------------
-PY_FILES=(scripts/bench_report.py scripts/check_rank_table.py
-          tests/bench_report_test.py tools/sias-tidy/sias_tidy_lite.py)
+PY_FILES=(scripts/bench_report.py tests/bench_report_test.py
+          tests/rank_table_test.py tools/sias-tidy/sias_tidy_lite.py)
 if command -v ruff >/dev/null 2>&1; then
   echo "lint: ruff over ${#PY_FILES[@]} python files"
   ruff check "${PY_FILES[@]}" || status=1

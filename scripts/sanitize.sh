@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Builds and runs the tier-1 test suite under AddressSanitizer,
 # ThreadSanitizer and UBSan (see the SIAS_SANITIZE option in CMakeLists.txt).
-# Sanitizer builds also enable the latch-order validator (SIAS_LATCH_CHECK
-# defaults to AUTO, which turns it on whenever SIAS_SANITIZE is set), so the
-# suite runs under the deadlock checker in every leg.
+# Every sanitizer build also compiles in the latch-order validator (CMake
+# defines SIAS_LATCH_CHECK whenever SIAS_SANITIZE is set), so the suite runs
+# under the deadlock checker in every leg.
 #
 # Usage: scripts/sanitize.sh [address|thread|undefined]...
 #   no args = all three. Each sanitizer gets its own build tree

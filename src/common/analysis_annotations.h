@@ -1,11 +1,11 @@
-// Static-analysis annotations consumed by the sias-tidy checks
-// (tools/sias-tidy/, docs/STATIC_ANALYSIS.md). Complements
+// Static-analysis markers read by the sias-tidy checks
+// (tools/sias-tidy/sias_tidy_lite.py, docs/STATIC_ANALYSIS.md). Complements
 // common/thread_annotations.h, which carries the Clang thread-safety
-// capability attributes; the macros here feed the project's own
-// clang-tidy plugin instead of the compiler.
+// capability attributes; the sias-tidy checks match these macro names in
+// the source text rather than anything the compiler emits.
 //
-// Both macros compile to nothing under GCC (and the attribute under Clang
-// has no codegen effect), so annotating is always free at runtime.
+// SIAS_EPOCH_PROTECTED expands to nothing and SIAS_WALLCLOCK_OK to a
+// static_assert, so annotating is always free at runtime.
 #pragma once
 
 // Marks a function or method whose returned pointer (or pointee handle)
@@ -21,11 +21,7 @@
 //
 // Holding the pointer in locals and copying the pointee out is fine — that
 // is exactly what the latch-free read path does under its EpochGuard.
-#if defined(__clang__)
-#define SIAS_EPOCH_PROTECTED [[clang::annotate("sias::epoch_protected")]]
-#else
 #define SIAS_EPOCH_PROTECTED
-#endif
 
 // Audited-waiver marker for the sias-virtual-time check, which bans
 // wall-clock and non-deterministic sources (std::chrono::*_clock::now,

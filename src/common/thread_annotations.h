@@ -1,9 +1,9 @@
 // Clang thread-safety-analysis attribute macros (capability model).
 //
-// Under Clang the macros expand to the `capability` attribute family and the
-// build enforces them with -Werror=thread-safety (cmake option
-// SIAS_THREAD_SAFETY, on by default for Clang). Under other compilers they
-// expand to nothing, so GCC builds see plain code.
+// Under Clang the macros expand to the `capability` attribute family and
+// every Clang build enforces them with -Werror=thread-safety (set in the
+// root CMakeLists.txt). Under other compilers they expand to nothing, so
+// GCC builds see plain code.
 //
 // The locking vocabulary these macros annotate lives in common/latch.h
 // (SpinLatch, Mutex, SharedMutex and their guards); the global acquisition

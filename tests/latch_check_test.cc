@@ -336,8 +336,8 @@ TEST(LatchCheckTest, DocumentedRankOrderAdmitsEngineSequences) {
 
 TEST(LatchCheckTest, DisabledInThisBuild) {
   GTEST_SKIP() << "latch-order validator is compiled out "
-                  "(configure with -DSIAS_LATCH_CHECK=ON or a Debug/"
-                  "sanitizer build)";
+                  "(it is compiled into Debug and sanitizer builds: "
+                  "-DCMAKE_BUILD_TYPE=Debug or -DSIAS_SANITIZE=...)";
 }
 
 #endif  // SIAS_LATCH_CHECK

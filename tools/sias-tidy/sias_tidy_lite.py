@@ -1,22 +1,18 @@
 #!/usr/bin/env python3
-"""sias-tidy-lite: portable fallback engine for the sias-tidy checks.
+"""sias-tidy-lite: the sias-tidy checks for the SIAS domain protocols.
 
-The authoritative implementation of the four SIAS domain checks is the
-clang-tidy plugin in this directory (see docs/STATIC_ANALYSIS.md), which
-works on the real AST. This module re-implements the same rules at the
-lexical level so that
+A dependency-free lexical engine: every C++ file is scanned with comments
+and literal contents blanked, and the rules below run over that text. The
+tables the rules consult (rank table, epoch-protected functions, metric
+catalogue) are parsed from their sources of truth in the tree, so the
+checks run the same everywhere, GCC-only builds and ctest included
+(docs/STATIC_ANALYSIS.md).
 
-  * environments without an LLVM/Clang dev install (this includes plain
-    GCC CI legs and the growth container) still enforce the disciplines,
-  * the compile-only fixture battery in tools/sias-tidy/test/ can run as a
-    ctest entry everywhere, keeping both engines honest against the same
-    expectations.
-
-Checks (names match the plugin's):
+Checks:
 
   sias-epoch-escape    pointers obtained from SIAS_EPOCH_PROTECTED
-                       functions must not be stored to fields/globals or
-                       returned from non-annotated functions
+                       functions must not be stored to fields, globals or
+                       statics, or returned from non-annotated functions
   sias-latch-rank      lexically nested latch guard acquisitions must
                        respect the rank table in src/check/latch_order.h;
                        bare std:: mutexes/guards are banned in src/
@@ -25,6 +21,10 @@ Checks (names match the plugin's):
                        call site with a non-empty justification
   sias-metric-literal  metric names passed to the obs registry must be
                        string literals catalogued in docs/OBSERVABILITY.md
+  sias-rank-table      the LatchRank enum, the LatchRankName switch and the
+                       docs/CONCURRENCY.md rank table agree exactly (a
+                       whole-tree rule: it reads those three files under
+                       --root, whatever PATHs are given)
 
 Usage:
   sias_tidy_lite.py [--root DIR] [--checks a,b] [PATH...]   # lint (default src/)
@@ -44,16 +44,15 @@ ALL_CHECKS = (
     "sias-latch-rank",
     "sias-virtual-time",
     "sias-metric-literal",
+    "sias-rank-table",
 )
 
 # Paths (relative to the repo root, '/'-separated) where wall-clock use is
-# legitimate: test / bench / example mains measure wall throughput. tools/
-# is the analyzer itself.
+# legitimate: test / bench / example mains measure wall throughput.
 VIRTUAL_TIME_ALLOWED_PREFIXES = (
     "bench/",
     "tests/",
     "examples/",
-    "tools/",
 )
 
 # src/common/latch.h implements the capability wrappers over the standard
@@ -63,7 +62,6 @@ VIRTUAL_TIME_ALLOWED_PREFIXES = (
 BARE_MUTEX_ALLOWED_PREFIXES = (
     "src/common/latch.h",
     "src/check/",
-    "tools/",
 )
 
 WAIVER_WINDOW_LINES = 5
@@ -224,10 +222,10 @@ def scan_cpp(path: pathlib.Path, rel: str) -> ScannedFile:
 # Global tables (pass 1)
 # ---------------------------------------------------------------------------
 
-RANK_ENUM_RE = re.compile(r"\bk(\w+)\s*=\s*(\d+)")
-LATCH_DECL_RE = re.compile(
-    r"\b(?:Mutex|SharedMutex|SpinLatch)\s+(\w+)\s*\{\s*LatchRank::k(\w+)\s*\}"
-)
+RANK_ENUM_RE = re.compile(r"\b(k\w+)\s*=\s*(\d+)")
+# Any latch brace-initialised with a rank, whatever its type is spelled as
+# (Mutex, SharedMutex, SpinLatch, the RwLatch alias, ...).
+LATCH_DECL_RE = re.compile(r"\b(\w+)\s*\{\s*(?:\w+::)*LatchRank::(k\w+)\b")
 EPOCH_ANNOT = "SIAS_EPOCH_PROTECTED"
 # Function name = last identifier before the first '(' of the declarator
 # that follows the annotation (skips return types, *, &, templates).
@@ -244,20 +242,20 @@ class Tables:
     # (`&pool_->mu_`), usable only when the name is globally unambiguous.
     member_ranks: dict[str, set[int]] = field(default_factory=dict)
     epoch_fns: set[str] = field(default_factory=set)
+    clock_aliases: set[str] = field(default_factory=set)  # Clock in Clock::now()
     catalogue: set[str] = field(default_factory=set)
     catalogue_prefixes: list[str] = field(default_factory=list)
 
 
-def parse_rank_table(latch_order_h: pathlib.Path) -> dict[str, int]:
-    ranks: dict[str, int] = {}
-    sf = scan_cpp(latch_order_h, latch_order_h.name)
+def parse_rank_table(latch_order_h: pathlib.Path) -> dict[str, tuple[int, int]]:
+    """`enum class LatchRank` -> {kName: (value, line)}."""
+    ranks: dict[str, tuple[int, int]] = {}
     in_enum = False
-    for ln in sf.code:
-        if "enum class LatchRank" in ln:
-            in_enum = True
+    for i, ln in enumerate(scan_cpp(latch_order_h, latch_order_h.name).code):
+        in_enum = in_enum or "enum class LatchRank" in ln
         if in_enum:
             for m in RANK_ENUM_RE.finditer(ln):
-                ranks["k" + m.group(1)] = int(m.group(2))
+                ranks[m.group(1)] = (int(m.group(2)), i + 1)
             if "};" in ln and ranks:
                 break
     return ranks
@@ -339,12 +337,15 @@ class ClassTracker:
 
 
 def collect_decl_facts(sf: ScannedFile, tables: Tables) -> None:
-    """Pass 1 over one file: latch member ranks + epoch-annotated names."""
+    """Pass 1 over one file: latch member ranks, wall-clock aliases and
+    epoch-annotated names."""
     tracker = ClassTracker()
     for ln in sf.code:
         cls = tracker.current()
+        for m in CLOCK_ALIAS_RE.finditer(ln):
+            tables.clock_aliases.add(m.group(1) or m.group(2))
         for m in LATCH_DECL_RE.finditer(ln):
-            member, rank_name = m.group(1), "k" + m.group(2)
+            member, rank_name = m.group(1), m.group(2)
             if rank_name in tables.ranks:
                 rank = tables.ranks[rank_name]
                 tables.member_ranks.setdefault(member, set()).add(rank)
@@ -355,11 +356,11 @@ def collect_decl_facts(sf: ScannedFile, tables: Tables) -> None:
         tracker.feed(ln)
     text = "\n".join(sf.code)
     for m in re.finditer(re.escape(EPOCH_ANNOT), text):
-        if text[m.end() : m.end() + 1].isalnum():  # e.g. the macro #define
+        if text[m.end() : m.end() + 1].isalnum():  # a longer identifier
             continue
+        if text[text.rfind("\n", 0, m.start()) + 1 :].lstrip().startswith("#"):
+            continue  # the macro's own #define
         tail = text[m.end() : m.end() + 240]
-        if tail.lstrip().startswith("["):  # the #define's own expansion
-            continue
         depth = 0
         best: str | None = None
         for fm in FUNC_NAME_RE.finditer(tail):
@@ -379,25 +380,24 @@ def collect_decl_facts(sf: ScannedFile, tables: Tables) -> None:
 # sias-virtual-time
 # ---------------------------------------------------------------------------
 
+WALL_CLOCK = r"\b(?:system|steady|high_resolution)_clock"
+# A free function called bare, as std::f or as ::f (not x.f, p->f, X::f).
+FREE_FN = r"(?:\bstd::|(?<![\w.:>])(?:::)?)"
 BANNED_TIME_RES: list[tuple[re.Pattern[str], str]] = [
-    (
-        re.compile(
-            r"\b(?:std::)?chrono::(?:system_clock|steady_clock|"
-            r"high_resolution_clock)::now\s*\("
-        ),
-        "wall-clock chrono ::now()",
-    ),
-    (re.compile(r"(?<![\w.:>])time\s*\(\s*(?:nullptr|0|NULL|&)"), "time()"),
-    (
-        re.compile(r"(?<![\w.:])(?:std::)?s?rand\s*\(\s*[)\w]"),
-        "rand()/srand()",
-    ),
+    (re.compile(WALL_CLOCK + r"::now\s*\("), "wall-clock chrono ::now()"),
+    (re.compile(FREE_FN + r"time\s*\(\s*(?:nullptr|0|NULL|&)"), "time()"),
+    (re.compile(FREE_FN + r"s?rand\s*\(\s*[)\w]"), "rand()/srand()"),
     (re.compile(r"\brandom_device\b"), "std::random_device"),
     (
-        re.compile(r"\b__?rdtscp?\b|__builtin_readcyclecounter"),
+        re.compile(r"\b__?rdtscp?\b|__builtin_(?:ia32_rdtscp?|readcyclecounter)"),
         "raw TSC read",
     ),
 ]
+# `using Clock = std::chrono::steady_clock;` / `typedef ... Clock;`
+CLOCK_ALIAS_RE = re.compile(
+    rf"\busing\s+(\w+)\s*=\s*[\w:]*{WALL_CLOCK}\s*;"
+    rf"|\btypedef\s+[\w:]*{WALL_CLOCK}\s+(\w+)\s*;"
+)
 WAIVER_TOKEN = "SIAS_WALLCLOCK_OK"
 
 
@@ -421,15 +421,17 @@ def waiver_at(sf: ScannedFile, line_no: int) -> tuple[bool, bool]:
     return False, False
 
 
-def check_virtual_time(sf: ScannedFile) -> list[Finding]:
+def check_virtual_time(sf: ScannedFile, tables: Tables) -> list[Finding]:
     if sf.rel.startswith(VIRTUAL_TIME_ALLOWED_PREFIXES):
         return []
-    if sf.rel == "src/common/analysis_annotations.h":
-        return []
+    banned = BANNED_TIME_RES + [
+        (re.compile(rf"\b{alias}::now\s*\("), f"wall-clock {alias}::now()")
+        for alias in sorted(tables.clock_aliases)
+    ]
     findings: list[Finding] = []
     waiver_lines_used: set[int] = set()
     for i, ln in enumerate(sf.code):
-        for pat, what in BANNED_TIME_RES:
+        for pat, what in banned:
             if not pat.search(ln):
                 continue
             waived, justified = waiver_at(sf, i + 1)
@@ -572,14 +574,23 @@ CAST_RE = re.compile(
 )
 # Methods whose name alone is too common to taint globally (.data() exists
 # on std::string, std::vector, Slice, ...). They taint only through a
-# receiver the engine knows is a PageGuard local. The AST plugin resolves
-# the receiver type exactly instead.
+# receiver the engine knows is a PageGuard local.
 RECEIVER_ONLY_METHODS = ("data", "page")
 # Method calls on an already-tainted receiver that hand back the protected
 # storage itself (atomic slot load, frame surface accessors). Every other
 # method call on a tainted receiver is treated as a value copy out of the
 # pointee — the sanctioned idiom.
 TAINT_PROPAGATING_METHODS = ("load", "data", "page")
+# The method called at the end of an access path: `.SlotFor(`, `->a.f(`,
+# `::f(`.
+RECEIVER_CALL_RE = re.compile(
+    r"(?:(?:\.|->|::)\s*\w+\s*)*?(?:\.|->|::)\s*(\w+)\s*\("
+)
+# A variable declaration; group 1 is set when it has static storage.
+STORAGE_DECL_RE = re.compile(
+    r"^\s*(static\s+|thread_local\s+)?(?:(?:const|constexpr|inline)\s+)*"
+    r"[\w:]+(?:<[^;=]*>)?[\s*&]+(?:const\s+)?[\s*&]*(\w+)\s*(?:=[^=]|;)"
+)
 
 
 def rhs_taints(
@@ -591,11 +602,11 @@ def rhs_taints(
     """Does this right-hand side yield an epoch-protected pointer?
 
     Lexical rule: taint flows only from the *root* of the expression — a
-    tainted variable, a direct call to an annotated function, or a
-    `.data()/.page()` access on a known PageGuard local. A tainted name
-    appearing merely as an argument to some other call (`DecodeFixed64(p)`,
-    `memcpy(dst, p, n)`, `std::string(p, n)`) is the sanctioned copy-out
-    idiom and stays clean.
+    tainted variable, a call to an annotated function (bare or through a
+    receiver), or a `.data()/.page()` access on a known PageGuard local. A
+    tainted name appearing merely as an argument to some other call
+    (`DecodeFixed64(p)`, `memcpy(dst, p, n)`, `std::string(p, n)`) is the
+    sanctioned copy-out idiom and stays clean.
     """
     expr = rhs.strip()
     m = CAST_RE.match(expr)
@@ -614,6 +625,10 @@ def rhs_taints(
             return False  # comparison / pointee field or element access
         return True  # bare pointer, pointer arithmetic, or trailing ')'
     if root in epoch_fns and root not in RECEIVER_ONLY_METHODS and after.startswith("("):
+        return True
+    call = RECEIVER_CALL_RE.match(after)
+    method = call.group(1) if call else ""
+    if method in epoch_fns and method not in RECEIVER_ONLY_METHODS:
         return True
     if root in guard_vars:
         if meth and meth.group(1) in RECEIVER_ONLY_METHODS:
@@ -637,6 +652,7 @@ def check_epoch_escape(sf: ScannedFile, tables: Tables) -> list[Finding]:
         return findings
     tainted: set[str] = set()
     guard_vars: set[str] = set()
+    statics: set[str] = set()  # globals and statics declared in this file
     depth = 0
     ns_depth = 0
     fn_annotated_stack: list[bool] = []
@@ -661,6 +677,11 @@ def check_epoch_escape(sf: ScannedFile, tables: Tables) -> list[Finding]:
             guard_vars = set()
         for gm in GUARD_VAR_RE.finditer(ln):
             guard_vars.add(gm.group(1))
+        dm = STORAGE_DECL_RE.match(ln)
+        static_decl = False
+        if dm and (dm.group(1) or depth <= ns_depth):
+            static_decl = True
+            statics.add(dm.group(2))
         # Declarations / assignments (ASSIGN_RE's lhs group ends on the
         # variable name for both `x = rhs;` and `Type x = rhs;`).
         for m in ASSIGN_RE.finditer(ln):
@@ -673,7 +694,11 @@ def check_epoch_escape(sf: ScannedFile, tables: Tables) -> list[Finding]:
                 + r"\s*=",
                 ln,
             )
-            if decl is not None or not is_nonlocal_lvalue(lhs):
+            if decl is not None:
+                escapes = static_decl
+            else:
+                escapes = lhs in statics or is_nonlocal_lvalue(lhs)
+            if not escapes:
                 tainted.add(member_of(lhs.lstrip("*&")))
             else:
                 findings.append(
@@ -733,10 +758,8 @@ def catalogued(name: str, tables: Tables) -> bool:
 
 def check_metric_literal(sf: ScannedFile, tables: Tables) -> list[Finding]:
     findings: list[Finding] = []
-    if not tables.catalogue:
-        return findings
-    if sf.rel.startswith(("src/obs/metrics", "tools/")):
-        return findings  # the registry's own definition / the analyzer
+    if sf.rel.startswith("src/obs/metrics"):
+        return findings  # the registry's own definition
     if "/" in sf.rel and not sf.rel.startswith("src/"):
         # The catalogue governs production telemetry. Unit tests (obs_test)
         # register scratch names to exercise the registry itself;
@@ -773,7 +796,7 @@ def check_metric_literal(sf: ScannedFile, tables: Tables) -> list[Finding]:
                     )
                 )
                 continue
-            if not catalogued(lit.value, tables):
+            if tables.catalogue and not catalogued(lit.value, tables):
                 findings.append(
                     Finding(
                         sf.path,
@@ -788,20 +811,77 @@ def check_metric_literal(sf: ScannedFile, tables: Tables) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# sias-rank-table
+# ---------------------------------------------------------------------------
+
+CASE_RE = re.compile(r"\bcase\s+LatchRank::(k\w+)\s*:")
+DOC_ROW_RE = re.compile(r"^\s*\|\s*`(k\w+)`\s*\|\s*(\d+)\s*\|")
+# Documented in prose under the table rather than as a row: rank 0 marks
+# ad-hoc mutexes outside the engine proper.
+PROSE_ONLY_RANKS = frozenset({"kUnranked"})
+
+
+def check_latch_rank_table(root: pathlib.Path) -> list[Finding]:
+    """The LatchRank enum is the source of truth; the LatchRankName switch
+    needs one case per enumerator and the docs/CONCURRENCY.md table one row
+    per enumerator (with its value) except the prose-only ones."""
+    header = root / "src" / "check" / "latch_order.h"
+    source = root / "src" / "check" / "latch_order.cc"
+    doc = root / "docs" / "CONCURRENCY.md"
+    findings: list[Finding] = []
+
+    def add(path: pathlib.Path, line: int, message: str) -> None:
+        findings.append(Finding(str(path), line, "sias-rank-table", message))
+
+    for f in (header, source, doc):
+        if not f.exists():
+            add(f, 1, "rank-table source file is missing")
+    if findings:
+        return findings
+    enum = parse_rank_table(header)
+    cases = {
+        m.group(1): i + 1
+        for i, ln in enumerate(scan_cpp(source, source.name).code)
+        for m in CASE_RE.finditer(ln)
+    }
+    rows = {
+        m.group(1): (int(m.group(2)), i + 1)
+        for i, ln in enumerate(doc.read_text(encoding="utf-8").splitlines())
+        if (m := DOC_ROW_RE.match(ln))
+    }
+    if not enum:
+        add(header, 1, "no LatchRank enumerators parsed")
+    for name, (value, line) in sorted(enum.items()):
+        if name not in cases:
+            add(header, line, f"{name} (= {value}) has no case in LatchRankName")
+        if name not in rows and name not in PROSE_ONLY_RANKS:
+            add(header, line, f"{name} (= {value}) has no row in {doc.name}")
+    for name, line in sorted(cases.items()):
+        if name not in enum:
+            add(source, line, f"LatchRankName case {name} is not an enumerator")
+    for name, (value, line) in sorted(rows.items()):
+        if name not in enum or name in PROSE_ONLY_RANKS:
+            add(doc, line, f"rank table row {name} is not a ranked enumerator")
+        elif value != enum[name][0]:
+            add(doc, line, f"{name} documented as {value}, enum says {enum[name][0]}")
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
 
-def build_tables(root: pathlib.Path, decl_files: list[pathlib.Path]) -> Tables:
+def root_tables(root: pathlib.Path) -> Tables:
+    """The tables read from fixed files under the repository root."""
     tables = Tables()
     latch_order = root / "src" / "check" / "latch_order.h"
     if latch_order.exists():
-        tables.ranks = parse_rank_table(latch_order)
+        ranks = parse_rank_table(latch_order)
+        tables.ranks = {name: value for name, (value, _) in ranks.items()}
     obs_md = root / "docs" / "OBSERVABILITY.md"
     if obs_md.exists():
         tables.catalogue, tables.catalogue_prefixes = parse_catalogue(obs_md)
-    for f in decl_files:
-        collect_decl_facts(scan_cpp(f, rel_of(f, root)), tables)
     return tables
 
 
@@ -817,7 +897,7 @@ def run_checks(
 ) -> list[Finding]:
     findings: list[Finding] = []
     if "sias-virtual-time" in checks:
-        findings += check_virtual_time(sf)
+        findings += check_virtual_time(sf, tables)
     if "sias-latch-rank" in checks:
         findings += check_latch_rank(sf, tables)
     if "sias-epoch-escape" in checks:
@@ -838,12 +918,17 @@ def cpp_files(paths: list[pathlib.Path]) -> list[pathlib.Path]:
 
 
 def lint(root: pathlib.Path, paths: list[pathlib.Path], checks: tuple[str, ...]) -> int:
-    decl_files = cpp_files([root / "src"])
-    tables = build_tables(root, decl_files)
     findings: list[Finding] = []
-    for f in cpp_files(paths):
-        sf = scan_cpp(f, rel_of(f, root))
-        findings += run_checks(sf, tables, checks)
+    if "sias-rank-table" in checks:
+        findings += check_latch_rank_table(root)
+    file_checks = tuple(c for c in checks if c != "sias-rank-table")
+    if file_checks:
+        tables = root_tables(root)
+        for f in cpp_files([root / "src"]):
+            collect_decl_facts(scan_cpp(f, rel_of(f, root)), tables)
+        for f in cpp_files(paths):
+            sf = scan_cpp(f, rel_of(f, root))
+            findings += run_checks(sf, tables, file_checks)
     for fd in findings:
         print(fd.render())
     if findings:
@@ -852,44 +937,36 @@ def lint(root: pathlib.Path, paths: list[pathlib.Path], checks: tuple[str, ...])
     return 0
 
 
+# A code line ending in a `// BAD` comment: the check must flag that line.
+BAD_MARK_RE = re.compile(r"^\s*[^\s/].*//\s*BAD\b")
+
+
 def run_fixtures(root: pathlib.Path, fixture_dir: pathlib.Path) -> int:
-    """Each fixture is <check-stem>_{pos,neg}.cc: pos must raise >= 1
-    finding of its check, neg must raise none. The fixture file itself is
-    the only declaration source (self-contained stubs)."""
-    stem_to_check = {
-        "epoch_escape": "sias-epoch-escape",
-        "latch_rank": "sias-latch-rank",
-        "virtual_time": "sias-virtual-time",
-        "metric_literal": "sias-metric-literal",
-    }
+    """Each fixture is <check>_{pos,neg}[_<case>].cc, e.g. latch_rank_pos.cc
+    for sias-latch-rank. Its check must flag exactly the lines marked BAD:
+    a neg fixture has none, a pos fixture at least one. The fixture file
+    itself is the only declaration source (self-contained stubs)."""
     failures = 0
     ran = 0
     for f in sorted(fixture_dir.glob("*.cc")):
-        m = re.match(r"([a-z_]+?)_(pos|neg)\.cc$", f.name)
+        m = re.match(r"([a-z]+_[a-z]+)_(pos|neg)(?:_\w+)?\.cc$", f.name)
         if not m:
             continue
-        stem, kind = m.group(1), m.group(2)
-        check = stem_to_check.get(stem)
-        if check is None:
-            print(f"  SKIP {f.name}: unknown check stem '{stem}'")
+        check = "sias-" + m.group(1).replace("_", "-")
+        if check not in ALL_CHECKS:
+            print(f"  SKIP {f.name}: unknown check '{check}'")
             continue
         ran += 1
-        tables = Tables()
-        latch_order = root / "src" / "check" / "latch_order.h"
-        if latch_order.exists():
-            tables.ranks = parse_rank_table(latch_order)
-        obs_md = root / "docs" / "OBSERVABILITY.md"
-        if obs_md.exists():
-            tables.catalogue, tables.catalogue_prefixes = parse_catalogue(obs_md)
+        tables = root_tables(root)
         sf = scan_cpp(f, f.name)
         collect_decl_facts(sf, tables)
-        found = [
-            fd for fd in run_checks(sf, tables, (check,)) if fd.check == check
-        ]
-        want_findings = kind == "pos"
-        ok = bool(found) == want_findings
-        status = "PASS" if ok else "FAIL"
-        print(f"  {status} {f.name}: {len(found)} finding(s) from {check}")
+        found = run_checks(sf, tables, (check,))
+        lines = f.read_text(encoding="utf-8").splitlines()
+        bad = {i + 1 for i, ln in enumerate(lines) if BAD_MARK_RE.search(ln)}
+        ok = {fd.line for fd in found} == bad
+        ok = ok and bool(bad) == (m.group(2) == "pos")
+        print(f"  {'PASS' if ok else 'FAIL'} {f.name}: {len(found)} finding(s) "
+              f"from {check}, {len(bad)} BAD line(s)")
         if not ok:
             failures += 1
             for fd in found:

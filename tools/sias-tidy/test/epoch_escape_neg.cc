@@ -2,11 +2,7 @@
 // pointer in locals, copy the pointee out, or return it from a function
 // that is itself annotated. Must produce zero findings.
 
-#if defined(__clang__)
-#define SIAS_EPOCH_PROTECTED [[clang::annotate("sias::epoch_protected")]]
-#else
 #define SIAS_EPOCH_PROTECTED
-#endif
 
 namespace fixture {
 

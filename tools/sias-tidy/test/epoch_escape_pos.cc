@@ -1,11 +1,7 @@
-// sias-epoch-escape POSITIVE fixture: every store/return below must be
-// flagged. Self-contained: compiles standalone with -fsyntax-only.
+// sias-epoch-escape POSITIVE fixture: each line marked BAD must be flagged,
+// and no other. Self-contained: compiles standalone with -fsyntax-only.
 
-#if defined(__clang__)
-#define SIAS_EPOCH_PROTECTED [[clang::annotate("sias::epoch_protected")]]
-#else
 #define SIAS_EPOCH_PROTECTED
-#endif
 
 namespace fixture {
 

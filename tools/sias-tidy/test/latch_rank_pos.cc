@@ -1,6 +1,7 @@
 // sias-latch-rank POSITIVE fixture: nested acquisitions that violate the
-// rank order (inner rank <= outer rank). Enumerator names and values match
-// src/check/latch_order.h so both engines resolve them identically.
+// rank order (inner rank <= outer rank); each line marked BAD must be
+// flagged. Enumerator names and values match src/check/latch_order.h,
+// whose rank table the check reads.
 
 namespace fixture {
 

@@ -1,5 +1,5 @@
 // sias-virtual-time POSITIVE fixture: un-waived wall-clock reads and a
-// stale waiver. Each marked line must be flagged.
+// stale waiver. Each line marked BAD must be flagged, and no other.
 
 #include <chrono>
 #include <cstdlib>
@@ -13,8 +13,8 @@
 namespace fixture {
 
 long Stamp() {
-  // BAD: wall-clock read without a SIAS_WALLCLOCK_OK waiver.
-  return std::chrono::steady_clock::now().time_since_epoch().count();
+  // Wall-clock read without a SIAS_WALLCLOCK_OK waiver.
+  return std::chrono::steady_clock::now().time_since_epoch().count();  // BAD
 }
 
 int Roll() {
