@@ -295,6 +295,7 @@ Status SiasTable::ReadOne(Transaction* txn, Vid vid,
 }
 
 Result<Vid> SiasTable::Insert(Transaction* txn, Slice row, Tid* tid_out) {
+  env_.txns->AssignXid(txn);
   Vid vid = scheme_ == VersionScheme::kSiasChains ? map_.AllocateVid()
                                                   : map_v_.AllocateVid();
   TupleHeader h;
@@ -386,6 +387,7 @@ void SiasTable::UndoWrite(const TxnWrite& write) {
 
 Status SiasTable::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
   // Algorithm 3: lock (first-updater-wins), validate entrypoint, append.
+  env_.txns->AssignXid(txn);
   SIAS_RETURN_NOT_OK(env_.txns->locks()->AcquireExclusive(
       relation_, vid, txn->xid(), txn->clock()));
   txn->AddLock(relation_, vid);
@@ -405,6 +407,7 @@ Status SiasTable::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
 Status SiasTable::Delete(Transaction* txn, Vid vid) {
   // §4.2.2: deletion appends a tombstone version; older versions stay
   // reachable for transactions that still need them.
+  env_.txns->AssignXid(txn);
   SIAS_RETURN_NOT_OK(env_.txns->locks()->AcquireExclusive(
       relation_, vid, txn->xid(), txn->clock()));
   txn->AddLock(relation_, vid);

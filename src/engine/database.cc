@@ -1,5 +1,6 @@
 #include "engine/database.h"
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 
@@ -166,29 +167,39 @@ std::unique_ptr<Transaction> Database::Begin(VirtualClock* clock) {
 Status Database::Commit(Transaction* txn) {
   Status s = txns_.Commit(txn);
   if (s.ok()) {
-    committed_.fetch_add(1, std::memory_order_relaxed);
+    committed_.Increment();
   } else {
-    aborted_.fetch_add(1, std::memory_order_relaxed);
+    aborted_.Increment();
   }
-  if (txn->clock() != nullptr) {
-    VTime now = txn->clock()->now();
-    VTime cur = makespan_.load(std::memory_order_relaxed);
-    while (cur < now && !makespan_.compare_exchange_weak(cur, now)) {
-    }
-  }
+  if (txn->clock() != nullptr) AdvanceMakespan(txn->clock()->now());
   return s;
 }
 
 Status Database::Abort(Transaction* txn) {
-  aborted_.fetch_add(1, std::memory_order_relaxed);
+  aborted_.Increment();
   return txns_.Abort(txn);
+}
+
+void Database::AdvanceMakespan(VTime now) {
+  std::atomic<VTime>& shard =
+      makespan_[obs::ThreadShard(obs::kCounterShards)].v;
+  VTime cur = shard.load(std::memory_order_relaxed);
+  while (cur < now && !shard.compare_exchange_weak(cur, now,
+                                                   std::memory_order_relaxed)) {
+  }
+}
+
+VTime Database::max_vtime() const {
+  VTime max = 0;
+  for (const auto& shard : makespan_) {
+    max = std::max(max, shard.v.load(std::memory_order_relaxed));
+  }
+  return max;
 }
 
 Status Database::Tick(VirtualClock* clk) {
   VTime now = clk->now();
-  VTime cur = makespan_.load(std::memory_order_relaxed);
-  while (cur < now && !makespan_.compare_exchange_weak(cur, now)) {
-  }
+  AdvanceMakespan(now);
   // Claim-and-run each maintenance deadline at most once.
   VTime bg = next_bgwriter_.load(std::memory_order_relaxed);
   if (now >= bg &&
@@ -569,7 +580,10 @@ Status Database::Recover(const RecoverOptions& ropts) {
 
   // 4) Rebuild in-memory access structures from the heap ("all information
   // required for a reconstruction is stored on each tuple version", §6).
+  // Table::RebuildIndexes posts MV-PBT records under the recovery
+  // transaction's xid, so it takes one up front.
   auto recovery_txn = txns_.Begin(&clk);
+  txns_.AssignXid(recovery_txn.get());
   {
     MutexLock g(&catalog_mu_);
     for (auto& [name, table] : tables_) {
@@ -637,8 +651,8 @@ DatabaseStats Database::stats() const {
   s.heap_allocated_bytes = disk_->allocated_bytes();
   s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   s.bgwriter_passes = bgwriter_passes_.load(std::memory_order_relaxed);
-  s.committed = committed_.load(std::memory_order_relaxed);
-  s.aborted = aborted_.load(std::memory_order_relaxed);
+  s.committed = static_cast<uint64_t>(committed_.Value());
+  s.aborted = static_cast<uint64_t>(aborted_.Value());
   return s;
 }
 

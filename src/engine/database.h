@@ -14,6 +14,7 @@
 // clock (the bandwidth the bgwriter/checkpointer steals from transactions).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <map>
@@ -164,7 +165,7 @@ class Database {
   obs::MetricsSnapshot DumpMetrics();
 
   /// Makespan across all terminal clocks (advanced by Tick / Commit).
-  VTime max_vtime() const { return makespan_.load(); }
+  VTime max_vtime() const;
 
  private:
   explicit Database(const DatabaseOptions& opts);
@@ -213,7 +214,14 @@ class Database {
   size_t ckpt_drain_per_pass_ SIAS_GUARDED_BY(maintenance_mu_) = 0;
   Lsn pending_ckpt_lsn_ SIAS_GUARDED_BY(maintenance_mu_) = kInvalidLsn;
   bool ckpt_active_ SIAS_GUARDED_BY(maintenance_mu_) = false;
-  std::atomic<VTime> makespan_{0};
+  /// Per-thread-shard maximum of the clocks seen by Tick / Commit;
+  /// max_vtime() folds them. Sharded like obs::Counter so no line is
+  /// written by every terminal on every operation.
+  struct alignas(64) MakespanShard {
+    std::atomic<VTime> v{0};
+  };
+  std::array<MakespanShard, obs::kCounterShards> makespan_;
+  void AdvanceMakespan(VTime now);
   /// Rank kDbMaintenance: the outermost engine latch — bgwriter and
   /// checkpoint passes hold it across catalog walks, region sealing and
   /// pool flushes.
@@ -221,8 +229,8 @@ class Database {
 
   std::atomic<uint64_t> checkpoints_{0};
   std::atomic<uint64_t> bgwriter_passes_{0};
-  std::atomic<uint64_t> committed_{0};
-  std::atomic<uint64_t> aborted_{0};
+  obs::Counter committed_;
+  obs::Counter aborted_;
 };
 
 }  // namespace sias

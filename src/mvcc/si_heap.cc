@@ -76,6 +76,7 @@ Result<Tid> SiHeap::PlaceTuple(Slice tuple, Transaction* txn, Lsn* lsn_out) {
 }
 
 Result<Vid> SiHeap::Insert(Transaction* txn, Slice row, Tid* tid_out) {
+  env_.txns->AssignXid(txn);
   Vid vid;
   {
     MutexLock g(&map_mu_);
@@ -223,6 +224,7 @@ Status SiHeap::StampXmax(Transaction* txn, Tid tid, Xid xmax) {
 }
 
 Status SiHeap::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
+  env_.txns->AssignXid(txn);
   SIAS_RETURN_NOT_OK(env_.txns->locks()->AcquireExclusive(
       relation_, vid, txn->xid(), txn->clock()));
   txn->AddLock(relation_, vid);
@@ -251,6 +253,7 @@ Status SiHeap::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
 }
 
 Status SiHeap::Delete(Transaction* txn, Vid vid) {
+  env_.txns->AssignXid(txn);
   SIAS_RETURN_NOT_OK(env_.txns->locks()->AcquireExclusive(
       relation_, vid, txn->xid(), txn->clock()));
   txn->AddLock(relation_, vid);

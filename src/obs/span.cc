@@ -201,8 +201,8 @@ void TxnSpan::Finish() {
   active_ = false;
 }
 
-void TxnSpan::set_xid(uint64_t xid) {
-  if (active_) tls_span.xid = xid;
+void SetSpanXid(uint64_t xid) {
+  if (tls_span.active) tls_span.xid = xid;
 }
 
 void TxnSpan::set_committed(bool committed) {

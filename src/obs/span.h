@@ -112,7 +112,6 @@ class TxnSpan {
   TxnSpan(const TxnSpan&) = delete;
   TxnSpan& operator=(const TxnSpan&) = delete;
 
-  void set_xid(uint64_t xid);
   /// Call before destruction when the transaction committed; uncommitted
   /// roots land in txn.latency.aborted and keep the phase histograms clean.
   void set_committed(bool committed);
@@ -130,6 +129,11 @@ class TxnSpan {
 
 /// True when a TxnSpan root is open on the calling thread.
 bool SpanRootActive();
+
+/// Tags the calling thread's open root with the transaction's xid; a no-op
+/// without one. TransactionManager::AssignXid calls it, so a read-only
+/// transaction's exemplar carries xid 0.
+void SetSpanXid(uint64_t xid);
 
 /// Per-txn-type latency aggregation plus the top-K slowest exemplars.
 /// Registered as a MetricsRegistry snapshot augmenter: every Snapshot() of

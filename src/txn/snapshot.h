@@ -19,16 +19,19 @@ namespace sias {
 
 /// Immutable view of the transaction landscape at snapshot time.
 struct Snapshot {
-  Xid xid = kInvalidXid;  ///< owner (its own writes are always visible)
+  /// Owner: its own writes are always visible. kInvalidXid until the owner's
+  /// first write, and for good in a read-only transaction.
+  Xid xid = kInvalidXid;
   Xid xmax = kInvalidXid; ///< first xid NOT visible (next to be assigned)
   std::vector<Xid> concurrent;  ///< sorted: in-progress xids at start
 
   /// True if `other`'s effects are contained in this snapshot provided the
   /// clog reports it committed.
   bool Contains(Xid other) const {
+    // kInvalidXid first: an owner without an xid must not claim xid 0.
+    if (other == kInvalidXid) return false;
     if (other == xid) return true;        // own writes
     if (other == kFrozenXid) return true; // bootstrap data
-    if (other == kInvalidXid) return false;
     if (other >= xmax) return false;      // started after us
     return !std::binary_search(concurrent.begin(), concurrent.end(), other);
   }
@@ -36,8 +39,8 @@ struct Snapshot {
   /// Full visibility-of-creator check: in-snapshot AND committed.
   /// (Own in-progress writes are visible to self.)
   bool CreatorVisible(Xid creator, const Clog& clog) const {
-    if (creator == xid) return true;
-    return Contains(creator) && clog.IsCommitted(creator);
+    if (!Contains(creator)) return false;
+    return creator == xid || clog.IsCommitted(creator);
   }
 };
 

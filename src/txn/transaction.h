@@ -1,7 +1,8 @@
-// Transaction handle: xid, snapshot, held locks, the write log and the
-// terminal's virtual clock.
+// Transaction handle: snapshot, xid (assigned at the first write), held
+// locks, the write log and the terminal's virtual clock.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -33,9 +34,11 @@ struct TxnWrite {
 /// by Commit/Abort. Not thread-safe: owned by one terminal.
 class Transaction {
  public:
-  Transaction(Xid xid, Snapshot snapshot, VirtualClock* clock)
-      : xid_(xid), snapshot_(std::move(snapshot)), clock_(clock) {}
+  Transaction(Snapshot snapshot, VirtualClock* clock, uint32_t slot)
+      : snapshot_(std::move(snapshot)), clock_(clock), slot_(slot) {}
 
+  /// kInvalidXid until the first write (TransactionManager::AssignXid): a
+  /// read-only transaction never takes one.
   Xid xid() const { return xid_; }
   const Snapshot& snapshot() const { return snapshot_; }
   TxnState state() const { return state_; }
@@ -63,9 +66,10 @@ class Transaction {
  private:
   friend class TransactionManager;
 
-  Xid xid_;
+  Xid xid_ = kInvalidXid;
   Snapshot snapshot_;
   VirtualClock* clock_;
+  uint32_t slot_;  ///< TransactionManager registry slot
   TxnState state_ = TxnState::kActive;
   std::vector<TxnWrite> writes_;
   std::vector<std::pair<RelationId, Vid>> locks_;

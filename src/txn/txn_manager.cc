@@ -1,5 +1,7 @@
 #include "txn/txn_manager.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "mvcc/mvcc_table.h"
 #include "obs/span.h"
@@ -13,31 +15,117 @@ TransactionManager::TransactionManager(Clog* clog, LockManager* locks)
   m_commits_ = reg.GetCounter("txn.commit");
   m_aborts_ = reg.GetCounter("txn.abort");
   m_commit_latency_ = reg.GetHistogram("txn.commit_latency");
-  m_active_ = reg.GetGauge("txn.active");
+}
+
+uint32_t TransactionManager::ClaimSlot() {
+  // A thread that runs one transaction at a time keeps reusing its slot.
+  thread_local uint32_t hint = 0;
+  for (uint32_t i = hint, scanned = 0; scanned < kMaxActive;
+       i = (i + 1) % kMaxActive, ++scanned) {
+    Xid expected = kFreeSlot;
+    if (!slots_[i].lo.compare_exchange_strong(expected, kClaimedSlot,
+                                              std::memory_order_seq_cst)) {
+      continue;
+    }
+    hint = i;
+    uint32_t hwm = slot_hwm_.load(std::memory_order_seq_cst);
+    while (hwm <= i && !slot_hwm_.compare_exchange_weak(
+                           hwm, i + 1, std::memory_order_seq_cst)) {
+    }
+    return i;
+  }
+  SIAS_CHECK(false);  // more than kMaxActive transactions at once
+  return 0;
 }
 
 std::unique_ptr<Transaction> TransactionManager::Begin(VirtualClock* clock) {
   SPAN_SCOPE("txn", "begin");
-  MutexLock g(&mu_);
-  Xid xid = next_xid_++;
-  clog_->Extend(xid);
+  uint32_t idx = ClaimSlot();
+  Slot& slot = slots_[idx];
   Snapshot snap;
-  snap.xid = xid;
-  snap.xmax = next_xid_;
-  snap.concurrent.reserve(active_.size());
-  for (const auto& [axid, _] : active_) snap.concurrent.push_back(axid);
-  Xid snap_min = snap.concurrent.empty() ? xid : snap.concurrent.front();
-  active_.emplace(xid, snap_min);
+  SpinBackoff backoff;
+  for (;;) {
+    uint64_t seq = head_.seq.load(std::memory_order_acquire);
+    if (seq & 1) {  // a rebuild is writing
+      backoff.Pause();
+      continue;
+    }
+    // Acquire loads: a value from a later rebuild makes the seq re-read
+    // below see that rebuild's odd store.
+    snap.xmax = head_.xmax.load(std::memory_order_acquire);
+    snap.concurrent.resize(head_.n_concurrent.load(std::memory_order_acquire));
+    for (size_t i = 0; i < snap.concurrent.size(); ++i) {
+      snap.concurrent[i] = concurrent_[i].load(std::memory_order_acquire);
+    }
+    Pause(TxnPausePoint::kBeginTemplateLoaded);
+    // Publish, then validate: if the template did not move between the
+    // load and the re-read, every GC scan either sees this slot or runs
+    // while this template is current and counts its pair.
+    slot.hi.store(snap.xmax, std::memory_order_seq_cst);
+    slot.lo.store(snap.concurrent.empty() ? snap.xmax : snap.concurrent[0],
+                  std::memory_order_seq_cst);
+    if (head_.seq.load(std::memory_order_seq_cst) == seq) break;
+  }
   m_begins_->Increment();
-  m_active_->Set(static_cast<int64_t>(active_.size()));
-  return std::make_unique<Transaction>(xid, std::move(snap), clock);
+  return std::make_unique<Transaction>(std::move(snap), clock, idx);
+}
+
+void TransactionManager::AssignXid(Transaction* txn) {
+  if (txn->xid_ != kInvalidXid) return;
+  Xid xid = kInvalidXid;
+  {
+    MutexLock g(&mu_);
+    xid = next_xid_++;
+    clog_->Extend(xid);
+    writers_.push_back(xid);  // the largest xid yet: stays sorted
+  }
+  txn->xid_ = xid;
+  txn->snapshot_.xid = xid;
+  obs::SetSpanXid(xid);
+}
+
+void TransactionManager::RebuildTemplate() {
+  uint64_t seq = head_.seq.load(std::memory_order_relaxed);
+  head_.seq.store(seq + 1, std::memory_order_seq_cst);
+  for (size_t i = 0; i < writers_.size(); ++i) {
+    concurrent_[i].store(writers_[i], std::memory_order_release);
+  }
+  head_.n_concurrent.store(static_cast<uint32_t>(writers_.size()),
+                           std::memory_order_release);
+  head_.xmax.store(next_xid_, std::memory_order_release);
+  head_.seq.store(seq + 2, std::memory_order_seq_cst);
+}
+
+std::pair<Xid, Xid> TransactionManager::TemplateBounds() const {
+  // Only rebuilds write the template, and they hold mu_ too.
+  Xid xmax = head_.xmax.load(std::memory_order_relaxed);
+  Xid lo = head_.n_concurrent.load(std::memory_order_relaxed) == 0
+               ? xmax
+               : concurrent_[0].load(std::memory_order_relaxed);
+  return {lo, xmax};
+}
+
+template <typename Fn>
+void TransactionManager::ForEachPublished(Fn&& fn) const {
+  uint32_t hwm = slot_hwm_.load(std::memory_order_seq_cst);
+  for (uint32_t i = 0; i < hwm; ++i) {
+    Xid lo = slots_[i].lo.load(std::memory_order_seq_cst);
+    if (lo >= kClaimedSlot) continue;
+    fn(lo, slots_[i].hi.load(std::memory_order_seq_cst));
+  }
 }
 
 void TransactionManager::Finish(Transaction* txn) {
-  {
+  // A finished transaction reads nothing more: its bounds go first. A
+  // reader still holding the template that excludes this xid is covered by
+  // the template pair until the rebuild below.
+  slots_[txn->slot_].lo.store(kFreeSlot, std::memory_order_release);
+  if (txn->xid() != kInvalidXid) {
+    Pause(TxnPausePoint::kFinishBeforeRebuild);
     MutexLock g(&mu_);
-    active_.erase(txn->xid());
-    m_active_->Set(static_cast<int64_t>(active_.size()));
+    writers_.erase(
+        std::lower_bound(writers_.begin(), writers_.end(), txn->xid()));
+    RebuildTemplate();
   }
   VTime now = txn->clock() ? txn->clock()->now() : 0;
   for (const auto& [relation, vid] : txn->locks_) {
@@ -63,7 +151,7 @@ Status TransactionManager::Commit(Transaction* txn) {
       return s;
     }
   }
-  clog_->SetCommitted(txn->xid());
+  if (txn->xid() != kInvalidXid) clog_->SetCommitted(txn->xid());
   txn->state_ = TxnState::kCommitted;
   Finish(txn);
   m_commits_->Increment();
@@ -86,7 +174,7 @@ Status TransactionManager::Abort(Transaction* txn) {
     Status s = abort_hook_(txn);
     (void)s;  // abort records are advisory; status flip is authoritative
   }
-  clog_->SetAborted(txn->xid());
+  if (txn->xid() != kInvalidXid) clog_->SetAborted(txn->xid());
   txn->state_ = TxnState::kAborted;
   Finish(txn);
   m_aborts_->Increment();
@@ -95,27 +183,22 @@ Status TransactionManager::Abort(Transaction* txn) {
 
 Xid TransactionManager::OldestActiveXid() const {
   MutexLock g(&mu_);
-  if (active_.empty()) return next_xid_;
-  return active_.begin()->first;
+  return writers_.empty() ? next_xid_ : writers_.front();
 }
 
 Xid TransactionManager::GcHorizon() const {
   MutexLock g(&mu_);
-  Xid horizon = next_xid_;
-  for (const auto& [xid, snap_min] : active_) {
-    horizon = std::min(horizon, snap_min);
-  }
+  // The template's lo is at most next_xid_ and every running writer's xid.
+  Xid horizon = TemplateBounds().first;
+  ForEachPublished([&](Xid lo, Xid) { horizon = std::min(horizon, lo); });
   return horizon;
 }
 
 std::vector<std::pair<Xid, Xid>> TransactionManager::ActiveSnapshotBounds()
     const {
   MutexLock g(&mu_);
-  std::vector<std::pair<Xid, Xid>> bounds;
-  bounds.reserve(active_.size());
-  for (const auto& [xid, snap_min] : active_) {
-    bounds.emplace_back(snap_min, xid + 1);
-  }
+  std::vector<std::pair<Xid, Xid>> bounds{TemplateBounds()};
+  ForEachPublished([&](Xid lo, Xid hi) { bounds.emplace_back(lo, hi); });
   return bounds;
 }
 
@@ -127,11 +210,20 @@ Xid TransactionManager::NextXid() const {
 void TransactionManager::AdvanceNextXid(Xid next) {
   MutexLock g(&mu_);
   next_xid_ = std::max(next_xid_, next);
+  RebuildTemplate();
 }
 
 size_t TransactionManager::ActiveCount() const {
-  MutexLock g(&mu_);
-  return active_.size();
+  size_t n = 0;
+  uint32_t hwm = slot_hwm_.load(std::memory_order_seq_cst);
+  for (uint32_t i = 0; i < hwm; ++i) {
+    if (slots_[i].lo.load(std::memory_order_seq_cst) != kFreeSlot) n++;
+  }
+  return n;
+}
+
+void TransactionManager::SetPauseHookForTest(void (*hook)(TxnPausePoint)) {
+  pause_hook_.store(hook, std::memory_order_seq_cst);
 }
 
 }  // namespace sias

@@ -46,7 +46,6 @@ TxnOutcome TpccExecutor::Run(TxnType type, int64_t w_id, Random& rng,
   obs::TxnSpan root(ToString(type), clk);
   clk->Cpu(kCpuCostByType[static_cast<int>(type)]);
   auto txn = db_->Begin(clk);
-  root.set_xid(txn->xid());
   bool user_abort = false;
   Status s;
   switch (type) {

@@ -147,7 +147,6 @@ Result<YcsbResult> YcsbRunner::Run(VTime start_time) {
         VTime begin = clk.now();
         obs::TxnSpan root(ToString(op), &clk);
         auto txn = db_->Begin(&clk);
-        root.set_xid(txn->xid());
         Status s;
         switch (op) {
           case OpType::kRead: {

@@ -5,7 +5,8 @@
 // must provide regardless of interleaving:
 //   - no lost updates: every row's final value equals the number of
 //     increment transactions that successfully committed against it;
-//   - per-thread commit xids are strictly increasing and globally unique;
+//   - per-thread commit xids of writing transactions are strictly
+//     increasing and globally unique; read-only ones take no xid;
 //   - GcHorizon() never exceeds OldestActiveXid() (checked while running);
 //   - intentionally aborted transactions leave no trace.
 // Designed to run under -DSIAS_SANITIZE=thread with zero reports (see
@@ -129,7 +130,11 @@ TEST_P(ConcurrencyTest, RandomizedMixedWorkloadKeepsSiInvariants) {
 
         if (s.ok() && !poison) {
           committed = true;
-          commit_xids[tid].push_back(txn->xid());
+          if (dice >= 50 && dice < 80) {
+            EXPECT_EQ(txn->xid(), kInvalidXid);  // read-only: no xid
+          } else {
+            commit_xids[tid].push_back(txn->xid());
+          }
           if (dice < 50) {
             committed_increments[static_cast<size_t>(row)].fetch_add(1);
           } else if (dice >= 80) {
@@ -162,14 +167,15 @@ TEST_P(ConcurrencyTest, RandomizedMixedWorkloadKeepsSiInvariants) {
       << "GcHorizon() exceeded OldestActiveXid()";
   EXPECT_EQ(db_->txns()->ActiveCount(), 0u);
 
-  // Per-thread commit xids strictly increase (each thread's transactions
-  // begin and commit in order) and no xid was handed out twice.
+  // Per-thread commit xids of writers strictly increase (each thread's
+  // transactions write and commit in order) and no xid was handed out twice.
   std::set<Xid> all_xids;
   for (int t = 0; t < kThreads; ++t) {
     for (size_t i = 0; i + 1 < commit_xids[t].size(); ++i) {
       EXPECT_LT(commit_xids[t][i], commit_xids[t][i + 1]);
     }
     for (Xid x : commit_xids[t]) {
+      EXPECT_NE(x, kInvalidXid);
       EXPECT_TRUE(all_xids.insert(x).second) << "duplicate xid " << x;
     }
   }

@@ -122,6 +122,7 @@ TEST_P(EpochVisibilityTest, RandomScheduleMatchesSiOracle) {
       // Only the last item ever gets tombstoned, so the value-carrying
       // items keep producing visibility decisions for the whole run.
       bool tombstone = vid == vids.back() && rng.Uniform(0, 99) < 10;
+      env.txns_.AssignXid(txn.get());  // the value names its writer's xid
       std::string value = std::string("x").append(std::to_string(txn->xid()));
       Status s = tombstone ? table->Delete(txn.get(), vid)
                            : table->Update(txn.get(), vid, Slice(value));

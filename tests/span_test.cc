@@ -74,7 +74,7 @@ TEST(SpanTest, PhaseSumEqualsEndToEndLatencyExactly) {
       }
       clk.Advance(40);  // -> io_wait again
     }
-    root.set_xid(42);
+    SetSpanXid(42);
     root.set_committed(true);
   }
   EXPECT_FALSE(SpanRootActive());
@@ -328,7 +328,7 @@ TEST(SpanTest, ConcurrentSpanTreesStayIndependent) {
           SpanScope trav(SpanPhase::kTraversal, "mvcc", "get_visible");
           clk.Advance(40);
         }
-        root.set_xid(static_cast<uint64_t>(t * kTxnsPerThread + i));
+        SetSpanXid(static_cast<uint64_t>(t * kTxnsPerThread + i));
         root.set_committed(true);
       }
     });

@@ -10,6 +10,7 @@
 #include "device/mem_device.h"
 #include "engine/database.h"
 #include "mvcc/mvcc_table.h"
+#include "mvcc/visibility.h"
 #include "txn/clog.h"
 #include "txn/lock_manager.h"
 #include "txn/snapshot.h"
@@ -89,6 +90,26 @@ TEST(SnapshotTest, ContainsRules) {
   EXPECT_FALSE(snap.Contains(kInvalidXid));
 }
 
+TEST(SnapshotTest, OwnerWithoutXidClaimsNoXid) {
+  // A read-only transaction's snapshot has xid == kInvalidXid; xid 0 must
+  // not pass for "own writes".
+  Clog clog;
+  clog.Extend(10);
+  Snapshot snap;
+  snap.xmax = 8;
+  EXPECT_FALSE(snap.Contains(kInvalidXid));
+  EXPECT_FALSE(snap.CreatorVisible(kInvalidXid, clog));
+  clog.SetCommitted(5);
+  TupleHeader h;
+  h.xmin = 5;
+  h.xmax = kInvalidXid;  // never invalidated: still visible
+  EXPECT_TRUE(SiTupleVisible(h, snap, clog));
+  h.xmax = 6;  // invalidator in progress: still visible
+  EXPECT_TRUE(SiTupleVisible(h, snap, clog));
+  clog.SetCommitted(6);
+  EXPECT_FALSE(SiTupleVisible(h, snap, clog));
+}
+
 TEST(SnapshotTest, CreatorVisibleRequiresCommit) {
   Clog clog;
   clog.Extend(10);
@@ -113,11 +134,20 @@ class TxnManagerTest : public ::testing::Test {
   VirtualClock clk_;
 };
 
-TEST_F(TxnManagerTest, BeginAssignsIncreasingXids) {
+TEST_F(TxnManagerTest, XidsAssignedAtFirstWriteInOrder) {
   auto t1 = mgr_.Begin(&clk_);
   auto t2 = mgr_.Begin(&clk_);
-  EXPECT_LT(t1->xid(), t2->xid());
+  EXPECT_EQ(t1->xid(), kInvalidXid);  // Begin hands out no xid
+  EXPECT_EQ(t2->xid(), kInvalidXid);
   EXPECT_EQ(mgr_.ActiveCount(), 2u);
+  // Xids follow the order of first writes, not of Begins.
+  mgr_.AssignXid(t2.get());
+  mgr_.AssignXid(t1.get());
+  EXPECT_LT(t2->xid(), t1->xid());
+  EXPECT_EQ(t1->snapshot().xid, t1->xid());
+  Xid x1 = t1->xid();
+  mgr_.AssignXid(t1.get());  // idempotent
+  EXPECT_EQ(t1->xid(), x1);
   ASSERT_TRUE(mgr_.Commit(t1.get()).ok());
   ASSERT_TRUE(mgr_.Abort(t2.get()).ok());
   EXPECT_EQ(mgr_.ActiveCount(), 0u);
@@ -125,6 +155,7 @@ TEST_F(TxnManagerTest, BeginAssignsIncreasingXids) {
 
 TEST_F(TxnManagerTest, SnapshotSeesPriorCommitsOnly) {
   auto t1 = mgr_.Begin(&clk_);
+  mgr_.AssignXid(t1.get());
   Xid x1 = t1->xid();
   auto t2 = mgr_.Begin(&clk_);  // t1 still running: concurrent
   EXPECT_FALSE(t2->snapshot().Contains(x1));
@@ -137,13 +168,86 @@ TEST_F(TxnManagerTest, SnapshotSeesPriorCommitsOnly) {
   ASSERT_TRUE(mgr_.Commit(t3.get()).ok());
 }
 
+TEST_F(TxnManagerTest, SnapshotExcludesXidAssignedAfterBegin) {
+  // A reader that began before a writer took its xid must not see the
+  // writer's commit, although the template was not rebuilt at assignment.
+  auto writer = mgr_.Begin(&clk_);
+  auto reader = mgr_.Begin(&clk_);
+  mgr_.AssignXid(writer.get());
+  Xid w = writer->xid();
+  ASSERT_TRUE(mgr_.Commit(writer.get()).ok());
+  EXPECT_FALSE(reader->snapshot().CreatorVisible(w, clog_));
+  auto after = mgr_.Begin(&clk_);
+  EXPECT_TRUE(after->snapshot().CreatorVisible(w, clog_));
+  ASSERT_TRUE(mgr_.Commit(reader.get()).ok());
+  ASSERT_TRUE(mgr_.Commit(after.get()).ok());
+}
+
 TEST_F(TxnManagerTest, CommitFlipsClogAndState) {
   auto t = mgr_.Begin(&clk_);
+  mgr_.AssignXid(t.get());
   EXPECT_EQ(clog_.Get(t->xid()), TxnStatus::kInProgress);
   ASSERT_TRUE(mgr_.Commit(t.get()).ok());
   EXPECT_EQ(clog_.Get(t->xid()), TxnStatus::kCommitted);
   EXPECT_EQ(t->state(), TxnState::kCommitted);
   EXPECT_FALSE(mgr_.Commit(t.get()).ok());  // double commit rejected
+}
+
+TEST_F(TxnManagerTest, ReadOnlyTransactionsTakeNoXid) {
+  Xid next = mgr_.NextXid();
+  std::string clog_before;
+  clog_.Serialize(&clog_before);
+  for (int i = 0; i < 10000; ++i) {
+    auto t = mgr_.Begin(&clk_);
+    EXPECT_EQ(t->xid(), kInvalidXid);
+    ASSERT_TRUE((i % 10 == 0 ? mgr_.Abort(t.get()) : mgr_.Commit(t.get()))
+                    .ok());
+  }
+  EXPECT_EQ(mgr_.NextXid(), next);
+  std::string clog_after;
+  clog_.Serialize(&clog_after);
+  EXPECT_EQ(clog_after, clog_before);
+  EXPECT_EQ(mgr_.ActiveCount(), 0u);
+  EXPECT_EQ(mgr_.GcHorizon(), next);
+}
+
+TEST_F(TxnManagerTest, CommittedWriterVisibleToNextBeginOnAnyThread) {
+  // Commit's return publishes: a Begin ordered after it on another thread
+  // (through `last`) must see the writer, whatever the interleaving.
+  constexpr int kWrites = 2000;
+  std::atomic<Xid> last{kInvalidXid};
+  std::atomic<bool> done{false};
+  std::atomic<bool> failed{false};
+  std::thread writer([&] {
+    VirtualClock clk;
+    for (int i = 0; i < kWrites; ++i) {
+      auto t = mgr_.Begin(&clk);
+      mgr_.AssignXid(t.get());
+      EXPECT_TRUE(mgr_.Commit(t.get()).ok());
+      last.store(t->xid(), std::memory_order_release);
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      VirtualClock clk;
+      bool last_round = false;
+      while (!last_round) {
+        last_round = done.load();
+        Xid w = last.load(std::memory_order_acquire);
+        auto t = mgr_.Begin(&clk);
+        if (w != kInvalidXid && !t->snapshot().CreatorVisible(w, clog_)) {
+          failed.store(true);
+        }
+        EXPECT_TRUE(mgr_.Commit(t.get()).ok());
+      }
+    });
+  }
+  writer.join();
+  for (auto& th : readers) th.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(mgr_.ActiveCount(), 0u);
 }
 
 /// A table that only records which logged writes it was asked to undo.
@@ -177,6 +281,7 @@ class UndoRecorder : public MvccTable {
 TEST_F(TxnManagerTest, AbortUndoesWriteLogNewestFirst) {
   UndoRecorder table;
   auto t = mgr_.Begin(&clk_);
+  mgr_.AssignXid(t.get());
   t->LogWrite(&table, 1, Tid{0, 1}, kInvalidTid);
   t->LogWrite(&table, 2, Tid{0, 2}, Tid{0, 0});
   ASSERT_TRUE(mgr_.Abort(t.get()).ok());
@@ -196,6 +301,7 @@ TEST_F(TxnManagerTest, FailedCommitHookAborts) {
   mgr_.set_commit_hook(
       [](Transaction*) { return Status::IoError("wal device gone"); });
   auto t = mgr_.Begin(&clk_);
+  mgr_.AssignXid(t.get());
   Status s = mgr_.Commit(t.get());
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(t->state(), TxnState::kAborted);
@@ -204,6 +310,7 @@ TEST_F(TxnManagerTest, FailedCommitHookAborts) {
 
 TEST_F(TxnManagerTest, LocksReleasedAtEnd) {
   auto t = mgr_.Begin(&clk_);
+  mgr_.AssignXid(t.get());  // row locks are owned by an xid
   ASSERT_TRUE(locks_.AcquireExclusive(1, 42, t->xid(), &clk_).ok());
   t->AddLock(1, 42);
   EXPECT_EQ(locks_.HeldCount(), 1u);
@@ -213,13 +320,22 @@ TEST_F(TxnManagerTest, LocksReleasedAtEnd) {
 
 TEST_F(TxnManagerTest, OldestActiveXidTracksHorizon) {
   EXPECT_EQ(mgr_.OldestActiveXid(), mgr_.NextXid());
+  auto reader = mgr_.Begin(&clk_);  // holds no xid: not "running" here
   auto t1 = mgr_.Begin(&clk_);
   auto t2 = mgr_.Begin(&clk_);
+  EXPECT_EQ(mgr_.OldestActiveXid(), mgr_.NextXid());
+  mgr_.AssignXid(t1.get());
+  mgr_.AssignXid(t2.get());
   EXPECT_EQ(mgr_.OldestActiveXid(), t1->xid());
+  EXPECT_LE(mgr_.GcHorizon(), t1->xid());
   ASSERT_TRUE(mgr_.Commit(t1.get()).ok());
   EXPECT_EQ(mgr_.OldestActiveXid(), t2->xid());
   ASSERT_TRUE(mgr_.Commit(t2.get()).ok());
   EXPECT_EQ(mgr_.OldestActiveXid(), mgr_.NextXid());
+  // The reader's snapshot predates both commits: it still holds the horizon.
+  EXPECT_LT(mgr_.GcHorizon(), mgr_.NextXid());
+  ASSERT_TRUE(mgr_.Commit(reader.get()).ok());
+  EXPECT_EQ(mgr_.GcHorizon(), mgr_.NextXid());
 }
 
 TEST(LockManagerTest, ExclusiveBlocksOtherXid) {
@@ -417,6 +533,73 @@ TEST_P(SiAnomalyTest, NoDirtyReads) {
   EXPECT_EQ(Value(reader.get(), vid), 10);
   ASSERT_TRUE(db_->Commit(reader.get()).ok());
   ASSERT_TRUE(db_->Commit(writer.get()).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Registration race: Begin publishes its snapshot bounds only after it has
+// read the template. GC that runs in between must still count that
+// template, through the template pair GcHorizon adds to the published
+// slots. The SI instance is the sharp one: SI GC takes no row locks, so the
+// writer's still-held lock does not shield the old version there (SIAS GC
+// skips the locked item's page).
+
+std::atomic<int> g_race_stage{0};
+thread_local int t_race_role = 0;  // 1 = paused reader, 2 = paused writer
+
+void WaitForStage(int stage) {
+  while (g_race_stage.load() < stage) std::this_thread::yield();
+}
+
+void RacePause(TxnPausePoint point) {
+  if (t_race_role == 1 && point == TxnPausePoint::kBeginTemplateLoaded) {
+    g_race_stage.store(1);  // template loaded, slot not yet published
+    WaitForStage(3);
+  } else if (t_race_role == 2 &&
+             point == TxnPausePoint::kFinishBeforeRebuild) {
+    g_race_stage.store(2);  // clog says committed, template not rebuilt
+    WaitForStage(4);
+  }
+}
+
+TEST_P(SiAnomalyTest, RacingGcKeepsVersionForUnpublishedReader) {
+  Vid vid = Put(1, 10);
+  auto writer = db_->Begin(&clk_);
+  ASSERT_TRUE(
+      kv_->Update(writer.get(), vid, Row{{int64_t{1}, int64_t{11}}}).ok());
+  g_race_stage.store(0);
+  db_->txns()->SetPauseHookForTest(&RacePause);
+
+  int64_t seen = -1;  // stays -1 if GC took the version the reader needs
+  std::thread reader_thread([&] {
+    t_race_role = 1;
+    VirtualClock clk;
+    auto reader = db_->Begin(&clk);  // pauses before publishing its slot
+    auto row = kv_->Get(reader.get(), vid);
+    if (row.ok() && row->has_value()) seen = (*row)->GetInt(1);
+    EXPECT_TRUE(db_->Commit(reader.get()).ok());
+    g_race_stage.store(5);
+  });
+  WaitForStage(1);
+  std::thread writer_thread([&] {
+    t_race_role = 2;
+    EXPECT_TRUE(db_->Commit(writer.get()).ok());  // pauses before rebuild
+  });
+  WaitForStage(2);
+  // The writer's commit is in the clog and no published slot holds the
+  // reader's bounds; only the template pair keeps the horizon at or below
+  // the writer's xid, which invalidated version 10.
+  VirtualClock gc_clk;
+  ASSERT_TRUE(db_->Vacuum(&gc_clk).ok());
+  g_race_stage.store(3);  // reader publishes, validates and reads
+  WaitForStage(5);
+  EXPECT_EQ(seen, 10);
+  g_race_stage.store(4);
+  writer_thread.join();
+  reader_thread.join();
+  db_->txns()->SetPauseHookForTest(nullptr);
+  auto after = db_->Begin(&clk_);
+  EXPECT_EQ(Value(after.get(), vid), 11);
+  ASSERT_TRUE(db_->Commit(after.get()).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SiAnomalyTest,
