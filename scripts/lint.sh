@@ -5,7 +5,8 @@
 #      bench/), using the check set in .clang-tidy.
 #   2. sias-tidy: the project's own checks (sias-epoch-escape,
 #      sias-latch-rank, sias-virtual-time, sias-metric-literal,
-#      sias-rank-table) via tools/sias-tidy/sias_tidy_lite.py.
+#      sias-rank-table) via tools/sias-tidy/sias_tidy_lite.py, plus a grep
+#      that keeps heap WAL records inside src/mvcc/heap_pages.*.
 #   3. Python: ruff + mypy --strict over the scripts listed in
 #      pyproject.toml, when those tools are installed.
 #
@@ -54,6 +55,18 @@ fi
 echo "lint: sias-tidy via tools/sias-tidy/sias_tidy_lite.py"
 python3 tools/sias-tidy/sias_tidy_lite.py src tests bench examples \
   || status=1
+
+# Heap WAL records are built and applied in one place, HeapPages
+# (src/mvcc/heap_pages.*); the redo dispatch in src/engine/database.cc is
+# the only other code that names them.
+heap_records=$(grep -rn 'WalRecordType::kHeap' src \
+  | grep -v -e '^src/mvcc/heap_pages\.' -e '^src/engine/database\.cc:' \
+  || true)
+if [ -n "$heap_records" ]; then
+  echo "$heap_records"
+  echo "lint: heap WAL records named outside src/mvcc/heap_pages.*" >&2
+  status=1
+fi
 
 # ---------------------------------------------------------------------------
 # Leg 3: Python scripts (ruff + mypy --strict, configured in pyproject.toml)

@@ -68,7 +68,7 @@ class PageGuard {
 
   /// Raw page bytes. Hold the appropriate latch mode. The pointer's
   /// validity ends with this guard's pin (frames recycle, optimistic
-  /// fetches revalidate, page wipes are epoch-deferred): sias-epoch-escape
+  /// fetches revalidate, GC slot kills are epoch-deferred): sias-epoch-escape
   /// forbids storing it into fields/globals or returning it onward — keep
   /// the PageGuard itself instead, it is the ownership handle.
   SIAS_EPOCH_PROTECTED uint8_t* data();

@@ -1,9 +1,9 @@
 #include "core/append_region.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "fault/crash_point.h"
-#include "fault/debug_ring.h"
-#include "storage/page.h"
 
 namespace sias {
 
@@ -19,22 +19,9 @@ Status AppendRegion::OpenNewPageLocked(VirtualClock* clk) {
   // a concurrent eviction cannot snatch the frame in between.
   PageGuard guard;
   if (!free_pages_.empty()) {
-    // Recycle a GC-reclaimed page.
     PageNumber page = free_pages_.front();
     free_pages_.pop_front();
-    auto r = pool_->FetchPage(PageId{relation_, page}, clk);
-    if (!r.ok()) return r.status();
-    guard = std::move(*r);
-    guard.LatchExclusive();
-    guard.page().Init(relation_, page, kPageFlagAppendRegion);
-    // Un-logged re-initialization: stamp the fresh generation with the
-    // current WAL position so a flushed-but-still-empty recycled page
-    // outranks the previous generation's redo records (see the matching
-    // stamp on the GC reclaim path).
-    guard.MarkDirty(wal_ != nullptr ? wal_->current_lsn() : kInvalidLsn);
-    fault::DebugRingLog("region_recycle", relation_, page,
-                        wal_ != nullptr ? wal_->current_lsn() : 0);
-    guard.Unlatch();
+    SIAS_ASSIGN_OR_RETURN(guard, heap_.Reinit(page, clk));
     open_page_ = page;
     stats_.pages_recycled++;
   } else {
@@ -57,45 +44,30 @@ Result<Tid> AppendRegion::Append(Slice tuple, Xid xid, VirtualClock* clk) {
     if (open_page_ == kInvalidPageNumber) {
       SIAS_RETURN_NOT_OK(OpenNewPageLocked(clk));
     }
-    auto r = pool_->FetchPage(PageId{relation_, open_page_}, clk);
-    if (!r.ok()) return r.status();
-    PageGuard guard = std::move(*r);
-    guard.LatchExclusive();
-    SlottedPage page = guard.page();
-    uint16_t slot = page.InsertTuple(tuple);
-    if (slot == SlottedPage::kInvalidSlot) {
-      guard.Unlatch();
-      SIAS_RETURN_NOT_OK(OpenNewPageLocked(clk));
-      continue;  // retry on the fresh page
+    SIAS_ASSIGN_OR_RETURN(uint16_t slot,
+                          heap_.Insert(open_page_, tuple, xid, clk));
+    if (slot != SlottedPage::kInvalidSlot) {
+      stats_.versions_appended++;
+      return Tid{open_page_, slot};
     }
-    Tid tid{open_page_, slot};
-    Lsn lsn = kInvalidLsn;
-    if (wal_ != nullptr) {
-      WalRecord rec;
-      rec.type = WalRecordType::kHeapInsert;
-      rec.xid = xid;
-      rec.relation = relation_;
-      rec.tid = tid;
-      rec.body.assign(reinterpret_cast<const char*>(tuple.data()),
-                      tuple.size());
-      SIAS_ASSIGN_OR_RETURN(lsn, wal_->Append(rec));
-    }
-    guard.MarkDirty(lsn);
-    guard.Unlatch();
-    stats_.versions_appended++;
-    return tid;
+    SIAS_RETURN_NOT_OK(OpenNewPageLocked(clk));  // retry on the fresh page
   }
   return Status::Internal("tuple too large for an append page");
 }
 
 void AppendRegion::AddFreePage(PageNumber page) {
-  // Recycle-after-epoch-drain invariant: GC hands a reclaimed page to the
-  // free list only from its epoch-deferred wipe callback, i.e. after every
-  // reader that could still hold a stale pointer into the page has exited
-  // its epoch (src/mvcc/epoch.h). New appends may therefore overwrite the
-  // page's bytes without racing any latch-free reader.
+  // Recycle-after-epoch-drain invariant: GC hands a page to the free list
+  // only once its slots are dead, and it kills a published slot only from
+  // an epoch-deferred callback, i.e. after every reader that could still
+  // hold a stale pointer into the page has exited its epoch
+  // (src/mvcc/epoch.h). New appends may therefore overwrite the page's
+  // bytes without racing any latch-free reader. A page already listed is
+  // ignored: a second open would re-init it over the first one's appends.
   MutexLock g(&mu_);
-  free_pages_.push_back(page);
+  if (std::find(free_pages_.begin(), free_pages_.end(), page) ==
+      free_pages_.end()) {
+    free_pages_.push_back(page);
+  }
 }
 
 PageId AppendRegion::open_page() const {

@@ -16,8 +16,8 @@
 #include "common/latch.h"
 #include "common/result.h"
 #include "common/types.h"
+#include "mvcc/heap_pages.h"
 #include "txn/transaction.h"
-#include "wal/wal.h"
 
 namespace sias {
 
@@ -32,13 +32,13 @@ struct AppendRegionStats {
 class AppendRegion {
  public:
   AppendRegion(RelationId relation, BufferPool* pool, WalWriter* wal)
-      : relation_(relation), pool_(pool), wal_(wal) {}
+      : relation_(relation), pool_(pool), heap_(pool, relation, wal) {}
 
   /// Appends an encoded tuple version; returns its TID. Logs a
   /// kHeapInsert WAL record when WAL is attached.
   Result<Tid> Append(Slice tuple, Xid xid, VirtualClock* clk);
 
-  /// Hands a GC-reclaimed page back for reuse.
+  /// Hands a page with no live slot back for reuse.
   void AddFreePage(PageNumber page);
 
   /// Currently open (filling) page, if any.
@@ -57,7 +57,7 @@ class AppendRegion {
 
   RelationId relation_;
   BufferPool* pool_;
-  WalWriter* wal_;
+  HeapPages heap_;
 
   /// Rank kAppendRegion: held across the whole append (page fetch + latch +
   /// WAL), so it sits below kPage in the order.

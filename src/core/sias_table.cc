@@ -9,7 +9,6 @@
 #include "mvcc/epoch.h"
 #include "mvcc/mvcc_counters.h"
 #include "mvcc/visibility.h"
-#include "fault/debug_ring.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -39,10 +38,10 @@ SiasTable::SiasTable(RelationId relation, TableEnv env, VersionScheme scheme)
 }
 
 SiasTable::~SiasTable() {
-  // Run every deferred wipe / vector free while this table, its append
-  // region and the buffer pool are still alive. The queue is global, so
-  // this also drains other tables' work — safe, because every table drains
-  // before it dies.
+  // Run every deferred slot kill / vector free while this table, its append
+  // region, the buffer pool and the WAL are still alive. The queue is
+  // global, so this also drains other tables' work — safe, because every
+  // table drains before it dies.
   EpochManager::Global().Quiesce();
 }
 
@@ -71,9 +70,9 @@ struct ReadBatch {
 // is reachable. Slot publication is an atomic slot-count release store, slot
 // kills are one atomic word, and chain GC rewrites the header's pred word
 // atomically (tuple.h); payload bytes never change between publication and
-// the wipe. The driver's epoch pin keeps the map copy loaded below, every
-// page it references and every predecessor those versions point at
-// physically intact — vacuum's wipes and vector frees queue behind it
+// the page's reuse. The driver's epoch pin keeps the map copy loaded below,
+// every page it references and every predecessor those versions point at
+// physically intact — vacuum's slot kills and vector frees queue behind it
 // (src/mvcc/epoch.h).
 class SiasTable::ReadTask {
  public:
@@ -520,43 +519,55 @@ Vid SiasTable::vid_bound() const {
                                                : map_v_.bound();
 }
 
-Result<std::vector<Tid>> SiasTable::ChainOf(Vid vid, VirtualClock* clk) {
-  std::vector<Tid> chain;
-  // The epoch pin and the guards below keep the walk well-defined even
-  // across a dangling anchor predecessor into a recycled page.
-  EpochGuard epoch;
+Status SiasTable::WalkVersions(
+    Vid vid, VirtualClock* clk,
+    const std::function<bool(const VersionRef&)>& visit) {
   if (scheme_ == VersionScheme::kSiasV) {
-    return map_v_.Get(vid);
-  }
-  Tid tid = map_.Get(vid);
-  Xid newer_xmin = kInvalidXid;  // xmin of the previously visited version
-  while (tid.valid()) {
-    TupleHeader h;
-    Status s = heap().Fetch(tid, clk, &h, nullptr);
-    if (!s.ok()) break;  // dangling tail: rest already reclaimed
-    if (h.vid != vid && !chain.empty()) {
-      // The anchor's predecessor pointer is allowed to dangle into a page
-      // GC reclaimed and recycled (see LiveVersions): the slot now holds an
-      // unrelated item. Treat it like a reclaimed tail, not a link.
-      break;
+    // GC keeps the vector in sync with the heap, so it never dangles.
+    for (Tid tid : map_v_.Get(vid)) {
+      VersionRef v{tid, {}};
+      Status s = heap().Fetch(tid, clk, &v.header, nullptr);
+      if (s.IsNotFound()) continue;
+      SIAS_RETURN_NOT_OK(s);
+      if (!visit(v)) break;
     }
-    if (h.vid != vid) {
+    return Status::OK();
+  }
+  size_t hops = 0;
+  Xid newer_xmin = kInvalidXid;  // xmin of the previously visited version
+  Tid tid = map_.Get(vid);
+  while (tid.valid()) {
+    VersionRef v{tid, {}};
+    Status s = heap().Fetch(tid, clk, &v.header, nullptr);
+    if (s.IsNotFound()) break;  // dangling tail: rest already reclaimed
+    SIAS_RETURN_NOT_OK(s);
+    // The anchor's pred may dangle into a page GC reclaimed and recycled:
+    // the slot then holds another item, or the same item again but newer (a
+    // predecessor never is; equal xmin stays a link, as one transaction can
+    // stack versions). Either is a reclaimed tail, not a link.
+    if (v.header.vid != vid && hops == 0) {
       return Status::Corruption("vid map entry resolves to wrong item");
     }
-    if (newer_xmin != kInvalidXid && h.xmin > newer_xmin) {
-      // A predecessor is never newer; this is a recycled slot that happens
-      // to hold the same item again. Equal xmin stays a link (one txn can
-      // stack versions); preds always reference earlier appends, so no
-      // cycle arises. Stop before a newer-xmin recycled slot loops.
+    if (v.header.vid != vid ||
+        (newer_xmin != kInvalidXid && v.header.xmin > newer_xmin)) {
       break;
     }
-    chain.push_back(tid);
-    newer_xmin = h.xmin;
-    tid = h.pred();
-    if (chain.size() > 1u << 20) {
-      return Status::Corruption("version chain cycle");
-    }
+    if (++hops > 1u << 20) return Status::Corruption("version chain cycle");
+    if (!visit(v)) break;
+    newer_xmin = v.header.xmin;
+    tid = v.header.pred();
   }
+  return Status::OK();
+}
+
+Result<std::vector<Tid>> SiasTable::ChainOf(Vid vid, VirtualClock* clk) {
+  // The epoch pin keeps recycling out while the guards judge the tail.
+  EpochGuard epoch;
+  std::vector<Tid> chain;
+  SIAS_RETURN_NOT_OK(WalkVersions(vid, clk, [&](const VersionRef& v) {
+    chain.push_back(v.tid);
+    return true;
+  }));
   return chain;
 }
 
@@ -573,62 +584,23 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
   // pointer of the anchor may dangle into a page reclaimed by an earlier GC
   // cycle (by design — no live snapshot ever walks past its anchor), so the
   // walk must never follow it.
-  if (scheme_ == VersionScheme::kSiasChains) {
-    Tid tid = map_.Get(vid);
-    if (!tid.valid()) {
-      *whole_item_dead = true;
-      return Status::OK();
-    }
-    while (tid.valid()) {
-      TupleHeader h;
-      Status s = heap().Fetch(tid, clk, &h, nullptr);
-      if (s.IsNotFound()) break;  // dangling tail: rest already reclaimed
-      SIAS_RETURN_NOT_OK(s);
-      TxnStatus creator = clog.Get(h.xmin);
-      if (creator == TxnStatus::kAborted) {
-        tid = h.pred();  // unreachable leftover: skip it
-        continue;
-      }
-      live->push_back(VersionRef{tid, h});
-      // Anchor: first committed version below the horizon. Everything older
-      // is invisible to every live and future snapshot.
-      if (creator == TxnStatus::kCommitted && h.xmin < horizon) {
-        if (h.is_tombstone() && live->size() == 1) {
-          // The item is deleted and no snapshot can see pre-delete
-          // versions: even the tombstone can go.
-          live->clear();
-          *whole_item_dead = true;
-        }
-        return Status::OK();  // anchor reached: never follow its pred
-      }
-      tid = h.pred();
-    }
-    return Status::OK();
-  }
-
-  // SIAS-V: the map vector is kept in sync by GC, so it never dangles.
-  std::vector<Tid> order = map_v_.Get(vid);
-  if (order.empty()) {
-    *whole_item_dead = true;
-    return Status::OK();
-  }
-  for (Tid tid : order) {
-    TupleHeader h;
-    Status s = heap().Fetch(tid, clk, &h, nullptr);
-    if (s.IsNotFound()) continue;
-    SIAS_RETURN_NOT_OK(s);
-    TxnStatus creator = clog.Get(h.xmin);
-    if (creator == TxnStatus::kAborted) continue;
-    live->push_back(VersionRef{tid, h});
-    if (creator == TxnStatus::kCommitted && h.xmin < horizon) {
-      if (h.is_tombstone() && live->size() == 1) {
+  SIAS_RETURN_NOT_OK(WalkVersions(vid, clk, [&](const VersionRef& v) {
+    TxnStatus creator = clog.Get(v.header.xmin);
+    if (creator == TxnStatus::kAborted) return true;  // unreachable leftover
+    live->push_back(v);
+    // Anchor: first committed version below the horizon. Everything older
+    // is invisible to every live and future snapshot.
+    if (creator == TxnStatus::kCommitted && v.header.xmin < horizon) {
+      if (v.header.is_tombstone() && live->size() == 1) {
+        // The item is deleted and no snapshot can see pre-delete versions:
+        // even the tombstone can go.
         live->clear();
         *whole_item_dead = true;
-        return Status::OK();
       }
-      break;  // anchor reached: never follow older entries
+      return false;
     }
-  }
+    return true;
+  }));
 
   // Mid-vector reclamation (range tracking): a committed version v that has
   // a newer kept committed version s is the visible version of an active
@@ -643,7 +615,8 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
   // snapshot (both commit together), so v always goes: kept, a relocated v
   // could tie with its successor when recovery orders the item's versions.
   // The newest version is always kept.
-  if (bounds != nullptr && live->size() > 1) {
+  if (scheme_ == VersionScheme::kSiasV && bounds != nullptr &&
+      live->size() > 1) {
     std::vector<VersionRef> kept;
     kept.reserve(live->size());
     kept.push_back(live->front());
@@ -682,29 +655,30 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
   // §6 Space Reclamation: (i) pick victim pages, (ii) re-insert live
   // versions, (iii) discard dead versions; reclaimed pages are recycled by
   // the append region.
-  auto count = env_.pool->disk()->PageCount(relation_);
-  if (!count.ok()) return count.status();
+  SIAS_ASSIGN_OR_RETURN(PageNumber count, heap().PageCount());
   // Seal the open append page so every page is GC-eligible; the next append
   // opens a fresh page. That page comes from the free list, or is new and
   // beyond `count`. GC must not examine a page that appends may land on
   // while it runs: versions appended after the page's inventory would be
-  // wiped or lost with it. The free list gains pages only from the deferred
-  // wipes GC queues, which run at the end of a pass (vacuum passes do not
-  // overlap), so its snapshot here names every such page.
+  // killed or lost with it. The free list gains pages only from this pass
+  // (pages it has already examined) and from the deferred kills GC queues,
+  // which run at the end of a pass (vacuum passes do not overlap), so its
+  // snapshot here names every such page. (A reclaim run mid-pass by another
+  // database's TryReclaim lists its page twice; AddFreePage ignores that.)
   region_.SealOpenPage();
   std::vector<PageNumber> free = region_.free_pages();
   const std::unordered_set<PageNumber> appendable(free.begin(), free.end());
   LockManager* locks = env_.txns->locks();
 
-  for (PageNumber p = 0; p < *count; ++p) {
+  for (PageNumber p = 0; p < count; ++p) {
     if (appendable.count(p) != 0) continue;
     bool pending;
     {
       MutexLock g(&gc_mu_);
       pending = gc_pending_.count(p) != 0;
     }
-    // Logically empty, physical wipe still queued behind the epoch
-    // horizon: re-examining would double-reclaim.
+    // Unpublished, slot kills still queued behind the epoch horizon:
+    // re-examining would double-reclaim.
     if (pending) continue;
 
     // Pass 1: inventory of the page.
@@ -716,7 +690,12 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     if (!inventory.ok()) return inventory.status();
     if (stats != nullptr) stats->pages_examined++;
     MvccObs().gc_pages_examined->Increment();
-    if (slots.empty()) continue;
+    if (slots.empty()) {
+      // Nothing live, nothing published: reusable at once. This is how a
+      // page reclaimed before a restart (all its slots dead) comes back.
+      region_.AddFreePage(p);
+      continue;
+    }
 
     // Lock every item referenced by the page; skip the page if any item is
     // being written right now (retry on the next GC cycle).
@@ -802,6 +781,38 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     bool relocate = live_on_page * 4 <= slots.size();
     bool prune = live_on_page * 2 <= slots.size();
 
+    // Unpublished slots die only behind the epoch horizon: a reader pinned
+    // in an older epoch may still hold a stale vector copy or chain pointer
+    // into them. Until the deferred kill lands, the page keeps its bytes
+    // (stale readers see consistent data), stays out of the append region's
+    // free list and is skipped by GC via gc_pending_. A kill that fails
+    // leaves the page unchanged and unrecycled; the erase lets the next
+    // pass retry it (its map references are gone, so its slots classify as
+    // dead again).
+    auto retire_kills = [&](std::vector<uint16_t> kill, bool reclaim) {
+      {
+        MutexLock g(&gc_mu_);
+        bool inserted = gc_pending_.insert(p).second;
+        SIAS_CHECK(inserted);
+      }
+      EpochManager::Global().Retire([this, p, kill = std::move(kill),
+                                     reclaim] {
+        if (heap().KillSlots(p, kill, nullptr).ok() && reclaim) {
+          // §6: GC is deterministic and engine-driven; hint the FTL that
+          // the old physical blocks are dead so device GC need not
+          // relocate them ("transfers yet more control over the Flash
+          // storage into the MV-DBMS").
+          auto offset = env_.pool->disk()->PageOffset(relation_, p);
+          if (offset.ok()) {
+            (void)env_.pool->disk()->device()->Trim(*offset, kPageSize);
+          }
+          region_.AddFreePage(p);
+        }
+        MutexLock g(&gc_mu_);
+        gc_pending_.erase(p);
+      });
+    };
+
     if (relocate) {
       // Re-insert live versions (oldest-first per chain so predecessor
       // pointers can be remapped) and fix their successors.
@@ -843,40 +854,16 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
             } else {
               auto newer = it + 1;  // next reverse element = next newer
               Tid succ = newer->tid;
-              Tid succ_now = succ;
               auto rs = remap.find(succ.Pack());
-              if (rs != remap.end()) succ_now = rs->second;
+              if (rs != remap.end()) succ = rs->second;
               // In-place pointer fix on the successor (maintenance write).
-              auto pr = env_.pool->FetchPage(
-                  PageId{relation_, succ_now.page}, clk);
-              if (!pr.ok()) {
+              Status fix = heap().RewriteHeader(
+                  succ, kInvalidXid, clk,
+                  [new_tid](TupleHeader* sh) { sh->set_pred(new_tid); });
+              if (!fix.ok() && !fix.IsNotFound()) {
                 unlock_all();
-                return pr.status();
+                return fix;
               }
-              PageGuard sg = std::move(*pr);
-              sg.LatchExclusive();
-              Slice stuple = sg.page().GetTuple(succ_now.slot);
-              TupleHeader sh;
-              if (!stuple.empty() && DecodeTupleHeader(stuple, &sh)) {
-                sh.set_pred(new_tid);
-                // One atomic store: latch-free readers load this word.
-                OverwritePredWord(const_cast<uint8_t*>(stuple.data()),
-                                  sh.pred_page, sh.pred_slot, sh.flags);
-                Lsn lsn = kInvalidLsn;
-                if (env_.wal != nullptr) {
-                  WalRecord rec;
-                  rec.type = WalRecordType::kHeapOverwrite;
-                  rec.relation = relation_;
-                  rec.tid = succ_now;
-                  std::string body;
-                  EncodeTuple(sh, TuplePayload(stuple), &body);
-                  rec.body = std::move(body);
-                  auto lr = env_.wal->Append(rec);
-                  if (lr.ok()) lsn = *lr;
-                }
-                sg.MarkDirty(lsn);
-              }
-              sg.Unlatch();
             }
           }
         }
@@ -888,18 +875,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
         }
       }
       // Unpublish is complete: no map path references this page any more.
-      // The physical wipe must wait until every reader pinned in an epoch
-      // that may still hold a stale vector copy or chain pointer has
-      // exited, so it is retired through the epoch queue. Until the
-      // callback runs, the page keeps its old bytes (stale readers see
-      // consistent data) and stays out of the append region's free list
-      // (no premature recycling under a pinned reader). Stats are counted
-      // at enqueue: the reclamation decision is made here.
-      {
-        MutexLock g(&gc_mu_);
-        bool inserted = gc_pending_.insert(p).second;
-        SIAS_CHECK(inserted);
-      }
+      // Stats are counted at enqueue: the reclamation decision is made here.
       if (stats != nullptr) {
         stats->versions_discarded += slots.size() - live_on_page;
         stats->pages_reclaimed++;
@@ -907,51 +883,13 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
       MvccObs().gc_versions_discarded->Add(
           static_cast<int64_t>(slots.size() - live_on_page));
       MvccObs().gc_pages_reclaimed->Increment();
-      EpochManager::Global().Retire([this, p] {
-        auto r = env_.pool->FetchPage(PageId{relation_, p}, nullptr);
-        if (r.ok()) {
-          PageGuard guard = std::move(*r);
-          guard.LatchExclusive();
-          SlottedPage page = guard.page();
-          for (uint16_t s = 0; s < page.slot_count(); ++s) {
-            if (!page.GetTuple(s).empty()) (void)page.DeleteTuple(s);
-          }
-          page.Init(relation_, p, kPageFlagAppendRegion);
-          // The reclaim itself is not WAL-logged, so the emptied image
-          // must outrank every record that filled the old generation:
-          // stamp it with the current WAL position. Redo then skips those
-          // stale inserts via the ordinary LSN gate (their live versions
-          // were relocated under WAL records of their own), instead of
-          // replaying them into a page that no longer holds them.
-          guard.MarkDirty(env_.wal != nullptr ? env_.wal->current_lsn()
-                                              : kInvalidLsn);
-          fault::DebugRingLog(
-              "gc_reclaim", relation_, p,
-              env_.wal != nullptr ? env_.wal->current_lsn() : 0);
-          guard.Release();
-          // §6: GC is deterministic and engine-driven; hint the FTL that
-          // the old physical blocks are dead so device GC need not
-          // relocate them ("transfers yet more control over the Flash
-          // storage into the MV-DBMS").
-          auto offset = env_.pool->disk()->PageOffset(relation_, p);
-          if (offset.ok()) {
-            (void)env_.pool->disk()->device()->Trim(*offset, kPageSize);
-          }
-          region_.AddFreePage(p);
-        }
-        MutexLock g(&gc_mu_);
-        gc_pending_.erase(p);
-        // On a failed fetch the page is neither wiped nor recycled; the
-        // erase above lets the next GC cycle retry it (its map references
-        // are gone, so it classifies as fully dead again).
-      });
+      std::vector<uint16_t> all_slots;
+      for (const auto& s : slots) all_slots.push_back(s.tid.slot);
+      retire_kills(std::move(all_slots), /*reclaim=*/true);
     } else if (prune) {
-      // Prune dead slots: unpublish from the maps now; defer the physical
-      // slot kills behind the epoch horizon (a pinned reader holding a
-      // stale vector copy may still dereference them). The page stays
-      // GC-skippable via gc_pending_ until the kills land. Pass-1 slots
-      // are all occupied and nothing empties a sealed, item-locked,
-      // non-pending page in between.
+      // Prune dead slots: unpublish from the maps now, kill them later.
+      // Pass-1 slots are all occupied and nothing empties a sealed,
+      // item-locked, non-pending page in between.
       std::vector<uint16_t> dead_slots;
       for (const auto& s : slots) {
         if (is_live_here(s.header.vid, s.tid)) continue;
@@ -965,30 +903,11 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
           if (map_.Get(s.header.vid) == s.tid) map_.Clear(s.header.vid);
         }
       }
-      if (scheme_ == VersionScheme::kSiasV && !dead_slots.empty()) {
-        for (Vid v : vids) set_vector(v, Remap{});
-      }
       if (!dead_slots.empty()) {
-        {
-          MutexLock g(&gc_mu_);
-          bool inserted = gc_pending_.insert(p).second;
-          SIAS_CHECK(inserted);
+        if (scheme_ == VersionScheme::kSiasV) {
+          for (Vid v : vids) set_vector(v, Remap{});
         }
-        EpochManager::Global().Retire([this, p, dead_slots] {
-          auto r = env_.pool->FetchPage(PageId{relation_, p}, nullptr);
-          if (r.ok()) {
-            PageGuard guard = std::move(*r);
-            guard.LatchExclusive();
-            SlottedPage page = guard.page();
-            for (uint16_t s : dead_slots) {
-              if (!page.GetTuple(s).empty()) (void)page.DeleteTuple(s);
-            }
-            guard.MarkDirty();
-            guard.Release();
-          }
-          MutexLock g(&gc_mu_);
-          gc_pending_.erase(p);
-        });
+        retire_kills(std::move(dead_slots), /*reclaim=*/false);
       }
     }
     unlock_all();

@@ -20,6 +20,7 @@
 //  * deletes append a tombstone version (§4.2.2).
 #pragma once
 
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -41,9 +42,9 @@ inline constexpr Xid kGcXid = ~0ull;
 class SiasTable : public MvccTable {
  public:
   SiasTable(RelationId relation, TableEnv env, VersionScheme scheme);
-  /// Drains the global epoch queue: deferred page wipes / vector frees
-  /// capture `this` and the buffer pool, so they must run while both are
-  /// alive. Requires no thread to be inside an epoch.
+  /// Drains the global epoch queue: deferred slot kills / vector frees
+  /// capture `this`, the buffer pool and the WAL, so they must run while
+  /// all are alive. Requires no thread to be inside an epoch.
   ~SiasTable() override;
 
   VersionScheme scheme() const override { return scheme_; }
@@ -91,9 +92,8 @@ class SiasTable : public MvccTable {
   VidMapV& vid_map_v() { return map_v_; }
   AppendRegion& region() { return region_; }
 
-  /// Walks and returns the version chain of `vid`, newest first
-  /// (tests / invariant checks). Reads each version through the latched
-  /// HeapPages::Fetch.
+  /// The stored versions of `vid`, newest first, as WalkVersions finds
+  /// them (tests / invariant checks).
   Result<std::vector<Tid>> ChainOf(Vid vid, VirtualClock* clk);
 
   /// Test-only schedule control: when set, the hook is invoked on the read
@@ -104,7 +104,9 @@ class SiasTable : public MvccTable {
   static void SetReadPauseHookForTest(void (*hook)(Vid));
 
  private:
-  HeapPages heap() const { return HeapPages(env_.pool, relation_); }
+  HeapPages heap() const {
+    return HeapPages(env_.pool, relation_, env_.wal);
+  }
   Tid Entrypoint(Vid vid) const;
 
   /// The snapshot-read walker, for both schemes: one resumable read of one
@@ -127,6 +129,13 @@ class SiasTable : public MvccTable {
   Result<Tid> AppendAndInstall(Transaction* txn, Vid vid,
                                const TupleHeader& header, Slice payload,
                                Tid expected_entry);
+
+  /// Visits the stored versions of `vid` newest first (latched Fetch) until
+  /// `visit` returns false: SIAS-V's live vector entries, or the Chains walk
+  /// from the entrypoint, which stops at the dangling tail GC leaves below
+  /// an anchor (a dead slot, another item's slot, a newer "predecessor").
+  Status WalkVersions(Vid vid, VirtualClock* clk,
+                      const std::function<bool(const VersionRef&)>& visit);
 
   /// GC helper: live version list of one item, newest first, cut at the
   /// horizon anchor. `whole_item_dead` is set when even the anchor is a
@@ -153,10 +162,10 @@ class SiasTable : public MvccTable {
 
   /// A leaf: nothing is acquired while it is held.
   mutable Mutex gc_mu_{LatchRank::kStats};
-  /// Pages whose physical wipe / slot prune is queued behind the epoch
-  /// horizon. Skipped by GC page selection (they are already logically
-  /// empty — re-examining would double-reclaim) and recycled into the
-  /// append region only by the deferred callback itself.
+  /// Pages whose slot kills are queued behind the epoch horizon. Skipped
+  /// by GC page selection (their dead slots are already unpublished —
+  /// re-examining would double-reclaim) and recycled into the append region
+  /// only by the deferred callback itself.
   std::unordered_set<PageNumber> gc_pending_ SIAS_GUARDED_BY(gc_mu_);
 };
 

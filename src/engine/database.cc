@@ -29,9 +29,9 @@ Database::Database(const DatabaseOptions& opts)
     : opts_(opts), locks_(opts.lock_timeout_ms), txns_(&clog_, &locks_) {}
 
 Database::~Database() {
-  // Deferred GC work (epoch-queued page wipes, version-vector frees)
-  // references the tables and the buffer pool; drain it while everything
-  // is alive. Table destructors quiesce again — idempotent.
+  // Deferred GC work (epoch-queued slot kills, version-vector frees)
+  // references the tables, the buffer pool and the WAL; drain it while
+  // everything is alive. Table destructors quiesce again — idempotent.
   EpochManager::Global().Quiesce();
 }
 
@@ -613,7 +613,7 @@ Status Database::Vacuum(VirtualClock* clk, GcStats* stats) {
   } release{&vacuum_running_};
   // When vacuum runs on a terminal's clock inside an open transaction root
   // (inline GC), its virtual time is that transaction's gc_defer phase —
-  // the deferred-wipe interference the span model is meant to expose.
+  // the deferred-kill interference the span model is meant to expose.
   obs::SpanScope gc_span(obs::SpanPhase::kGcDefer, "maintenance", "vacuum");
   SIAS_CRASH_POINT("vacuum.begin");
   Xid horizon = txns_.GcHorizon();

@@ -137,7 +137,7 @@ class Database {
   /// pass. At most one vacuum runs at a time: SiasTable::GarbageCollect's
   /// victim selection re-checks its gc_pending_ set long before it inserts,
   /// so two overlapping passes could pick the same page and double-enqueue
-  /// its epoch-deferred wipe. A call that finds another vacuum in flight
+  /// its epoch-deferred slot kills. A call that finds another vacuum in flight
   /// returns OK without doing work (the running pass covers the cadence;
   /// single-threaded callers are never skipped).
   Status Vacuum(VirtualClock* clk, GcStats* stats = nullptr);

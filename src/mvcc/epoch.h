@@ -4,7 +4,7 @@
 //
 // Readers pin the current global epoch in a per-thread slot before touching
 // any atomically published state (VidMapV entry vectors, buffer frames via
-// the optimistic fetch, append pages awaiting a deferred GC wipe). Writers
+// the optimistic fetch, append pages awaiting deferred GC slot kills). Writers
 // unpublish superseded state with a single atomic store and hand the old
 // object to Retire(); the deferred-free queue runs an entry's callback only
 // once every epoch that was active at retire time has exited — so a reader

@@ -12,7 +12,7 @@ namespace sias {
 SiHeap::SiHeap(RelationId relation, TableEnv env)
     : relation_(relation), env_(env) {}
 
-Result<Tid> SiHeap::PlaceTuple(Slice tuple, Transaction* txn, Lsn* lsn_out) {
+Result<Tid> SiHeap::PlaceTuple(Slice tuple, Transaction* txn) {
   VirtualClock* clk = txn->clock();
   size_t need = tuple.size() + SlottedPage::kSlotSize;
   for (;;) {
@@ -32,46 +32,24 @@ Result<Tid> SiHeap::PlaceTuple(Slice tuple, Transaction* txn, Lsn* lsn_out) {
         }
       }
     }
-    PageGuard guard;
+    PageGuard fresh;  // pins a new page until the insert lands on it
     if (target == kInvalidPageNumber) {
-      SIAS_ASSIGN_OR_RETURN(guard, env_.pool->NewPage(relation_, clk));
+      SIAS_ASSIGN_OR_RETURN(fresh, env_.pool->NewPage(relation_, clk));
+      target = fresh.id().page;
       MutexLock g(&fsm_mu_);
-      if (fsm_.size() <= guard.id().page) fsm_.resize(guard.id().page + 1, 0);
-      target = guard.id().page;
-    } else {
-      auto r = env_.pool->FetchPage(PageId{relation_, target}, clk);
-      if (!r.ok()) return r.status();
-      guard = std::move(*r);
+      if (fsm_.size() <= target) fsm_.resize(target + 1, 0);
     }
-    guard.LatchExclusive();
-    SlottedPage page = guard.page();
-    uint16_t slot = page.InsertTuple(tuple);
-    uint16_t free_now = static_cast<uint16_t>(
-        std::min<size_t>(page.FreeSpace(), 0xffff));
+    size_t free_space = 0;
+    SIAS_ASSIGN_OR_RETURN(
+        uint16_t slot,
+        heap().Insert(target, tuple, txn->xid(), clk, &free_space));
     {
       MutexLock g(&fsm_mu_);
-      fsm_[target] = free_now;
+      fsm_[target] =
+          static_cast<uint16_t>(std::min<size_t>(free_space, 0xffff));
     }
-    if (slot == SlottedPage::kInvalidSlot) {
-      guard.Unlatch();
-      continue;  // FSM was stale; try another page
-    }
-    Tid tid{target, slot};
-    Lsn lsn = kInvalidLsn;
-    if (env_.wal != nullptr) {
-      WalRecord rec;
-      rec.type = WalRecordType::kHeapInsert;
-      rec.xid = txn->xid();
-      rec.relation = relation_;
-      rec.tid = tid;
-      rec.body.assign(reinterpret_cast<const char*>(tuple.data()),
-                      tuple.size());
-      SIAS_ASSIGN_OR_RETURN(lsn, env_.wal->Append(rec));
-    }
-    guard.MarkDirty(lsn);
-    guard.Unlatch();
-    if (lsn_out != nullptr) *lsn_out = lsn;
-    return tid;
+    if (slot != SlottedPage::kInvalidSlot) return Tid{target, slot};
+    // The FSM was stale; try another page.
   }
 }
 
@@ -88,7 +66,7 @@ Result<Vid> SiHeap::Insert(Transaction* txn, Slice row, Tid* tid_out) {
   h.vid = vid;
   std::string encoded;
   EncodeTuple(h, row, &encoded);
-  SIAS_ASSIGN_OR_RETURN(Tid tid, PlaceTuple(Slice(encoded), txn, nullptr));
+  SIAS_ASSIGN_OR_RETURN(Tid tid, PlaceTuple(Slice(encoded), txn));
   txn->LogWrite(this, vid, tid, kInvalidTid);
   {
     MutexLock g(&map_mu_);
@@ -188,37 +166,12 @@ Result<Tid> SiHeap::ValidateForWrite(Transaction* txn, Vid vid) {
   return Status::NotFound("no live version");
 }
 
-Status SiHeap::StampXmax(Transaction* txn, Tid tid, Xid xmax) {
-  auto r = env_.pool->FetchPage(PageId{relation_, tid.page}, txn->clock());
-  if (!r.ok()) return r.status();
-  PageGuard guard = std::move(*r);
-  guard.LatchExclusive();
-  SlottedPage page = guard.page();
-  Slice tuple = page.GetTuple(tid.slot);
-  if (tuple.empty()) {
-    guard.Unlatch();
-    return Status::NotFound("version vanished");
-  }
-  TupleHeader h;
-  SIAS_CHECK(DecodeTupleHeader(tuple, &h));
-  h.xmax = xmax;
-  std::string updated;
-  EncodeTuple(h, TuplePayload(tuple), &updated);
-  Lsn lsn = kInvalidLsn;
-  if (env_.wal != nullptr) {
-    WalRecord rec;
-    rec.type = WalRecordType::kHeapOverwrite;
-    rec.xid = txn->xid();
-    rec.relation = relation_;
-    rec.tid = tid;
-    rec.body = updated;
-    SIAS_ASSIGN_OR_RETURN(lsn, env_.wal->Append(rec));
-  }
+Status SiHeap::StampXmax(Transaction* txn, Tid tid) {
   // The in-place invalidation: only 8 header bytes change, but the whole
   // page is now dirty and will be rewritten on the device.
-  OverwriteTupleHeader(h, const_cast<uint8_t*>(tuple.data()));
-  guard.MarkDirty(lsn);
-  guard.Unlatch();
+  Xid xmax = txn->xid();
+  SIAS_RETURN_NOT_OK(heap().RewriteHeader(
+      tid, xmax, txn->clock(), [xmax](TupleHeader* h) { h->xmax = xmax; }));
   MvccObs().inplace_invalidations->Increment();
   return Status::OK();
 }
@@ -231,7 +184,7 @@ Status SiHeap::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
   SIAS_ASSIGN_OR_RETURN(Tid old_tid, ValidateForWrite(txn, vid));
   // 1) invalidate old version in place (logged now: the stamp needs a
   // commit record even if placing the new version fails);
-  SIAS_RETURN_NOT_OK(StampXmax(txn, old_tid, txn->xid()));
+  SIAS_RETURN_NOT_OK(StampXmax(txn, old_tid));
   TxnWrite& write = txn->LogWrite(this, vid, kInvalidTid, old_tid);
   // 2) create the new version on an arbitrary page.
   TupleHeader h;
@@ -241,7 +194,7 @@ Status SiHeap::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
   h.set_pred(old_tid);
   std::string encoded;
   EncodeTuple(h, row, &encoded);
-  SIAS_ASSIGN_OR_RETURN(Tid tid, PlaceTuple(Slice(encoded), txn, nullptr));
+  SIAS_ASSIGN_OR_RETURN(Tid tid, PlaceTuple(Slice(encoded), txn));
   write.new_tid = tid;
   {
     MutexLock g(&map_mu_);
@@ -258,7 +211,7 @@ Status SiHeap::Delete(Transaction* txn, Vid vid) {
       relation_, vid, txn->xid(), txn->clock()));
   txn->AddLock(relation_, vid);
   SIAS_ASSIGN_OR_RETURN(Tid old_tid, ValidateForWrite(txn, vid));
-  SIAS_RETURN_NOT_OK(StampXmax(txn, old_tid, txn->xid()));
+  SIAS_RETURN_NOT_OK(StampXmax(txn, old_tid));
   txn->LogWrite(this, vid, kInvalidTid, old_tid);
   return Status::OK();
 }
@@ -282,76 +235,59 @@ Vid SiHeap::vid_bound() const {
 
 Status SiHeap::GarbageCollect(Xid horizon, VirtualClock* clk,
                               GcStats* stats) {
+  // Inventory under the shared latch, then one logged kill per page. Safe
+  // without holding the latch in between: a dead SI version stays dead, and
+  // SI never reuses a slot number (appends take slot_count, compaction keeps
+  // slot numbers).
   const Clog& clog = *env_.txns->clog();
-  auto count = env_.pool->disk()->PageCount(relation_);
-  if (!count.ok()) return count.status();
-  for (PageNumber p = 0; p < *count; ++p) {
-    auto r = env_.pool->FetchPage(PageId{relation_, p}, clk);
-    if (!r.ok()) return r.status();
-    PageGuard guard = std::move(*r);
-    guard.LatchExclusive();
-    SlottedPage page = guard.page();
+  SIAS_ASSIGN_OR_RETURN(PageNumber count, heap().PageCount());
+  for (PageNumber p = 0; p < count; ++p) {
+    std::vector<VersionRef> dead;
+    auto visited = heap().VisitPage(p, clk, [&](const VersionRef& v, Slice) {
+      const TupleHeader& h = v.header;
+      if (clog.Get(h.xmin) == TxnStatus::kAborted ||  // never visible
+          (h.xmax != kInvalidXid && h.xmax < horizon &&
+           clog.IsCommitted(h.xmax))) {  // invalidated before every snapshot
+        dead.push_back(v);
+      }
+      return true;
+    });
+    if (!visited.ok()) return visited.status();
     if (stats != nullptr) stats->pages_examined++;
     MvccObs().gc_pages_examined->Increment();
-    bool changed = false;
-    for (uint16_t s = 0; s < page.slot_count(); ++s) {
-      Slice tuple = page.GetTuple(s);
-      if (tuple.empty()) continue;
-      TupleHeader h;
-      if (!DecodeTupleHeader(tuple, &h)) continue;
-      bool dead = false;
-      if (clog.Get(h.xmin) == TxnStatus::kAborted) {
-        dead = true;  // never visible to anyone
-      } else if (h.xmax != kInvalidXid && h.xmax < horizon &&
-                 clog.IsCommitted(h.xmax)) {
-        dead = true;  // invalidated before every live snapshot
-      }
-      if (!dead) continue;
-      SIAS_CHECK(page.DeleteTuple(s).ok());
-      changed = true;
-      if (stats != nullptr) stats->versions_discarded++;
-      MvccObs().gc_versions_discarded->Increment();
-      {
-        MutexLock g(&map_mu_);
-        auto it = versions_.find(h.vid);
-        if (it != versions_.end()) {
-          Tid t{p, s};
-          it->second.erase(
-              std::remove(it->second.begin(), it->second.end(), t),
-              it->second.end());
-          if (it->second.empty()) versions_.erase(it);
-        }
-      }
-      if (env_.wal != nullptr) {
-        WalRecord rec;
-        rec.type = WalRecordType::kHeapSlotDelete;
-        rec.relation = relation_;
-        rec.tid = Tid{p, s};
-        auto lr = env_.wal->Append(rec);
-        if (lr.ok()) guard.MarkDirty(*lr);
+    if (dead.empty()) continue;
+
+    std::vector<uint16_t> slots;
+    slots.reserve(dead.size());
+    for (const VersionRef& v : dead) slots.push_back(v.tid.slot);
+    size_t free_space = 0;
+    SIAS_RETURN_NOT_OK(heap().KillSlots(p, slots, clk, &free_space));
+    if (stats != nullptr) stats->versions_discarded += dead.size();
+    MvccObs().gc_versions_discarded->Add(static_cast<int64_t>(dead.size()));
+    {
+      MutexLock g(&map_mu_);
+      for (const VersionRef& v : dead) {
+        auto it = versions_.find(v.header.vid);
+        if (it == versions_.end()) continue;
+        it->second.erase(
+            std::remove(it->second.begin(), it->second.end(), v.tid),
+            it->second.end());
+        if (it->second.empty()) versions_.erase(it);
       }
     }
-    if (changed) {
-      page.Compact();
-      guard.MarkDirty();
-      uint16_t free_now = static_cast<uint16_t>(
-          std::min<size_t>(page.FreeSpace(), 0xffff));
-      MutexLock g(&fsm_mu_);
-      if (fsm_.size() <= p) fsm_.resize(p + 1, 0);
-      fsm_[p] = free_now;
-    }
-    guard.Unlatch();
+    MutexLock g(&fsm_mu_);
+    if (fsm_.size() <= p) fsm_.resize(p + 1, 0);
+    fsm_[p] = static_cast<uint16_t>(std::min<size_t>(free_space, 0xffff));
   }
   return Status::OK();
 }
 
 Status SiHeap::Rebuild() {
   // Build into locals with NO member mutex held: the heap scan fetches and
-  // latches pages, and GarbageCollect nests map_mu_/fsm_mu_ *inside* the
-  // page latch (ranks kPage < kSiHeapMap < kSiHeapFsm) — holding map_mu_
-  // across the scan is exactly the rank inversion the latch checker aborts
-  // on. Recovery is single-threaded today, but it shares the latch
-  // discipline with steady-state code.
+  // latches pages, and the rank order is kPage < kSiHeapMap < kSiHeapFsm —
+  // holding map_mu_ across the scan is exactly the rank inversion the latch
+  // checker aborts on. Recovery is single-threaded today, but it shares the
+  // latch discipline with steady-state code.
   SIAS_ASSIGN_OR_RETURN(PageNumber count, heap().PageCount());
   std::unordered_map<Vid, std::vector<VersionRef>> found;
   Vid max_vid = 0;

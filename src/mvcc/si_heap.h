@@ -52,23 +52,23 @@ class SiHeap : public MvccTable {
 
  private:
   /// Places an encoded tuple on some page with room; returns its TID.
-  /// Dirties the page with `lsn`.
-  Result<Tid> PlaceTuple(Slice tuple, Transaction* txn, Lsn* lsn_out);
+  Result<Tid> PlaceTuple(Slice tuple, Transaction* txn);
 
-  /// Stamps xmax on the version at `tid` (the in-place invalidation).
-  Status StampXmax(Transaction* txn, Tid tid, Xid xmax);
+  /// Stamps txn's xid as xmax on the version at `tid` (the in-place
+  /// invalidation).
+  Status StampXmax(Transaction* txn, Tid tid);
 
   /// Validates the newest version for update/delete under the row lock and
   /// returns its TID. Implements first-updater-wins.
   Result<Tid> ValidateForWrite(Transaction* txn, Vid vid);
 
-  HeapPages heap() const { return HeapPages(env_.pool, relation_); }
+  HeapPages heap() const { return HeapPages(env_.pool, relation_, env_.wal); }
 
   RelationId relation_;
   TableEnv env_;
 
-  /// Locator map; rank kSiHeapMap — taken under the page latch by GC, so
-  /// nothing here may fetch/latch a page while holding it.
+  /// Locator map; rank kSiHeapMap, above kPage, so nothing here may
+  /// fetch/latch a page while holding it.
   mutable Mutex map_mu_{LatchRank::kSiHeapMap};
   /// Per-item versions, oldest..newest.
   std::unordered_map<Vid, std::vector<Tid>> versions_ SIAS_GUARDED_BY(map_mu_);

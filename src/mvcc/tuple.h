@@ -78,25 +78,13 @@ inline bool DecodeTupleHeader(Slice tuple, TupleHeader* h) {
 }
 
 /// Row payload of an encoded tuple. The slice aliases page bytes whose
-/// reclamation is epoch-deferred (page wipes, frame recycling):
+/// reclamation is epoch-deferred (slot kills, frame recycling):
 /// sias-epoch-escape requires it to stay within the guard/pin scope —
 /// copy the bytes out, never store the slice itself.
 SIAS_EPOCH_PROTECTED
 inline Slice TuplePayload(Slice tuple) {
   return Slice(tuple.data() + kTupleHeaderSize,
                tuple.size() - kTupleHeaderSize);
-}
-
-/// Re-encodes just the header in place over an existing encoded tuple
-/// buffer; used by SI's in-place invalidation (the tuple length and payload
-/// stay untouched — only the 32 header bytes change).
-inline void OverwriteTupleHeader(const TupleHeader& h, uint8_t* tuple_bytes) {
-  EncodeFixed64(tuple_bytes, h.xmin);
-  EncodeFixed64(tuple_bytes + 8, h.xmax);
-  EncodeFixed64(tuple_bytes + 16, h.vid);
-  EncodeFixed32(tuple_bytes + 24, h.pred_page);
-  EncodeFixed16(tuple_bytes + 28, h.pred_slot);
-  EncodeFixed16(tuple_bytes + 30, h.flags);
 }
 
 // -- Latch-free header access (SIAS read path) ------------------------------

@@ -82,20 +82,6 @@ Slice SlottedPage::GetTupleAtomic(uint16_t slot) const {
   return Slice(data_ + offset, len);
 }
 
-Status SlottedPage::OverwriteTuple(uint16_t slot, Slice tuple) {
-  if (slot >= slot_count()) {
-    return Status::InvalidArgument("slot out of range");
-  }
-  uint16_t offset, len;
-  ReadSlot(slot, &offset, &len);
-  if (len == 0) return Status::NotFound("dead slot");
-  if (len != tuple.size()) {
-    return Status::InvalidArgument("in-place overwrite must keep length");
-  }
-  memcpy(data_ + offset, tuple.data(), len);
-  return Status::OK();
-}
-
 Status SlottedPage::DeleteTuple(uint16_t slot) {
   if (slot >= slot_count()) {
     return Status::InvalidArgument("slot out of range");

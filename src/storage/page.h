@@ -96,10 +96,6 @@ class SlottedPage {
   /// page latch) so the underlying frame is not concurrently reused.
   Slice GetTupleAtomic(uint16_t slot) const;
 
-  /// Overwrites tuple bytes in place. New data must have exactly the stored
-  /// length — this is the "small in-place update" SI uses for invalidation.
-  Status OverwriteTuple(uint16_t slot, Slice tuple);
-
   /// Marks a slot dead (used by vacuum / garbage collection). The slot
   /// entry is killed with one atomic 32-bit store so latch-free readers
   /// observe either the live entry or the dead one, never a torn mix.

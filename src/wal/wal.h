@@ -27,9 +27,10 @@ enum class WalRecordType : uint8_t {
   /// A tuple version placed at `tid` of `relation` (insert or new version of
   /// an update; the tuple header inside `body` carries xmin/VID/pointer).
   kHeapInsert = 3,
-  /// In-place overwrite of the tuple at `tid` (SI invalidation stamping).
+  /// Header rewrite of the tuple at `tid` (SI xmax stamp, SIAS-Chains GC
+  /// pred fix); `body` holds the rewritten 32-byte tuple header.
   kHeapOverwrite = 4,
-  /// Tombstone of a dead slot (vacuum / GC).
+  /// GC slot kills on page `tid.page`; `body` lists the slots, fixed16 each.
   kHeapSlotDelete = 5,
   /// Checkpoint: body holds the engine metadata snapshot.
   kCheckpoint = 6,

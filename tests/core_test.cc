@@ -279,6 +279,25 @@ TEST_F(AppendRegionTest, RecyclesFreedPages) {
   EXPECT_EQ(region_.stats().pages_recycled, recycled_before + 1);
 }
 
+TEST_F(AppendRegionTest, FreePageIsListedOnce) {
+  std::string tuple = MakeTuple(3000);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(region_.Append(Slice(tuple), 2, &clk_).ok());
+  }
+  region_.SealOpenPage();
+  region_.AddFreePage(0);
+  region_.AddFreePage(0);
+  EXPECT_EQ(region_.free_pages(), (std::vector<PageNumber>{0}));
+  // Page 0 is opened once; the next open page is a different one.
+  auto first = region_.Append(Slice(tuple), 2, &clk_);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->page, 0u);
+  region_.SealOpenPage();
+  auto second = region_.Append(Slice(tuple), 2, &clk_);
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(second->page, 0u);
+}
+
 TEST_F(AppendRegionTest, SealedPagesAreEvictionEligibleOpenIsNot) {
   std::string tuple = MakeTuple(100);
   ASSERT_TRUE(region_.Append(Slice(tuple), 2, &clk_).ok());

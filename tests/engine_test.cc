@@ -2,10 +2,13 @@
 // three schemes, maintenance policies, checkpointing and crash recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
+#include "core/sias_table.h"
 #include "device/mem_device.h"
 #include "engine/database.h"
+#include "mvcc/heap_pages.h"
 #include "index/key_codec.h"
 #include "obs/metrics.h"
 
@@ -98,6 +101,40 @@ class EngineTest : public ::testing::TestWithParam<VersionScheme> {
     EXPECT_TRUE(vid.ok()) << vid.status().ToString();
     EXPECT_TRUE(db_->Commit(txn.get()).ok());
     return *vid;
+  }
+
+  void UpdateAccount(Vid vid, int64_t id, double balance) {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(accounts_
+                    ->Update(txn.get(), vid,
+                             Account(id, "own" + std::to_string(id), balance))
+                    .ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+
+  /// 40 accounts, a checkpoint, then ten rounds of updates to every
+  /// account: the oldest heap pages end up holding dead versions only.
+  std::vector<Vid> ChurnAccounts() {
+    std::vector<Vid> vids;
+    for (int i = 0; i < 40; ++i) {
+      vids.push_back(InsertAccount(i, "own" + std::to_string(i), 0.0));
+    }
+    EXPECT_TRUE(db_->Checkpoint(&clk_).ok());
+    for (int round = 1; round <= 10; ++round) {
+      for (int i = 0; i < 40; ++i) UpdateAccount(vids[i], i, round);
+    }
+    return vids;
+  }
+
+  /// Live tuple versions in the accounts heap, counted page by page.
+  size_t LiveHeapVersions() {
+    size_t n = 0;
+    HeapPages heap(db_->pool(), accounts_->heap()->relation());
+    EXPECT_TRUE(heap.Scan(nullptr, [&](const VersionRef&, Slice) {
+                      ++n;
+                      return true;
+                    }).ok());
+    return n;
   }
 
   std::unique_ptr<MemDevice> data_, wal_;
@@ -346,6 +383,76 @@ TEST_P(EngineTest, RecoveryIdempotentAcrossDoubleCrash) {
   }).ok());
   EXPECT_EQ(count, 6);
   ASSERT_TRUE(db_->Commit(txn.get()).ok());
+}
+
+TEST_P(EngineTest, RecoveryAfterVacuumRestoresTheHeapGcLeft) {
+  // Recovery rebuilds the version index from the tuple versions alone
+  // (paper §6), so it must find the heap GC left: GC's slot kills are
+  // logged, and SI's compaction replays, so later inserts fit again.
+  std::vector<Vid> vids = ChurnAccounts();
+  {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(accounts_->Delete(txn.get(), vids[7]).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  GcStats gc;
+  ASSERT_TRUE(db_->Vacuum(&clk_, &gc).ok());
+  ASSERT_GT(gc.versions_discarded, 0u);
+  Vid late = InsertAccount(100, "late", 1.0);  // its commit flushes the kills
+  const size_t live_before = LiveHeapVersions();
+
+  db_.reset();  // crash without a checkpoint
+  Reopen();
+  Status recovered = db_->Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  EXPECT_EQ(LiveHeapVersions(), live_before);
+  auto txn = db_->Begin(&clk_);
+  for (int i = 0; i < 40; ++i) {
+    auto row = accounts_->Get(txn.get(), vids[i]);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    if (i == 7) {
+      EXPECT_FALSE(row->has_value()) << "deleted account came back";
+      continue;
+    }
+    ASSERT_TRUE(row->has_value()) << "account " << i;
+    EXPECT_DOUBLE_EQ((*row)->GetDouble(2), 10.0) << "account " << i;
+  }
+  auto row = accounts_->Get(txn.get(), late);
+  ASSERT_TRUE(row.ok());
+  EXPECT_TRUE(row->has_value());
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+}
+
+TEST_P(EngineTest, ReclaimedPagesAreReusedAfterRestart) {
+  if (GetParam() == VersionScheme::kSi) {
+    GTEST_SKIP() << "SI reuses space by compaction, not by a page free list";
+  }
+  ChurnAccounts();
+  ASSERT_TRUE(db_->Vacuum(&clk_, nullptr).ok());
+  std::vector<PageNumber> reclaimed =
+      static_cast<SiasTable*>(accounts_->heap())->region().free_pages();
+  ASSERT_FALSE(reclaimed.empty());
+  ASSERT_TRUE(db_->Checkpoint(&clk_).ok());
+
+  db_.reset();
+  Reopen();
+  ASSERT_TRUE(db_->Recover().ok());
+  ASSERT_TRUE(db_->Vacuum(&clk_, nullptr).ok());
+  auto* sias = static_cast<SiasTable*>(accounts_->heap());
+  std::vector<PageNumber> free = sias->region().free_pages();
+  ASSERT_FALSE(free.empty());
+  for (PageNumber p : reclaimed) {
+    EXPECT_NE(std::find(free.begin(), free.end(), p), free.end())
+        << "reclaimed page " << p << " lost across the restart";
+  }
+  const RelationId rel = sias->relation();
+  auto pages_before = db_->disk()->PageCount(rel);
+  ASSERT_TRUE(pages_before.ok());
+  InsertAccount(100, "late", 1.0);
+  auto pages_after = db_->disk()->PageCount(rel);
+  ASSERT_TRUE(pages_after.ok());
+  EXPECT_EQ(*pages_after, *pages_before) << "the insert grew the relation";
+  EXPECT_EQ(sias->region().free_pages().size(), free.size() - 1);
 }
 
 // WAL and commit counters moved by `body`.

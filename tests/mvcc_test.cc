@@ -1008,5 +1008,53 @@ TEST_F(PhysicalBehaviourTest, SiasGcReclaimsAndRecyclesPages) {
   ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
 }
 
+TEST_F(PhysicalBehaviourTest, SiGcWithFullWalLeavesThePageAsItWas) {
+  // GC logs a page's slot kills before it touches the page: when the WAL
+  // append fails, GarbageCollect reports it and the page keeps its slots.
+  TestEnv env(256, /*with_wal=*/false);
+  env.wal_ = std::make_unique<WalWriter>(&env.wal_device_, 0, 1 << 16);
+  auto table = env.MakeTable(VersionScheme::kSi, 1);
+  std::vector<Vid> vids;
+  for (int i = 0; i < 5; ++i) {
+    auto t = env.txns_.Begin(&clk_);
+    auto vid = table->Insert(t.get(), Slice("v0"));
+    ASSERT_TRUE(vid.ok());
+    vids.push_back(*vid);
+    ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
+  }
+  for (Vid v : vids) {
+    auto t = env.txns_.Begin(&clk_);
+    ASSERT_TRUE(table->Update(t.get(), v, Slice("v1")).ok());
+    ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
+  }
+  auto live_versions = [&] {
+    size_t n = 0;
+    EXPECT_TRUE(HeapPages(&env.pool_, 1)
+                    .Scan(nullptr,
+                          [&](const VersionRef&, Slice) {
+                            ++n;
+                            return true;
+                          })
+                    .ok());
+    return n;
+  };
+  ASSERT_EQ(live_versions(), 10u);
+  WalRecord filler;
+  filler.type = WalRecordType::kCheckpoint;
+  while (env.wal_->Append(filler).ok()) {
+  }
+
+  Status s = table->GarbageCollect(env.txns_.GcHorizon(), &clk_, nullptr);
+  EXPECT_EQ(s.code(), StatusCode::kOutOfSpace) << s.ToString();
+  EXPECT_EQ(live_versions(), 10u);
+  auto t = env.txns_.Begin(&clk_);
+  for (Vid v : vids) {
+    auto row = table->Read(t.get(), v);
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->value_or(""), "v1");
+  }
+  ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
+}
+
 }  // namespace
 }  // namespace sias

@@ -54,14 +54,6 @@ TEST_F(SlottedPageTest, FillsUpAndRejects) {
   EXPECT_GT(page_->FillFraction(), 0.95);
 }
 
-TEST_F(SlottedPageTest, OverwriteInPlaceKeepsLength) {
-  uint16_t s = page_->InsertTuple(Slice("abcdef"));
-  EXPECT_TRUE(page_->OverwriteTuple(s, Slice("ABCDEF")).ok());
-  EXPECT_EQ(page_->GetTuple(s).ToString(), "ABCDEF");
-  EXPECT_FALSE(page_->OverwriteTuple(s, Slice("short")).ok());
-  EXPECT_FALSE(page_->OverwriteTuple(99, Slice("ABCDEF")).ok());
-}
-
 TEST_F(SlottedPageTest, DeleteMarksDead) {
   uint16_t s0 = page_->InsertTuple(Slice("dead"));
   uint16_t s1 = page_->InsertTuple(Slice("alive"));

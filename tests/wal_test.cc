@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "common/coding.h"
 #include "device/mem_device.h"
 #include "mvcc/heap_pages.h"
 #include "storage/disk_manager.h"
@@ -232,11 +233,27 @@ class HeapRedoTest : public ::testing::Test {
     EXPECT_TRUE(disk_.CreateRelation(kRel).ok());
   }
 
+  /// For kHeapSlotDelete, `slot` becomes the one slot its body lists.
   Status Redo(WalRecordType type, uint16_t slot, const std::string& body,
               Lsn lsn, uint32_t flags = kPageFlagNone) {
     WalRecord r = MakeInsert(2, kRel, Tid{0, slot}, body);
     r.type = type;
+    if (type == WalRecordType::kHeapSlotDelete) {
+      r.tid.slot = 0;
+      r.body.clear();
+      PutFixed16(&r.body, slot);
+    }
     return heap_.Redo(r, lsn, flags);
+  }
+
+  /// An encoded tuple header (the kHeapOverwrite body) with xmax `xmax`.
+  static std::string Header(Xid xmax) {
+    TupleHeader h;
+    h.xmin = 2;
+    h.xmax = xmax;
+    std::string out;
+    EncodeTuple(h, Slice(), &out);
+    return out;
   }
 
   /// Runs `check` on page 0 under a shared latch.
@@ -256,8 +273,8 @@ class HeapRedoTest : public ::testing::Test {
 
 TEST_F(HeapRedoTest, RecordAtOrBelowPageLsnIsNoOp) {
   ASSERT_TRUE(Redo(WalRecordType::kHeapInsert, 0, "aaaa", 100).ok());
-  EXPECT_TRUE(Redo(WalRecordType::kHeapOverwrite, 0, "bbbb", 100).ok());
-  EXPECT_TRUE(Redo(WalRecordType::kHeapOverwrite, 0, "cccc", 50).ok());
+  EXPECT_TRUE(Redo(WalRecordType::kHeapOverwrite, 0, Header(7), 100).ok());
+  EXPECT_TRUE(Redo(WalRecordType::kHeapOverwrite, 0, Header(8), 50).ok());
   EXPECT_TRUE(Redo(WalRecordType::kHeapSlotDelete, 0, "", 99).ok());
   EXPECT_TRUE(Redo(WalRecordType::kHeapInsert, 1, "dddd", 100).ok());
   WithPage([](SlottedPage page) {
@@ -300,6 +317,44 @@ TEST_F(HeapRedoTest, SlotGapIsCorruption) {
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
 }
 
+TEST_F(HeapRedoTest, OverwriteOfSlotThePageNeverHadIsCorruption) {
+  // A lost insert must fail recovery loudly, not drop the rewrite.
+  std::string tuple = Header(0) + "payload";
+  ASSERT_TRUE(Redo(WalRecordType::kHeapInsert, 0, tuple, 10).ok());
+  Status s = Redo(WalRecordType::kHeapOverwrite, 99, Header(5), 20);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("page_lsn=10"), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("rec_lsn=20"), std::string::npos) << s.message();
+  WithPage([](SlottedPage page) { EXPECT_EQ(page.header()->lsn, 10u); });
+}
+
+TEST_F(HeapRedoTest, OverwriteThatIsNotOneHeaderIsCorruption) {
+  std::string tuple = Header(0) + "payload";
+  ASSERT_TRUE(Redo(WalRecordType::kHeapInsert, 0, tuple, 10).ok());
+  // The whole tuple, or a short header: neither is a header rewrite.
+  EXPECT_EQ(Redo(WalRecordType::kHeapOverwrite, 0, Header(5) + "payload", 20)
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(Redo(WalRecordType::kHeapOverwrite, 0, "short", 21).code(),
+            StatusCode::kCorruption);
+  ASSERT_TRUE(Redo(WalRecordType::kHeapOverwrite, 0, Header(5), 22).ok());
+  WithPage([&](SlottedPage page) {
+    TupleHeader h;
+    ASSERT_TRUE(DecodeTupleHeader(page.GetTuple(0), &h));
+    EXPECT_EQ(h.xmax, 5u);
+    EXPECT_EQ(TuplePayload(page.GetTuple(0)).ToString(), "payload");
+    EXPECT_EQ(page.header()->lsn, 22u);
+  });
+}
+
+TEST_F(HeapRedoTest, OverwriteOfDeadSlotIsOk) {
+  std::string tuple = Header(0) + "payload";
+  ASSERT_TRUE(Redo(WalRecordType::kHeapInsert, 0, tuple, 10).ok());
+  ASSERT_TRUE(Redo(WalRecordType::kHeapSlotDelete, 0, "", 20).ok());
+  EXPECT_TRUE(Redo(WalRecordType::kHeapOverwrite, 0, Header(5), 30).ok());
+  WithPage([](SlottedPage page) { EXPECT_TRUE(page.GetTuple(0).empty()); });
+}
+
 TEST_F(HeapRedoTest, SlotDeleteOfDeadSlotIsOk) {
   ASSERT_TRUE(Redo(WalRecordType::kHeapInsert, 0, "aaaa", 10).ok());
   ASSERT_TRUE(Redo(WalRecordType::kHeapSlotDelete, 0, "", 20).ok());
@@ -309,6 +364,156 @@ TEST_F(HeapRedoTest, SlotDeleteOfDeadSlotIsOk) {
     EXPECT_EQ(page.header()->lsn, 30u);
   });
 }
+
+TEST_F(HeapRedoTest, SlotDeleteKillsEveryListedSlot) {
+  for (uint16_t s = 0; s < 3; ++s) {
+    ASSERT_TRUE(Redo(WalRecordType::kHeapInsert, s, "tuple", 10 + s).ok());
+  }
+  WalRecord kill = MakeInsert(kInvalidXid, kRel, Tid{0, 0}, "");
+  kill.type = WalRecordType::kHeapSlotDelete;
+  PutFixed16(&kill.body, 0);
+  PutFixed16(&kill.body, 2);
+  ASSERT_TRUE(heap_.Redo(kill, 20, kPageFlagAppendRegion).ok());
+  WithPage([](SlottedPage page) {
+    EXPECT_EQ(page.slot_count(), 3u);
+    EXPECT_TRUE(page.GetTuple(0).empty());
+    EXPECT_EQ(page.GetTuple(1).ToString(), "tuple");
+    EXPECT_TRUE(page.GetTuple(2).empty());
+  });
+  kill.body = "odd";
+  EXPECT_EQ(heap_.Redo(kill, 30, kPageFlagNone).code(),
+            StatusCode::kCorruption);
+}
+
+// ---------------------------------------------------------------------------
+// A live HeapPages change and the Redo of its record give identical pages.
+// ---------------------------------------------------------------------------
+
+class HeapApplyTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  static constexpr RelationId kRel = 1;
+
+  /// One device + pool holding relation kRel.
+  struct Store {
+    Store() : device(4ull << 20), disk(&device), pool(&disk, 16) {
+      EXPECT_TRUE(disk.CreateRelation(kRel).ok());
+    }
+    std::string Page(PageNumber p) {
+      auto g = pool.FetchPage(PageId{kRel, p}, nullptr);
+      EXPECT_TRUE(g.ok()) << g.status().ToString();
+      g->LatchShared();
+      return std::string(reinterpret_cast<const char*>(g->data()),
+                         kPageSize);
+    }
+    MemDevice device;
+    DiskManager disk;
+    BufferPool pool;
+  };
+
+  HeapApplyTest() : wal_device_(4ull << 20), wal_(&wal_device_, 0, 4ull << 20) {
+    auto g = live_.pool.NewPage(kRel, nullptr, GetParam());
+    EXPECT_TRUE(g.ok());
+  }
+
+  static std::string Tuple(Xid xmin, Vid vid, const std::string& payload) {
+    TupleHeader h;
+    h.xmin = xmin;
+    h.vid = vid;
+    std::string out;
+    EncodeTuple(h, Slice(payload), &out);
+    return out;
+  }
+
+  void InsertThree() {
+    for (Vid v = 0; v < 3; ++v) {
+      auto slot = heap_.Insert(0, Slice(Tuple(5 + v, v, "payload")), 5 + v,
+                               nullptr);
+      ASSERT_TRUE(slot.ok()) << slot.status().ToString();
+      ASSERT_EQ(*slot, v);
+    }
+  }
+
+  /// Redoes the whole log into a fresh store; compares page 0 byte for byte.
+  void ExpectRedoMatchesLive() {
+    ASSERT_TRUE(wal_.FlushTo(wal_.current_lsn(), nullptr).ok());
+    Store replay;
+    HeapPages redo(&replay.pool, kRel);
+    WalReader reader(&wal_device_, 0, 4ull << 20);
+    for (;;) {
+      auto rec = reader.Next();
+      ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+      if (!rec->has_value()) break;
+      ASSERT_TRUE(redo.Redo(**rec, reader.lsn(), GetParam()).ok());
+    }
+    EXPECT_EQ(replay.Page(0), live_.Page(0));
+  }
+
+  Store live_;
+  MemDevice wal_device_;
+  WalWriter wal_;
+  HeapPages heap_{&live_.pool, kRel, &wal_};
+};
+
+TEST_P(HeapApplyTest, InsertMatchesItsRedo) {
+  InsertThree();
+  ExpectRedoMatchesLive();
+}
+
+TEST_P(HeapApplyTest, RewriteHeaderMatchesItsRedo) {
+  InsertThree();
+  ASSERT_TRUE(heap_
+                  .RewriteHeader(Tid{0, 1}, 9, nullptr,
+                                 [](TupleHeader* h) {
+                                   h->xmax = 9;
+                                   h->set_pred(Tid{4, 2});
+                                 })
+                  .ok());
+  TupleHeader h;
+  ASSERT_TRUE(heap_.Fetch(Tid{0, 1}, nullptr, &h, nullptr).ok());
+  EXPECT_EQ(h.xmax, 9u);
+  EXPECT_EQ(h.pred(), (Tid{4, 2}));
+  // Nothing to rewrite: nothing is logged.
+  const Lsn before = wal_.current_lsn();
+  EXPECT_TRUE(heap_.RewriteHeader(Tid{0, 7}, 9, nullptr, [](TupleHeader*) {})
+                  .IsNotFound());
+  EXPECT_EQ(wal_.current_lsn(), before);
+  ExpectRedoMatchesLive();
+}
+
+TEST_P(HeapApplyTest, KillSlotsMatchesItsRedo) {
+  InsertThree();
+  size_t free_before = 0, free_after = 0;
+  ASSERT_TRUE(heap_.VisitPage(0, nullptr, [](const VersionRef&, Slice) {
+    return true;
+  }, &free_before).ok());
+  ASSERT_TRUE(heap_.KillSlots(0, {0, 2}, nullptr, &free_after).ok());
+  // Only pages outside an append region are compacted.
+  if (GetParam() == kPageFlagAppendRegion) {
+    EXPECT_EQ(free_after, free_before);
+  } else {
+    EXPECT_GT(free_after, free_before);
+  }
+  std::vector<Tid> live;
+  ASSERT_TRUE(heap_.Scan(nullptr, [&](const VersionRef& v, Slice) {
+    live.push_back(v.tid);
+    return true;
+  }).ok());
+  EXPECT_EQ(live, (std::vector<Tid>{Tid{0, 1}}));
+  // A later insert keeps the slot numbering and lands in the freed space.
+  auto slot = heap_.Insert(0, Slice(Tuple(9, 3, "after")), 9, nullptr);
+  ASSERT_TRUE(slot.ok());
+  EXPECT_EQ(*slot, 3u);
+  ExpectRedoMatchesLive();
+}
+
+INSTANTIATE_TEST_SUITE_P(PageKinds, HeapApplyTest,
+                         ::testing::Values(uint32_t{kPageFlagNone},
+                                           uint32_t{kPageFlagAppendRegion}),
+                         [](const auto& info) {
+                           return info.param == kPageFlagNone
+                                      ? std::string("Heap")
+                                      : std::string("AppendRegion");
+                         });
 
 }  // namespace
 }  // namespace sias
