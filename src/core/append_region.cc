@@ -1,7 +1,5 @@
 #include "core/append_region.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "fault/crash_point.h"
 
@@ -21,6 +19,7 @@ Status AppendRegion::OpenNewPageLocked(VirtualClock* clk) {
   if (!free_pages_.empty()) {
     PageNumber page = free_pages_.front();
     free_pages_.pop_front();
+    free_set_.erase(page);
     SIAS_ASSIGN_OR_RETURN(guard, heap_.Reinit(page, clk));
     open_page_ = page;
     stats_.pages_recycled++;
@@ -63,11 +62,15 @@ void AppendRegion::AddFreePage(PageNumber page) {
   // (src/mvcc/epoch.h). New appends may therefore overwrite the page's
   // bytes without racing any latch-free reader. A page already listed is
   // ignored: a second open would re-init it over the first one's appends.
+  // The open page is never handed back: GC skips pages that take appends.
   MutexLock g(&mu_);
-  if (std::find(free_pages_.begin(), free_pages_.end(), page) ==
-      free_pages_.end()) {
-    free_pages_.push_back(page);
-  }
+  SIAS_CHECK(page != open_page_);
+  if (free_set_.insert(page).second) free_pages_.push_back(page);
+}
+
+bool AppendRegion::TakesAppends(PageNumber page) const {
+  MutexLock g(&mu_);
+  return page == open_page_ || free_set_.count(page) != 0;
 }
 
 PageId AppendRegion::open_page() const {

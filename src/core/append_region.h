@@ -10,6 +10,7 @@
 #pragma once
 
 #include <deque>
+#include <unordered_set>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -38,8 +39,12 @@ class AppendRegion {
   /// kHeapInsert WAL record when WAL is attached.
   Result<Tid> Append(Slice tuple, Xid xid, VirtualClock* clk);
 
-  /// Hands a page with no live slot back for reuse.
+  /// Hands a page with no live slot back for reuse. The page must not be
+  /// the open one.
   void AddFreePage(PageNumber page);
+
+  /// Whether appends may land on `page`: it is open or listed free.
+  bool TakesAppends(PageNumber page) const;
 
   /// Currently open (filling) page, if any.
   PageId open_page() const;
@@ -64,6 +69,8 @@ class AppendRegion {
   mutable Mutex mu_{LatchRank::kAppendRegion};
   PageNumber open_page_ SIAS_GUARDED_BY(mu_) = kInvalidPageNumber;
   std::deque<PageNumber> free_pages_ SIAS_GUARDED_BY(mu_);
+  /// The pages in free_pages_, for O(1) membership tests.
+  std::unordered_set<PageNumber> free_set_ SIAS_GUARDED_BY(mu_);
   AppendRegionStats stats_ SIAS_GUARDED_BY(mu_);
 };
 

@@ -16,6 +16,8 @@ namespace sias {
 namespace {
 /// See SiasTable::SetReadPauseHookForTest.
 std::atomic<void (*)(Vid)> g_read_pause_hook{nullptr};
+/// See SiasTable::SetGcPageHookForTest.
+std::atomic<void (*)(PageNumber)> g_gc_page_hook{nullptr};
 
 inline void ReadPausePoint(Vid vid) {
   if (void (*hook)(Vid) = g_read_pause_hook.load(std::memory_order_relaxed)) {
@@ -26,6 +28,10 @@ inline void ReadPausePoint(Vid vid) {
 
 void SiasTable::SetReadPauseHookForTest(void (*hook)(Vid)) {
   g_read_pause_hook.store(hook, std::memory_order_seq_cst);
+}
+
+void SiasTable::SetGcPageHookForTest(void (*hook)(PageNumber)) {
+  g_gc_page_hook.store(hook, std::memory_order_seq_cst);
 }
 
 SiasTable::SiasTable(RelationId relation, TableEnv env, VersionScheme scheme)
@@ -354,20 +360,27 @@ Result<VersionRef> SiasTable::ValidateForWrite(Transaction* txn, Vid vid) {
 
 Result<Tid> SiasTable::AppendAndInstall(Transaction* txn, Vid vid,
                                         const TupleHeader& header,
-                                        Slice payload, Tid expected_entry) {
+                                        Slice payload, const VersionRef& base) {
   std::string encoded;
   EncodeTuple(header, payload, &encoded);
   SIAS_ASSIGN_OR_RETURN(
       Tid tid, region_.Append(Slice(encoded), txn->xid(), txn->clock()));
   // Logged before the install: undoing a failed install is a no-op, since
   // the map never held `tid`.
-  txn->LogWrite(this, vid, tid, expected_entry);
+  txn->LogWrite(this, vid, tid, base.tid);
   if (scheme_ == VersionScheme::kSiasChains) {
-    if (!map_.CompareAndSet(vid, expected_entry, tid)) {
+    if (!map_.CompareAndSet(vid, base.tid, tid)) {
       return Status::Internal("entrypoint CAS failed under row lock");
     }
   } else {
-    if (!map_v_.PushFront(vid, expected_entry, tid)) {
+    // In-band trimming: a committed base below the horizon is visible to
+    // every current and future snapshot (each one's oldest in-progress xid
+    // is above it), so none can resolve past it and the new vector is
+    // {tid, base}. This is LiveVersions' range rule with the base as the
+    // shadow, and it reads no heap page. Our own uncommitted base is never
+    // below the horizon, which is sampled after our xid was assigned.
+    bool trim = base.header.xmin < env_.txns->WriteHorizon(txn);
+    if (!map_v_.PushFront(vid, base.tid, tid, trim)) {
       return Status::Internal("vector push failed under row lock");
     }
   }
@@ -396,7 +409,7 @@ Status SiasTable::Update(Transaction* txn, Vid vid, Slice row, Tid* new_tid) {
   h.xmin = txn->xid();
   h.vid = vid;
   h.set_pred(base.tid);  // *ptr -> old entrypoint (Algorithm 3 line 11)
-  auto r = AppendAndInstall(txn, vid, h, row, base.tid);
+  auto r = AppendAndInstall(txn, vid, h, row, base);
   SIAS_RETURN_NOT_OK(r.status());
   if (new_tid != nullptr) *new_tid = *r;
   MvccObs().versions_appended->Increment();
@@ -417,7 +430,7 @@ Status SiasTable::Delete(Transaction* txn, Vid vid) {
   h.vid = vid;
   h.flags = kTupleFlagTombstone;
   h.set_pred(base.tid);
-  auto r = AppendAndInstall(txn, vid, h, Slice(), base.tid);
+  auto r = AppendAndInstall(txn, vid, h, Slice(), base);
   SIAS_RETURN_NOT_OK(r.status());
   return Status::OK();
 }
@@ -523,7 +536,8 @@ Status SiasTable::WalkVersions(
     Vid vid, VirtualClock* clk,
     const std::function<bool(const VersionRef&)>& visit) {
   if (scheme_ == VersionScheme::kSiasV) {
-    // GC keeps the vector in sync with the heap, so it never dangles.
+    // GC keeps the vector in sync with the heap, so it never dangles. A
+    // version a writer trimmed is no longer visited: GC classifies it dead.
     for (Tid tid : map_v_.Get(vid)) {
       VersionRef v{tid, {}};
       Status s = heap().Fetch(tid, clk, &v.header, nullptr);
@@ -660,18 +674,22 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
   // opens a fresh page. That page comes from the free list, or is new and
   // beyond `count`. GC must not examine a page that appends may land on
   // while it runs: versions appended after the page's inventory would be
-  // killed or lost with it. The free list gains pages only from this pass
-  // (pages it has already examined) and from the deferred kills GC queues,
-  // which run at the end of a pass (vacuum passes do not overlap), so its
-  // snapshot here names every such page. (A reclaim run mid-pass by another
-  // database's TryReclaim lists its page twice; AddFreePage ignores that.)
+  // killed or lost with it. So each page is checked when the pass reaches
+  // it, gc_pending_ first and then the region. The free list gains pages
+  // only from this pass and from the deferred kills of pending pages, and
+  // those run whenever any thread reclaims (Database::Tick does on the
+  // bgwriter cadence, so also in the middle of this pass). A kill lists its
+  // page before it leaves gc_pending_, so a page that is neither pending
+  // nor taking appends when checked stays out of the append region until
+  // this pass itself lists it.
   region_.SealOpenPage();
-  std::vector<PageNumber> free = region_.free_pages();
-  const std::unordered_set<PageNumber> appendable(free.begin(), free.end());
   LockManager* locks = env_.txns->locks();
 
   for (PageNumber p = 0; p < count; ++p) {
-    if (appendable.count(p) != 0) continue;
+    if (void (*hook)(PageNumber) =
+            g_gc_page_hook.load(std::memory_order_relaxed)) {
+      hook(p);
+    }
     bool pending;
     {
       MutexLock g(&gc_mu_);
@@ -679,7 +697,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
     }
     // Unpublished, slot kills still queued behind the epoch horizon:
     // re-examining would double-reclaim.
-    if (pending) continue;
+    if (pending || region_.TakesAppends(p)) continue;
 
     // Pass 1: inventory of the page.
     std::vector<VersionRef> slots;

@@ -4,7 +4,7 @@
 //  * kSiasChains: versions form a singly-linked list through the on-tuple
 //    predecessor pointer *ptr; the VidMap holds only the entrypoint
 //    (this text's SIAS-Chains).
-//  * kSiasV: the VidMap entry holds the full vector of version TIDs, newest
+//  * kSiasV: the VidMap entry holds the vector of live version TIDs, newest
 //    first (the EDBT 2014 "SIAS-V in Action" demo variant); reads never
 //    follow the predecessor pointer. It is still recorded, so that recovery
 //    can order one transaction's versions of an item (mvcc/heap_pages.h).
@@ -103,6 +103,11 @@ class SiasTable : public MvccTable {
   /// disarm. Costs one relaxed atomic load per probe when disarmed.
   static void SetReadPauseHookForTest(void (*hook)(Vid));
 
+  /// Test-only schedule control: when set, GarbageCollect invokes the hook
+  /// as it reaches each page, before deciding whether to skip it, with no
+  /// latch or row lock held. Pass nullptr to disarm.
+  static void SetGcPageHookForTest(void (*hook)(PageNumber));
+
  private:
   HeapPages heap() const {
     return HeapPages(env_.pool, relation_, env_.wal);
@@ -125,10 +130,12 @@ class SiasTable : public MvccTable {
   Result<VersionRef> ValidateForWrite(Transaction* txn, Vid vid);
 
   /// Appends a version, logs it in the transaction's write log and installs
-  /// it as the new entrypoint.
+  /// it as the new entrypoint over `base` (ValidateForWrite's result).
+  /// SIAS-V drops the vector's tail below `base` when no snapshot can reach
+  /// it (VidMapV::PushFront's `trim`).
   Result<Tid> AppendAndInstall(Transaction* txn, Vid vid,
                                const TupleHeader& header, Slice payload,
-                               Tid expected_entry);
+                               const VersionRef& base);
 
   /// Visits the stored versions of `vid` newest first (latched Fetch) until
   /// `visit` returns false: SIAS-V's live vector entries, or the Chains walk

@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "common/logging.h"
 #include "mvcc/mvcc_counters.h"
 
 namespace sias {
@@ -20,14 +19,6 @@ Vid VidMap::AllocateVid() {
   EnsureBucket(vid);
   MvccObs().vids_allocated->Increment();
   return vid;
-}
-
-Vid VidMap::AllocateVidBatch(uint64_t count) {
-  SIAS_CHECK(count > 0);
-  Vid first = next_vid_.fetch_add(count, std::memory_order_acq_rel);
-  EnsureBucket(first + count - 1);
-  MvccObs().vids_allocated->Add(static_cast<int64_t>(count));
-  return first;
 }
 
 Tid VidMap::Get(Vid vid) const {
@@ -67,35 +58,5 @@ void VidMap::Clear(Vid vid) {
 }
 
 size_t VidMap::bucket_count() const { return dir_.count(); }
-
-void VidMap::Serialize(std::string* out) const {
-  Vid bound = next_vid_.load(std::memory_order_acquire);
-  PutFixed64(out, bound);
-  for (Vid v = 0; v < bound; ++v) {
-    Tid t = Get(v);
-    PutFixed64(out, t.valid() ? t.Pack() : kEmpty);
-  }
-}
-
-Status VidMap::Deserialize(Slice in) {
-  if (in.size() < 8) return Status::Corruption("vidmap snapshot truncated");
-  Vid bound = DecodeFixed64(in.data());
-  if (in.size() < 8 + bound * 8) {
-    return Status::Corruption("vidmap snapshot truncated");
-  }
-  for (Vid v = 0; v < bound; ++v) {
-    uint64_t packed = DecodeFixed64(in.data() + 8 + v * 8);
-    if (packed == kEmpty) {
-      EnsureBucket(v);
-    } else {
-      Set(v, Tid::Unpack(packed));
-    }
-  }
-  Vid cur = next_vid_.load(std::memory_order_relaxed);
-  while (cur < bound && !next_vid_.compare_exchange_weak(
-                            cur, bound, std::memory_order_acq_rel)) {
-  }
-  return Status::OK();
-}
 
 }  // namespace sias

@@ -17,12 +17,8 @@
 
 #include <array>
 #include <atomic>
-#include <string>
 
 #include "common/bucket_dir.h"
-#include "common/coding.h"
-#include "common/slice.h"
-#include "common/status.h"
 #include "common/types.h"
 
 namespace sias {
@@ -38,11 +34,6 @@ class VidMap {
 
   /// Assigns the next VID (dense ascending), growing the bucket array.
   Vid AllocateVid();
-
-  /// Bulk allocation (paper §4.1.2: "Pre-loading and bulk-loading can be
-  /// supported, e.g. new VIDs can be generated in a page-wise manner"):
-  /// returns the first of `count` consecutive fresh VIDs.
-  Vid AllocateVidBatch(uint64_t count);
 
   /// Entrypoint of `vid`, or invalid Tid if unset / out of range.
   Tid Get(Vid vid) const;
@@ -66,11 +57,6 @@ class VidMap {
 
   /// Approximate resident bytes (footprint metric).
   size_t memory_bytes() const { return bucket_count() * kPageSize; }
-
-  /// Checkpoint persistence. The map is also fully reconstructible from the
-  /// heap (paper §6 Recovery) — see SiasTable::Rebuild.
-  void Serialize(std::string* out) const;
-  Status Deserialize(Slice in);
 
  private:
   struct Bucket {

@@ -89,17 +89,27 @@ Tid VidMapV::Entrypoint(Vid vid) const {
   return (vec == nullptr || vec->empty()) ? kInvalidTid : vec->front();
 }
 
-bool VidMapV::PushFront(Vid vid, Tid expected_front, Tid tid) {
+bool VidMapV::PushFront(Vid vid, Tid expected_front, Tid tid, bool trim) {
   auto* slot = SlotForMutable(vid);
   const VersionVector* cur = slot->load(std::memory_order_seq_cst);
   Tid front = (cur == nullptr || cur->empty()) ? kInvalidTid : cur->front();
   if (front != expected_front) return false;
+  // `cur` is retired by Install and this thread holds no epoch pin, so
+  // everything read from it is read before the install.
+  size_t size = cur == nullptr ? 0 : cur->size();
+  size_t kept = trim ? std::min<size_t>(size, 1) : size;  // {tid, front}
   auto* next = new VersionVector();
-  next->reserve((cur == nullptr ? 0 : cur->size()) + 1);
+  next->reserve(kept + 1);
   next->push_back(tid);
-  if (cur != nullptr) next->insert(next->end(), cur->begin(), cur->end());
+  if (kept > 0) {
+    next->insert(next->end(), cur->begin(),
+                 cur->begin() + static_cast<std::ptrdiff_t>(kept));
+  }
   if (!Install(slot, cur, next)) return false;
   MvccObs().entry_updates->Increment();
+  if (size > kept) {
+    MvccObs().versions_trimmed->Add(static_cast<int64_t>(size - kept));
+  }
   return true;
 }
 
@@ -127,17 +137,6 @@ bool VidMapV::ReplaceTid(Vid vid, Tid old_tid, Tid new_tid) {
   if (!Install(slot, cur, next)) return false;
   MvccObs().entry_updates->Increment();
   return true;
-}
-
-void VidMapV::TruncateAfter(Vid vid, size_t keep) {
-  auto* slot = SlotForMutable(vid);
-  const VersionVector* cur = slot->load(std::memory_order_seq_cst);
-  if (cur == nullptr || cur->size() <= keep) return;
-  const VersionVector* next =
-      keep == 0 ? nullptr
-                : new VersionVector(cur->begin(),
-                                    cur->begin() + static_cast<long>(keep));
-  if (Install(slot, cur, next)) MvccObs().entry_updates->Increment();
 }
 
 void VidMapV::Clear(Vid vid) {
@@ -181,45 +180,6 @@ size_t VidMapV::memory_bytes() const {
     }
   }
   return bytes;
-}
-
-void VidMapV::Serialize(std::string* out) const {
-  EpochGuard pin;
-  Vid n = bound();
-  PutFixed64(out, n);
-  for (Vid v = 0; v < n; ++v) {
-    std::vector<Tid> vec = Get(v);
-    PutFixed32(out, static_cast<uint32_t>(vec.size()));
-    for (Tid t : vec) PutFixed64(out, t.Pack());
-  }
-}
-
-Status VidMapV::Deserialize(Slice in) {
-  if (in.size() < 8) return Status::Corruption("vidmapv snapshot truncated");
-  const uint8_t* p = in.data();
-  const uint8_t* end = in.data() + in.size();
-  Vid n = DecodeFixed64(p);
-  p += 8;
-  for (Vid v = 0; v < n; ++v) {
-    if (p + 4 > end) return Status::Corruption("vidmapv snapshot truncated");
-    uint32_t count = DecodeFixed32(p);
-    p += 4;
-    if (p + 8ull * count > end) {
-      return Status::Corruption("vidmapv snapshot truncated");
-    }
-    std::vector<Tid> vec;
-    vec.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      vec.push_back(Tid::Unpack(DecodeFixed64(p)));
-      p += 8;
-    }
-    if (!vec.empty()) Set(v, std::move(vec));
-  }
-  Vid cur = next_vid_.load(std::memory_order_relaxed);
-  while (cur < n && !next_vid_.compare_exchange_weak(
-                        cur, n, std::memory_order_acq_rel)) {
-  }
-  return Status::OK();
 }
 
 }  // namespace sias

@@ -2,10 +2,12 @@
 // EDBT 2014 demo gives the system its name.
 //
 // Instead of storing only the entrypoint and chaining versions through an
-// on-tuple predecessor pointer, each VID slot holds the *vector* of all live
+// on-tuple predecessor pointer, each VID slot holds the *vector* of the live
 // version TIDs, newest first. Version traversal is then an in-memory array
 // walk (no pointer chasing through heap pages to find a predecessor's
-// address).
+// address). The writer that installs a version drops the tail no snapshot
+// can reach (PushFront's `trim`), so without vacuum a vector holds the
+// versions still needed plus at most the ones the next write drops.
 //
 // The map is read-copy-update: each slot is one atomic pointer to an
 // immutable, heap-allocated vector. Readers load the pointer and walk the
@@ -24,14 +26,10 @@
 #pragma once
 
 #include <atomic>
-#include <string>
 #include <vector>
 
 #include "common/analysis_annotations.h"
 #include "common/bucket_dir.h"
-#include "common/coding.h"
-#include "common/slice.h"
-#include "common/status.h"
 #include "common/types.h"
 
 namespace sias {
@@ -60,17 +58,18 @@ class VidMapV {
 
   /// Pushes a new entrypoint. Returns false if `expected_front` no longer
   /// matches (concurrent update detected), mirroring VidMap::CompareAndSet.
-  /// Pass invalid Tid as `expected_front` for the first version.
-  bool PushFront(Vid vid, Tid expected_front, Tid tid);
+  /// Pass invalid Tid as `expected_front` for the first version. With
+  /// `trim`, the new vector is just {tid, expected_front}: the caller has
+  /// established that every current and future snapshot sees
+  /// `expected_front` or newer, so the older tail is dropped (counted in
+  /// mvcc.vidmap.versions_trimmed).
+  bool PushFront(Vid vid, Tid expected_front, Tid tid, bool trim = false);
 
   /// Removes the current front if it equals `tid` (abort undo).
   bool PopFrontIf(Vid vid, Tid tid);
 
   /// Replaces one version's TID in place (GC relocation).
   bool ReplaceTid(Vid vid, Tid old_tid, Tid new_tid);
-
-  /// Drops all versions older than index `keep` (GC truncation).
-  void TruncateAfter(Vid vid, size_t keep);
 
   /// Removes the item entirely (fully-dead chain).
   void Clear(Vid vid);
@@ -81,9 +80,6 @@ class VidMapV {
   Vid bound() const;
   size_t bucket_count() const;
   size_t memory_bytes() const;
-
-  void Serialize(std::string* out) const;
-  Status Deserialize(Slice in);
 
  private:
   using VersionVector = std::vector<Tid>;

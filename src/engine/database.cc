@@ -206,6 +206,14 @@ Status Database::Tick(VirtualClock* clk) {
       next_bgwriter_.compare_exchange_strong(bg, now +
                                                      opts_.bgwriter_interval)) {
     SIAS_RETURN_NOT_OK(BgWriterPass(clk));
+    // Epoch reclaim rides the bgwriter cadence, so the vectors SIAS-V
+    // writers retire are freed without vacuum. Reclaim callbacks take
+    // storage latches, so a caller pinned in an epoch skips it.
+    EpochManager& epochs = EpochManager::Global();
+    if (!epochs.InEpoch()) {
+      epochs.Advance();
+      epochs.TryReclaim();
+    }
   }
   VTime cp = next_checkpoint_.load(std::memory_order_relaxed);
   if (now >= cp &&

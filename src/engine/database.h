@@ -117,6 +117,8 @@ class Database {
   Status Abort(Transaction* txn);
 
   /// Virtual-time maintenance hook; call frequently from worker threads.
+  /// Runs the bgwriter pass (and, with it, an epoch advance and reclaim
+  /// when the caller is outside an epoch), paced checkpoints and vacuum.
   Status Tick(VirtualClock* clk);
 
   /// Sharp (synchronous) checkpoint: flush dirty pages + WAL, persist the

@@ -1,5 +1,6 @@
 #include "mvcc/epoch.h"
 
+#include <thread>
 #include <vector>
 
 #include "check/latch_order.h"
@@ -119,7 +120,7 @@ void EpochManager::Retire(std::function<void()> fn) {
   m_retired_->Increment();
   MutexLock g(&queue_mu_);
   queue_.emplace_back(e, std::move(fn));
-  m_pending_->Set(static_cast<int64_t>(queue_.size()));
+  m_pending_->Set(static_cast<int64_t>(queue_.size() + taken_));
 }
 
 size_t EpochManager::TryReclaim() {
@@ -128,47 +129,63 @@ size_t EpochManager::TryReclaim() {
   // must never run while its caller could itself hold a stale pointer.
   SIAS_CHECK(!InEpoch());
   uint64_t min = MinActive();
-  std::vector<std::function<void()>> ripe;
+  // Retire() runs under row locks, so the O(queue) filter must not hold
+  // queue_mu_: take the whole queue, filter it privately and splice the
+  // unripe entries back into whatever was retired meanwhile.
+  std::deque<std::pair<uint64_t, std::function<void()>>> taken;
   {
     MutexLock g(&queue_mu_);
-    // Stamps are not strictly sorted (two threads can retire around an
-    // advance), so filter the whole queue rather than draining the front.
-    std::deque<std::pair<uint64_t, std::function<void()>>> keep;
-    for (auto& entry : queue_) {
-      if (entry.first < min) {
-        ripe.push_back(std::move(entry.second));
-      } else {
-        keep.push_back(std::move(entry));
-      }
+    taken.swap(queue_);
+    taken_ += taken.size();
+  }
+  // Stamps are not strictly sorted (two threads can retire around an
+  // advance), so filter the whole queue rather than draining the front.
+  std::vector<std::function<void()>> ripe;
+  std::deque<std::pair<uint64_t, std::function<void()>>> keep;
+  for (auto& entry : taken) {
+    if (entry.first < min) {
+      ripe.push_back(std::move(entry.second));
+    } else {
+      keep.push_back(std::move(entry));
     }
-    queue_.swap(keep);
-    m_pending_->Set(static_cast<int64_t>(queue_.size()));
+  }
+  {
+    MutexLock g(&queue_mu_);
+    // Order does not matter (see above): move the shorter into the longer.
+    taken_ -= keep.size();
+    if (keep.size() > queue_.size()) queue_.swap(keep);
+    for (auto& entry : keep) queue_.push_back(std::move(entry));
   }
   for (auto& fn : ripe) fn();
   m_reclaimed_->Add(static_cast<int64_t>(ripe.size()));
+  MutexLock g(&queue_mu_);
+  taken_ -= ripe.size();
+  m_pending_->Set(static_cast<int64_t>(queue_.size() + taken_));
   return ripe.size();
 }
 
 void EpochManager::Quiesce() {
   SIAS_CHECK(!InEpoch());
-  SIAS_CHECK(MinActive() == current());  // no thread may still be pinned
-  Advance();
-  size_t total = 0;
-  // Reclaiming can in principle queue follow-up work; loop until dry.
+  // Reclaiming can in principle queue follow-up work, and a TryReclaim on
+  // another thread may still hold entries out of the queue: loop until
+  // both are dry.
   for (;;) {
-    size_t n = TryReclaim();
-    total += n;
-    if (n == 0) break;
-    Advance();
+    // No thread may still be pinned. Other threads may advance meanwhile,
+    // so compare with the epoch this advance made, not with current().
+    uint64_t e = Advance();
+    SIAS_CHECK(MinActive() >= e);
+    if (TryReclaim() > 0) continue;
+    {
+      MutexLock g(&queue_mu_);
+      if (queue_.empty() && taken_ == 0) return;
+    }
+    std::this_thread::yield();
   }
-  MutexLock g(&queue_mu_);
-  SIAS_CHECK(queue_.empty());
-  (void)total;
 }
 
 size_t EpochManager::pending() const {
   MutexLock g(&queue_mu_);
-  return queue_.size();
+  return queue_.size() + taken_;
 }
 
 }  // namespace sias

@@ -62,8 +62,8 @@ class EpochManager {
   /// Whether the calling thread currently holds an epoch pin.
   bool InEpoch() const;
 
-  /// Bumps the global epoch; called by vacuum after each GC pass.
-  /// Returns the new epoch.
+  /// Bumps the global epoch; called by vacuum after each GC pass and by
+  /// Database::Tick on the bgwriter cadence. Returns the new epoch.
   uint64_t Advance();
 
   /// Oldest epoch any thread is currently pinned in; equals current() when
@@ -76,15 +76,19 @@ class EpochManager {
 
   /// Runs every deferred callback whose retire epoch is strictly below
   /// MinActive(). Must not be called from inside an epoch (callbacks
-  /// acquire storage latches). Returns the number of callbacks run.
+  /// acquire storage latches). The queue scan runs outside queue_mu_, so a
+  /// concurrent Retire() never waits on it. Returns the number of callbacks
+  /// run.
   size_t TryReclaim();
 
-  /// Drains the queue completely (requires no thread inside an epoch);
-  /// used at table/database teardown so deferred frees never outlive the
-  /// structures they touch.
+  /// Drains the queue completely (requires no thread inside an epoch); used
+  /// at table/database teardown so deferred frees never outlive the
+  /// structures they touch. Also waits for a TryReclaim on another thread
+  /// to splice back or run the entries it took.
   void Quiesce();
 
-  /// Deferred callbacks currently queued (tests / metrics).
+  /// Deferred callbacks retired and not yet run, including those a
+  /// TryReclaim holds out of the queue (tests / metrics).
   size_t pending() const;
 
   /// Current global epoch.
@@ -113,6 +117,9 @@ class EpochManager {
   mutable Mutex queue_mu_{LatchRank::kEpochQueue};
   std::deque<std::pair<uint64_t, std::function<void()>>> queue_
       SIAS_GUARDED_BY(queue_mu_);
+  /// Entries TryReclaim calls have taken out of queue_ and not yet spliced
+  /// back or run.
+  size_t taken_ SIAS_GUARDED_BY(queue_mu_) = 0;
 
   // Observability (docs/OBSERVABILITY.md).
   obs::Counter* m_advances_;

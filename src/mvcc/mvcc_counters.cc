@@ -23,6 +23,7 @@ const MvccCounters& MvccObs() {
     m->vids_allocated = reg.GetCounter("vidmap.vids_allocated");
     m->entry_updates = reg.GetCounter("vidmap.entry_updates");
     m->entry_clears = reg.GetCounter("vidmap.entry_clears");
+    m->versions_trimmed = reg.GetCounter("mvcc.vidmap.versions_trimmed");
     return m;
   }();
   return *c;

@@ -33,6 +33,9 @@ struct MvccCounters {
   obs::Counter* vids_allocated;
   obs::Counter* entry_updates;
   obs::Counter* entry_clears;
+  /// SIAS-V: versions a writer dropped from an item's vector because every
+  /// current and future snapshot sees the version it replaced.
+  obs::Counter* versions_trimmed;
 };
 
 /// The one instance, registered in the default registry on first use.

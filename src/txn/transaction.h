@@ -67,6 +67,7 @@ class Transaction {
   friend class TransactionManager;
 
   Xid xid_ = kInvalidXid;
+  Xid write_horizon_ = kInvalidXid;  ///< TransactionManager::WriteHorizon
   Snapshot snapshot_;
   VirtualClock* clock_;
   uint32_t slot_;  ///< TransactionManager registry slot

@@ -194,6 +194,12 @@ Xid TransactionManager::GcHorizon() const {
   return horizon;
 }
 
+Xid TransactionManager::WriteHorizon(Transaction* txn) const {
+  SIAS_CHECK(txn->xid_ != kInvalidXid);
+  if (txn->write_horizon_ == kInvalidXid) txn->write_horizon_ = GcHorizon();
+  return txn->write_horizon_;
+}
+
 std::vector<std::pair<Xid, Xid>> TransactionManager::ActiveSnapshotBounds()
     const {
   MutexLock g(&mu_);

@@ -83,6 +83,12 @@ class TransactionManager {
   /// horizon is invisible to every current and future snapshot.
   Xid GcHorizon() const;
 
+  /// The horizon below which `txn`'s SIAS-V writes trim version vectors:
+  /// GcHorizon(), sampled at the first call and reused for the rest of the
+  /// transaction (the horizon never falls, so the earlier sample is a safe
+  /// lower bound). Requires an xid, so the sample is at most that xid.
+  Xid WriteHorizon(Transaction* txn) const;
+
   /// Snapshot bounds for GC range tracking: one (lo, hi) pair per published
   /// slot plus the current template's pair. lo = the oldest xid the
   /// snapshot considers in-progress, hi = its xmax (everything at or above

@@ -232,6 +232,113 @@ TEST_P(ConcurrencyTest, RandomizedMixedWorkloadKeepsSiInvariants) {
   ASSERT_TRUE(db_->Commit(recheck.get()).ok());
 }
 
+TEST_P(ConcurrencyTest, VacuumRacingTickReclaimsKeepsHotRowsIntact) {
+  // Vacuum passes run back to back on one thread while the writers update
+  // hot rows and Tick on a 1 ms bgwriter cadence, so epoch reclaims from
+  // Tick land in the middle of GC passes: a page whose deferred kill runs
+  // mid-pass goes back to the append region and may be reopened before the
+  // pass reaches it. EngineTest.TickReclaimMidVacuumNeverRecyclesAnOpenPage
+  // pins that schedule down; this runs it at random, under load (and under
+  // TSan). Wide rows spread the versions over many pages; the writers' read
+  // passes pin epochs without holding row locks.
+  constexpr int kWriters = 3;
+  constexpr int kUpdatesPerWriter = 3000;
+  auto t = db_->CreateTable("hot",
+                            Schema{{"k", ColumnType::kInt64},
+                                   {"v", ColumnType::kInt64},
+                                   {"pad", ColumnType::kString}},
+                            GetParam());
+  ASSERT_TRUE(t.ok());
+  Table* hot = *t;
+  const std::string pad(200, 'p');
+  std::vector<Vid> vids;
+  {
+    VirtualClock clk;
+    auto txn = db_->Begin(&clk);
+    for (int r = 0; r < kRows; ++r) {
+      auto vid = hot->Insert(txn.get(), Row{{int64_t{r}, int64_t{0}, pad}});
+      ASSERT_TRUE(vid.ok()) << vid.status().ToString();
+      vids.push_back(*vid);
+    }
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  std::array<std::atomic<int64_t>, kRows> committed_increments{};
+  std::atomic<int> writers_done{0};
+
+  auto writer = [&](int tid) {
+    Random rng(0xD1CE + static_cast<uint64_t>(tid));
+    VirtualClock clk;
+    for (int i = 0; i < kUpdatesPerWriter; ++i) {
+      size_t row = static_cast<size_t>(rng.Uniform(0, kRows - 1));
+      bool committed = false;
+      for (int attempt = 0; attempt < kMaxRetries && !committed; ++attempt) {
+        auto txn = db_->Begin(&clk);
+        auto cur = hot->Get(txn.get(), vids[row]);
+        Status s = cur.status();
+        if (s.ok()) {
+          ASSERT_TRUE(cur->has_value()) << "row " << row << " vanished";
+          s = hot->Update(txn.get(), vids[row],
+                          Row{{static_cast<int64_t>(row),
+                               (*cur)->GetInt(1) + 1, pad}});
+        }
+        if (s.ok()) s = db_->Commit(txn.get());
+        if (s.ok()) {
+          committed = true;
+          committed_increments[row].fetch_add(1);
+        } else {
+          if (txn->state() == TxnState::kActive) {
+            ASSERT_TRUE(db_->Abort(txn.get()).ok());
+          }
+          ASSERT_TRUE(s.IsRetryable()) << s.ToString();
+        }
+        ASSERT_TRUE(db_->Tick(&clk).ok());
+      }
+      ASSERT_TRUE(committed) << "txn starved after " << kMaxRetries
+                             << " retries";
+      auto ro = db_->Begin(&clk);
+      for (size_t r = 0; r < kRows; ++r) {
+        auto cur = hot->Get(ro.get(), vids[r]);
+        ASSERT_TRUE(cur.ok()) << cur.status().ToString();
+        ASSERT_TRUE(cur->has_value()) << "row " << r << " vanished";
+      }
+      ASSERT_TRUE(db_->Commit(ro.get()).ok());
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      writer(w);
+      writers_done.fetch_add(1);
+    });
+  }
+  GcStats gc;
+  {
+    VirtualClock clk;
+    while (writers_done.load() < kWriters) {
+      Status s = db_->Vacuum(&clk, &gc);
+      if (!s.ok()) {
+        ADD_FAILURE() << "vacuum failed: " << s.ToString();
+        break;
+      }
+    }
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_GT(gc.pages_examined, 0u);
+
+  VirtualClock clk;
+  ASSERT_TRUE(db_->Vacuum(&clk).ok());
+  auto check = db_->Begin(&clk);
+  for (size_t r = 0; r < kRows; ++r) {
+    auto row = hot->Get(check.get(), vids[r]);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    ASSERT_TRUE(row->has_value());
+    EXPECT_EQ((*row)->GetInt(1), committed_increments[r].load())
+        << "row " << r;
+  }
+  ASSERT_TRUE(db_->Commit(check.get()).ok());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ConcurrencyTest,
                          ::testing::Values(VersionScheme::kSi,
                                            VersionScheme::kSiasChains,

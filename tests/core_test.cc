@@ -6,12 +6,12 @@
 #include <set>
 #include <thread>
 
-#include "common/random.h"
 #include "core/append_region.h"
 #include "core/vid_map.h"
 #include "core/vid_map_v.h"
 #include "device/mem_device.h"
 #include "mvcc/tuple.h"
+#include "obs/metrics.h"
 #include "storage/disk_manager.h"
 
 namespace sias {
@@ -110,30 +110,6 @@ TEST(VidMapTest, ConcurrentCasOnlyOneWinnerPerRound) {
   EXPECT_EQ(wins.load(), 1);
 }
 
-TEST(VidMapTest, BatchAllocationIsContiguous) {
-  VidMap map;
-  Vid a = map.AllocateVidBatch(1000);
-  Vid b = map.AllocateVid();
-  EXPECT_EQ(a, 0u);
-  EXPECT_EQ(b, 1000u);
-}
-
-TEST(VidMapTest, SerializeRoundTrip) {
-  VidMap map;
-  for (int i = 0; i < 2500; ++i) {
-    Vid v = map.AllocateVid();
-    if (i % 3 == 0) map.Set(v, Tid{static_cast<PageNumber>(i), 5});
-  }
-  std::string blob;
-  map.Serialize(&blob);
-  VidMap restored;
-  ASSERT_TRUE(restored.Deserialize(Slice(blob)).ok());
-  EXPECT_EQ(restored.bound(), map.bound());
-  for (Vid v = 0; v < map.bound(); ++v) {
-    EXPECT_EQ(restored.Get(v), map.Get(v)) << v;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // VidMapV.
 // ---------------------------------------------------------------------------
@@ -169,7 +145,7 @@ TEST(VidMapVTest, PopFrontIfUndo) {
   EXPECT_EQ(map.Entrypoint(v), (Tid{1, 0}));
 }
 
-TEST(VidMapVTest, ReplaceAndTruncateForGc) {
+TEST(VidMapVTest, ReplaceTidForGcRelocation) {
   VidMapV map;
   Vid v = map.AllocateVid();
   Tid front{};
@@ -178,38 +154,42 @@ TEST(VidMapVTest, ReplaceAndTruncateForGc) {
     ASSERT_TRUE(map.PushFront(v, front, t));
     front = t;
   }
-  // Relocation: replace version 3's TID.
   EXPECT_TRUE(map.ReplaceTid(v, Tid{3, 0}, Tid{30, 0}));
   EXPECT_FALSE(map.ReplaceTid(v, Tid{3, 0}, Tid{31, 0}));  // gone now
-  // Truncate to the two newest.
-  map.TruncateAfter(v, 2);
   auto vec = map.Get(v);
-  ASSERT_EQ(vec.size(), 2u);
-  EXPECT_EQ(vec[0], (Tid{5, 0}));
-  EXPECT_EQ(vec[1], (Tid{4, 0}));
+  ASSERT_EQ(vec.size(), 5u);
+  EXPECT_EQ(vec[2], (Tid{30, 0}));
 }
 
-TEST(VidMapVTest, SerializeRoundTrip) {
+TEST(VidMapVTest, TrimmingPushKeepsOnlyTheReplacedFront) {
+  obs::Counter* trimmed = obs::MetricsRegistry::Default().GetCounter(
+      "mvcc.vidmap.versions_trimmed");
   VidMapV map;
-  Random rng(4);
-  for (int i = 0; i < 1500; ++i) {
-    Vid v = map.AllocateVid();
-    Tid front{};
-    int depth = static_cast<int>(rng.Uniform(0, 4));
-    for (int d = 0; d < depth; ++d) {
-      Tid t{static_cast<PageNumber>(i * 8 + d), 1};
-      ASSERT_TRUE(map.PushFront(v, front, t));
-      front = t;
-    }
+  Vid v = map.AllocateVid();
+  Tid front{};
+  for (int i = 1; i <= 4; ++i) {
+    Tid t{static_cast<PageNumber>(i), 0};
+    ASSERT_TRUE(map.PushFront(v, front, t));
+    front = t;
   }
-  std::string blob;
-  map.Serialize(&blob);
-  VidMapV restored;
-  ASSERT_TRUE(restored.Deserialize(Slice(blob)).ok());
-  EXPECT_EQ(restored.bound(), map.bound());
-  for (Vid v = 0; v < map.bound(); v += 97) {
-    EXPECT_EQ(restored.Get(v), map.Get(v)) << v;
-  }
+  int64_t before = trimmed->Value();
+  // A trimming push over the committed front {4}: {5, 4}; 3, 2, 1 dropped.
+  ASSERT_TRUE(map.PushFront(v, Tid{4, 0}, Tid{5, 0}, /*trim=*/true));
+  EXPECT_EQ(map.Get(v), (std::vector<Tid>{Tid{5, 0}, Tid{4, 0}}));
+  EXPECT_EQ(trimmed->Value() - before, 3);
+  // A stale expectation fails and trims nothing.
+  EXPECT_FALSE(map.PushFront(v, Tid{4, 0}, Tid{6, 0}, /*trim=*/true));
+  EXPECT_EQ(map.Get(v).size(), 2u);
+  // Trimming the first version of an item, or a two-entry vector down to
+  // two entries, drops nothing.
+  Vid w = map.AllocateVid();
+  ASSERT_TRUE(map.PushFront(w, Tid{}, Tid{7, 0}, /*trim=*/true));
+  ASSERT_TRUE(map.PushFront(w, Tid{7, 0}, Tid{8, 0}, /*trim=*/true));
+  EXPECT_EQ(map.Get(w), (std::vector<Tid>{Tid{8, 0}, Tid{7, 0}}));
+  EXPECT_EQ(trimmed->Value() - before, 3);
+  // Undo of a trimming push leaves the replaced front alone.
+  EXPECT_TRUE(map.PopFrontIf(v, Tid{5, 0}));
+  EXPECT_EQ(map.Get(v), (std::vector<Tid>{Tid{4, 0}}));
 }
 
 // ---------------------------------------------------------------------------
@@ -296,6 +276,27 @@ TEST_F(AppendRegionTest, FreePageIsListedOnce) {
   auto second = region_.Append(Slice(tuple), 2, &clk_);
   ASSERT_TRUE(second.ok());
   EXPECT_NE(second->page, 0u);
+}
+
+TEST_F(AppendRegionTest, TakesAppendsNamesTheOpenAndTheFreePages) {
+  std::string tuple = MakeTuple(3000);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(region_.Append(Slice(tuple), 2, &clk_).ok());
+  }
+  PageNumber open = region_.open_page().page;
+  ASSERT_NE(open, 0u);
+  EXPECT_TRUE(region_.TakesAppends(open));
+  EXPECT_FALSE(region_.TakesAppends(0));  // sealed
+  region_.SealOpenPage();
+  EXPECT_FALSE(region_.TakesAppends(open));
+  region_.AddFreePage(0);
+  EXPECT_TRUE(region_.TakesAppends(0));  // listed free
+  auto tid = region_.Append(Slice(tuple), 2, &clk_);
+  ASSERT_TRUE(tid.ok());
+  EXPECT_EQ(tid->page, 0u);
+  EXPECT_TRUE(region_.TakesAppends(0));  // open again
+  region_.SealOpenPage();
+  EXPECT_FALSE(region_.TakesAppends(0));
 }
 
 TEST_F(AppendRegionTest, SealedPagesAreEvictionEligibleOpenIsNot) {

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <memory>
+#include <thread>
 
 #include "core/sias_table.h"
 #include "device/mem_device.h"
 #include "engine/database.h"
-#include "mvcc/heap_pages.h"
 #include "index/key_codec.h"
+#include "mvcc/epoch.h"
+#include "mvcc/heap_pages.h"
 #include "obs/metrics.h"
 
 namespace sias {
@@ -455,6 +459,76 @@ TEST_P(EngineTest, ReclaimedPagesAreReusedAfterRestart) {
   EXPECT_EQ(sias->region().free_pages().size(), free.size() - 1);
 }
 
+/// What RunMidPassActionOnce runs, once, at the next page GarbageCollect
+/// reaches.
+std::function<void()> g_mid_pass_action;
+
+void RunMidPassActionOnce(PageNumber) {
+  if (g_mid_pass_action) {
+    std::function<void()> action = std::move(g_mid_pass_action);
+    g_mid_pass_action = nullptr;
+    action();
+  }
+}
+
+TEST_P(EngineTest, TickReclaimMidVacuumNeverRecyclesAnOpenPage) {
+  if (GetParam() == VersionScheme::kSi) {
+    GTEST_SKIP() << "SI reuses space by compaction, not by a page free list";
+  }
+  auto* sias = static_cast<SiasTable*>(accounts_->heap());
+  std::vector<Vid> vids = ChurnAccounts();
+  // A thread pinned in an epoch holds the first pass's deferred slot kills
+  // back, so its reclaimed pages are still pending when the next pass
+  // starts.
+  std::atomic<bool> pinned{false}, release{false};
+  std::thread pin([&] {
+    EpochGuard g;
+    pinned.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!pinned.load()) std::this_thread::yield();
+  ASSERT_TRUE(db_->Vacuum(&clk_).ok());
+  size_t free_before = sias->region().free_pages().size();
+
+  // At the second pass's first page the pin goes, a Tick reclaims on the
+  // bgwriter cadence and lists the pending pages free, and updates reopen
+  // one of them, filling it with versions the next updates supersede. The
+  // pass reaches that page while it is open and must leave it alone.
+  g_mid_pass_action = [&] {
+    release.store(true);
+    pin.join();
+    clk_.Advance(DatabaseOptions{}.bgwriter_interval);
+    ASSERT_TRUE(db_->Tick(&clk_).ok());
+    EXPECT_GT(sias->region().free_pages().size(), free_before);
+    for (int i = 1; i <= 30; ++i) UpdateAccount(vids[0], 0, 100 + i);
+  };
+  SiasTable::SetGcPageHookForTest(&RunMidPassActionOnce);
+  Status s = db_->Vacuum(&clk_);
+  SiasTable::SetGcPageHookForTest(nullptr);
+  if (pin.joinable()) {
+    release.store(true);
+    pin.join();
+  }
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_FALSE(g_mid_pass_action);  // the action ran
+
+  std::vector<PageNumber> free = sias->region().free_pages();
+  PageNumber open = sias->region().open_page().page;
+  EXPECT_EQ(std::find(free.begin(), free.end(), open), free.end())
+      << "open page " << open << " is listed free";
+  // Fill the open page and the ones after it: no committed version may be
+  // lost to a page re-init.
+  for (int i = 1; i <= 200; ++i) UpdateAccount(vids[0], 0, 200 + i);
+  auto txn = db_->Begin(&clk_);
+  for (size_t i = 0; i < vids.size(); ++i) {
+    auto row = accounts_->Get(txn.get(), vids[i]);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    ASSERT_TRUE(row->has_value()) << "account " << i;
+    EXPECT_DOUBLE_EQ((*row)->GetDouble(2), i == 0 ? 400.0 : 10.0);
+  }
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+}
+
 // WAL and commit counters moved by `body`.
 struct WalDelta {
   int64_t records, flushes, commits;
@@ -547,6 +621,39 @@ TEST_P(EngineTest, LockOnlyCommitWritesNoRecordAndReleasesItsLocks) {
   ASSERT_TRUE(row->has_value());
   EXPECT_DOUBLE_EQ((*row)->GetDouble(2), 6.0);
   ASSERT_TRUE(db_->Commit(reader.get()).ok());
+}
+
+/// The most retired-but-unreclaimed epoch callbacks a vacuum-free workload
+/// may leave queued. The CI perfbench smoke job checks ycsb_update's
+/// mvcc.epoch.pending_end against the same number.
+constexpr size_t kEpochPendingCap = 4096;
+
+TEST_P(EngineTest, HotItemStaysBoundedWithTickAndNoVacuum) {
+  // Vacuum is off: only in-band trimming bounds the item's vector, and
+  // only Tick's reclaim on the bgwriter cadence drains the epoch queue.
+  ASSERT_EQ(DatabaseOptions{}.vacuum_interval, 0u);
+  Vid vid = InsertAccount(1, "own1", 0.0);
+  auto* sias = dynamic_cast<SiasTable*>(accounts_->heap());
+  size_t max_vector = 0;
+  size_t max_pending = 0;
+  for (int i = 1; i <= 10000; ++i) {
+    UpdateAccount(vid, 1, i);
+    clk_.Advance(kVMillisecond);  // think time: >= 10 s of virtual time
+    ASSERT_TRUE(db_->Tick(&clk_).ok());
+    if (GetParam() == VersionScheme::kSiasV) {
+      max_vector = std::max(max_vector, sias->vid_map_v().Get(vid).size());
+    }
+    max_pending = std::max(max_pending, EpochManager::Global().pending());
+  }
+  if (GetParam() == VersionScheme::kSiasV) {
+    EXPECT_LE(max_vector, 2u);
+  }
+  EXPECT_LT(max_pending, kEpochPendingCap);
+  auto txn = db_->Begin(&clk_);
+  auto row = accounts_->Get(txn.get(), vid);
+  ASSERT_TRUE(row.ok() && row->has_value());
+  EXPECT_DOUBLE_EQ((*row)->GetDouble(2), 10000.0);
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, EngineTest,

@@ -10,6 +10,7 @@
 // drain-to-zero assertions prove reclamation is not just safe but complete.
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <string>
@@ -155,6 +156,36 @@ TEST(EpochTest, QuiesceDrainsEverything) {
   EXPECT_EQ(em.pending(), 0u);
 }
 
+TEST(EpochTest, QuiesceWaitsForCallbacksAnotherReclaimIsRunning) {
+  // A callback another thread's TryReclaim took out of the queue still
+  // counts as pending until it has run, and Quiesce waits for it: teardown
+  // must not free what that callback touches while it runs.
+  EpochManager& em = EpochManager::Global();
+  em.Quiesce();
+  std::atomic<bool> running{false}, release{false}, done{false};
+  em.Retire([&] {
+    running.store(true);
+    while (!release.load()) std::this_thread::yield();
+    done.store(true);
+  });
+  em.Advance();
+  std::thread reclaimer([&] { EXPECT_EQ(em.TryReclaim(), 1u); });
+  while (!running.load()) std::this_thread::yield();
+  EXPECT_EQ(em.pending(), 1u);
+  std::atomic<bool> quiesced{false};
+  std::thread quiescer([&] {
+    em.Quiesce();
+    EXPECT_TRUE(done.load());
+    quiesced.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(quiesced.load());
+  release.store(true);
+  quiescer.join();
+  reclaimer.join();
+  EXPECT_EQ(em.pending(), 0u);
+}
+
 TEST(EpochTest, SlotsAreReleasedAtThreadExitAndReused) {
   // More sequential threads than slots: each must claim, use and release a
   // slot, or ClaimSlot would run out and abort.
@@ -250,6 +281,50 @@ TEST(EpochStressTest, PinnedReadersNeverSeeReclaimedMemory) {
   em.Quiesce();
   EXPECT_EQ(em.pending(), 0u);
   delete published.load(std::memory_order_seq_cst);
+}
+
+TEST(EpochStressTest, RetiresDuringConcurrentReclaimsRunExactlyOnce) {
+  // TryReclaim filters the queue outside its mutex and splices the unripe
+  // entries back: callbacks retired while two reclaimers are filtering
+  // must be neither lost nor run twice, nor missed by a Quiesce.
+  EpochManager& em = EpochManager::Global();
+  em.Quiesce();
+  const int kRetirers = 3;
+  const int per_thread = StressIters(300) * 10;
+  std::atomic<int64_t> ran{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      while (!stop.load(std::memory_order_seq_cst)) {
+        em.Advance();
+        em.TryReclaim();
+      }
+    });
+  }
+  std::vector<std::thread> retirers;
+  for (int t = 0; t < kRetirers; ++t) {
+    retirers.emplace_back([&] {
+      for (int i = 0; i < per_thread; ++i) {
+        // Some retires come from pinned threads, so their entries stay
+        // unripe across several reclaims and get spliced back.
+        if (i % 7 == 0) {
+          EpochGuard pin;
+          em.Retire([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+        } else {
+          em.Retire([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+        }
+      }
+    });
+  }
+  for (auto& t : retirers) t.join();
+  // Quiesce while the reclaimers still run: it must wait for the entries
+  // they hold out of the queue.
+  em.Quiesce();
+  EXPECT_EQ(ran.load(), static_cast<int64_t>(kRetirers) * per_thread);
+  EXPECT_EQ(em.pending(), 0u);
+  stop.store(true, std::memory_order_seq_cst);
+  for (auto& t : threads) t.join();
 }
 
 TEST(EpochStressTest, ReaderPinnedInOldEpochBlocksOnlyItsGeneration) {

@@ -102,6 +102,74 @@ TEST_P(MvccSchemeTest, SnapshotReadersSeeOldVersionDuringUpdate) {
   ASSERT_TRUE(Commit(later.get()).ok());
 }
 
+TEST_P(MvccSchemeTest, RebuildAfterTrimmingWorkloadKeepsFreshReads) {
+  // SIAS-V writers trim vectors in-band, but the dropped versions stay on
+  // their heap pages, so Rebuild() puts them back below newer committed
+  // versions. A fresh snapshot must read the same rows before and after.
+  obs::Counter* trimmed = obs::MetricsRegistry::Default().GetCounter(
+      "mvcc.vidmap.versions_trimmed");
+  int64_t trimmed_before = trimmed->Value();
+  std::vector<Vid> vids;
+  for (int i = 0; i < 6; ++i) {
+    vids.push_back(InsertCommitted(
+        std::string("r").append(std::to_string(i)).append(".0")));
+  }
+  std::unique_ptr<Transaction> pin;  // keeps tails reachable for a while
+  for (int round = 1; round <= 8; ++round) {
+    if (round == 3) pin = Begin();
+    if (round == 6) {
+      ASSERT_TRUE(Commit(pin.get()).ok());
+    }
+    for (size_t i = 0; i < vids.size(); ++i) {
+      if (i == 0 && round > 7) continue;  // deleted in round 7
+      auto t = Begin();
+      const std::string row = std::string("r")
+                                  .append(std::to_string(i))
+                                  .append(".")
+                                  .append(std::to_string(round));
+      Status s = i == 0 && round == 7
+                     ? table_->Delete(t.get(), vids[i])
+                     : table_->Update(t.get(), vids[i], Slice(row));
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      // Item 1 loses every other write to an abort.
+      if (i == 1 && round % 2 == 0) {
+        ASSERT_TRUE(Abort(t.get()).ok());
+      } else {
+        ASSERT_TRUE(Commit(t.get()).ok());
+      }
+    }
+  }
+  auto fresh_reads = [&] {
+    std::vector<std::optional<std::string>> rows;
+    auto t = Begin();
+    for (Vid v : vids) rows.push_back(ReadIn(t.get(), v));
+    EXPECT_TRUE(Commit(t.get()).ok());
+    return rows;
+  };
+  std::vector<std::optional<std::string>> before = fresh_reads();
+  EXPECT_FALSE(before[0].has_value());
+  EXPECT_EQ(before[1].value_or(""), "r1.7");
+  EXPECT_EQ(before[5].value_or(""), "r5.8");
+
+  auto* sias = dynamic_cast<SiasTable*>(table_.get());
+  auto vector_entries = [&] {
+    size_t n = 0;
+    for (Vid v : vids) n += sias->vid_map_v().Get(v).size();
+    return n;
+  };
+  size_t entries_before = 0;
+  if (GetParam() == VersionScheme::kSiasV) {
+    EXPECT_GT(trimmed->Value(), trimmed_before);
+    entries_before = vector_entries();
+  }
+  ASSERT_TRUE(table_->Rebuild().ok());
+  EXPECT_EQ(fresh_reads(), before);
+  if (GetParam() == VersionScheme::kSiasV) {
+    // The trimmed versions are back, below the ones every snapshot sees.
+    EXPECT_GT(vector_entries(), entries_before);
+  }
+}
+
 TEST_P(MvccSchemeTest, LongVersionHistoryEachSnapshotSeesItsVersion) {
   Vid vid = InsertCommitted("v0");
   std::vector<std::unique_ptr<Transaction>> readers;
@@ -762,81 +830,128 @@ TEST_F(PhysicalBehaviourTest, SiasVVectorTracksVersionsNewestFirst) {
   TestEnv env;
   auto table_ptr = env.MakeTable(VersionScheme::kSiasV, 1);
   auto* table = static_cast<SiasTable*>(table_ptr.get());
+  obs::Counter* trimmed = obs::MetricsRegistry::Default().GetCounter(
+      "mvcc.vidmap.versions_trimmed");
   auto t0 = env.txns_.Begin(&clk_);
   auto vid = table->Insert(t0.get(), Slice("v0"));
   ASSERT_TRUE(vid.ok());
   ASSERT_TRUE(env.txns_.Commit(t0.get()).ok());
-  for (int i = 1; i <= 3; ++i) {
+  auto update = [&](const std::string& row) {
     auto t = env.txns_.Begin(&clk_);
-    const std::string row = std::string("v").append(std::to_string(i));
     ASSERT_TRUE(table->Update(t.get(), *vid, Slice(row)).ok());
     ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
+  };
+  auto read = [&](Transaction* t) {
+    auto row = table->Read(t, *vid);
+    EXPECT_TRUE(row.ok());
+    return row.ok() ? row->value_or("<none>") : "<error>";
+  };
+
+  // An old reader pins v0: no writer may drop anything it can reach.
+  auto old_reader = env.txns_.Begin(&clk_);
+  int64_t trimmed_before = trimmed->Value();
+  for (int i = 1; i <= 3; ++i) {
+    update(std::string("v").append(std::to_string(i)));
   }
   std::vector<Tid> vec = table->vid_map_v().Get(*vid);
   ASSERT_EQ(vec.size(), 4u);
-  // Newest first: the entrypoint resolves to "v3".
+  EXPECT_EQ(trimmed->Value(), trimmed_before);
+  EXPECT_EQ(read(old_reader.get()), "v0");
+  // Newest first: a fresh snapshot resolves the entrypoint, "v3".
   auto t = env.txns_.Begin(&clk_);
-  auto row = table->Read(t.get(), *vid);
-  ASSERT_TRUE(row.ok());
-  EXPECT_EQ(row->value_or(""), "v3");
+  EXPECT_EQ(read(t.get()), "v3");
   ASSERT_TRUE(env.txns_.Commit(t.get()).ok());
+  ASSERT_TRUE(env.txns_.Commit(old_reader.get()).ok());
+
+  // With the reader gone, every snapshot sees v3: the next writer keeps
+  // only its new version and v3, and drops v2, v1 and v0.
+  update("v4");
+  std::vector<Tid> trimmed_vec = table->vid_map_v().Get(*vid);
+  ASSERT_EQ(trimmed_vec.size(), 2u);
+  EXPECT_EQ(trimmed_vec[1], vec[0]);
+  EXPECT_EQ(trimmed->Value() - trimmed_before, 3);
+  auto after = env.txns_.Begin(&clk_);
+  EXPECT_EQ(read(after.get()), "v4");
+  ASSERT_TRUE(env.txns_.Commit(after.get()).ok());
 }
 
 TEST_F(PhysicalBehaviourTest, SiasAbortOfMixedWritesRestoresEveryEntrypoint) {
+  // `pinned`: a reader that began before the history was written keeps
+  // every old version reachable, so no writer trims and the abort restores
+  // each vector exactly. Unpinned, the aborted SIAS-V writer trimmed a0
+  // from the first item's vector: the abort restores the entrypoints and
+  // every read, and a0 stays dropped.
   for (VersionScheme scheme :
        {VersionScheme::kSiasChains, VersionScheme::kSiasV}) {
-    SCOPED_TRACE(ToString(scheme));
-    TestEnv env;
-    auto table_ptr = env.MakeTable(scheme, 1);
-    auto* table = static_cast<SiasTable*>(table_ptr.get());
-    std::vector<Vid> vids;
-    auto t0 = env.txns_.Begin(&clk_);
-    for (const char* row : {"a0", "b0", "c0"}) {
-      auto vid = table->Insert(t0.get(), Slice(row));
-      ASSERT_TRUE(vid.ok());
-      vids.push_back(*vid);
-    }
-    ASSERT_TRUE(env.txns_.Commit(t0.get()).ok());
-    auto t1 = env.txns_.Begin(&clk_);
-    ASSERT_TRUE(table->Update(t1.get(), vids[0], Slice("a1")).ok());
-    ASSERT_TRUE(env.txns_.Commit(t1.get()).ok());
-    auto state = [&](Vid vid) {
-      return scheme == VersionScheme::kSiasChains
-                 ? std::vector<Tid>{table->vid_map().Get(vid)}
-                 : table->vid_map_v().Get(vid);
-    };
-    std::vector<std::vector<Tid>> before;
-    for (Vid v : vids) before.push_back(state(v));
+    for (bool pinned : {true, false}) {
+      SCOPED_TRACE(std::string(ToString(scheme)) +
+                   (pinned ? " pinned" : " unpinned"));
+      TestEnv env;
+      auto table_ptr = env.MakeTable(scheme, 1);
+      auto* table = static_cast<SiasTable*>(table_ptr.get());
+      std::vector<Vid> vids;
+      auto t0 = env.txns_.Begin(&clk_);
+      for (const char* row : {"a0", "b0", "c0"}) {
+        auto vid = table->Insert(t0.get(), Slice(row));
+        ASSERT_TRUE(vid.ok());
+        vids.push_back(*vid);
+      }
+      ASSERT_TRUE(env.txns_.Commit(t0.get()).ok());
+      std::unique_ptr<Transaction> pin;
+      if (pinned) pin = env.txns_.Begin(&clk_);
+      auto t1 = env.txns_.Begin(&clk_);
+      ASSERT_TRUE(table->Update(t1.get(), vids[0], Slice("a1")).ok());
+      ASSERT_TRUE(env.txns_.Commit(t1.get()).ok());
+      auto state = [&](Vid vid) {
+        return scheme == VersionScheme::kSiasChains
+                   ? std::vector<Tid>{table->vid_map().Get(vid)}
+                   : table->vid_map_v().Get(vid);
+      };
+      std::vector<std::vector<Tid>> before;
+      for (Vid v : vids) before.push_back(state(v));
 
-    auto t = env.txns_.Begin(&clk_);
-    auto fresh = table->Insert(t.get(), Slice("n0"));
-    ASSERT_TRUE(fresh.ok());
-    ASSERT_TRUE(table->Update(t.get(), vids[0], Slice("a2")).ok());
-    ASSERT_TRUE(table->Update(t.get(), vids[0], Slice("a3")).ok());
-    ASSERT_TRUE(table->Delete(t.get(), vids[1]).ok());
-    ASSERT_TRUE(table->Update(t.get(), vids[2], Slice("c1")).ok());
-    ASSERT_TRUE(table->Delete(t.get(), vids[2]).ok());
-    ASSERT_TRUE(table->Update(t.get(), *fresh, Slice("n1")).ok());
-    EXPECT_EQ(t->writes().size(), 7u);
-    ASSERT_TRUE(env.txns_.Abort(t.get()).ok());
+      auto t = env.txns_.Begin(&clk_);
+      auto fresh = table->Insert(t.get(), Slice("n0"));
+      ASSERT_TRUE(fresh.ok());
+      ASSERT_TRUE(table->Update(t.get(), vids[0], Slice("a2")).ok());
+      ASSERT_TRUE(table->Update(t.get(), vids[0], Slice("a3")).ok());
+      ASSERT_TRUE(table->Delete(t.get(), vids[1]).ok());
+      ASSERT_TRUE(table->Update(t.get(), vids[2], Slice("c1")).ok());
+      ASSERT_TRUE(table->Delete(t.get(), vids[2]).ok());
+      ASSERT_TRUE(table->Update(t.get(), *fresh, Slice("n1")).ok());
+      EXPECT_EQ(t->writes().size(), 7u);
+      ASSERT_TRUE(env.txns_.Abort(t.get()).ok());
 
-    for (size_t i = 0; i < vids.size(); ++i) {
-      EXPECT_EQ(state(vids[i]), before[i]) << "vid " << vids[i];
-    }
-    std::vector<Tid> fresh_state = state(*fresh);
-    EXPECT_TRUE(fresh_state.empty() || fresh_state == std::vector<Tid>{Tid{}})
-        << "aborted insert still has an entrypoint";
-    auto r = env.txns_.Begin(&clk_);
-    const char* expected[] = {"a1", "b0", "c0"};
-    for (size_t i = 0; i < vids.size(); ++i) {
-      auto row = table->Read(r.get(), vids[i]);
+      std::vector<std::vector<Tid>> expected_state = before;
+      if (scheme == VersionScheme::kSiasV && !pinned) {
+        ASSERT_EQ(before[0].size(), 2u);  // {a1, a0}
+        expected_state[0].resize(1);      // {a1}: a0 was trimmed
+      }
+      for (size_t i = 0; i < vids.size(); ++i) {
+        EXPECT_EQ(state(vids[i]), expected_state[i]) << "vid " << vids[i];
+      }
+      std::vector<Tid> fresh_state = state(*fresh);
+      EXPECT_TRUE(fresh_state.empty() ||
+                  fresh_state == std::vector<Tid>{Tid{}})
+          << "aborted insert still has an entrypoint";
+      auto r = env.txns_.Begin(&clk_);
+      const char* expected[] = {"a1", "b0", "c0"};
+      for (size_t i = 0; i < vids.size(); ++i) {
+        auto row = table->Read(r.get(), vids[i]);
+        ASSERT_TRUE(row.ok());
+        EXPECT_EQ(row->value_or("<none>"), expected[i]);
+      }
+      auto row = table->Read(r.get(), *fresh);
       ASSERT_TRUE(row.ok());
-      EXPECT_EQ(row->value_or("<none>"), expected[i]);
+      EXPECT_FALSE(row->has_value());
+      ASSERT_TRUE(env.txns_.Commit(r.get()).ok());
+      if (pin != nullptr) {
+        auto old = table->Read(pin.get(), vids[0]);
+        ASSERT_TRUE(old.ok());
+        EXPECT_EQ(old->value_or("<none>"), "a0");
+        ASSERT_TRUE(env.txns_.Commit(pin.get()).ok());
+      }
     }
-    auto row = table->Read(r.get(), *fresh);
-    ASSERT_TRUE(row.ok());
-    EXPECT_FALSE(row->has_value());
-    ASSERT_TRUE(env.txns_.Commit(r.get()).ok());
   }
 }
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <thread>
 
+#include "core/sias_table.h"
 #include "device/mem_device.h"
 #include "engine/database.h"
 #include "mvcc/mvcc_table.h"
@@ -600,6 +601,68 @@ TEST_P(SiAnomalyTest, RacingGcKeepsVersionForUnpublishedReader) {
   auto after = db_->Begin(&clk_);
   EXPECT_EQ(Value(after.get(), vid), 11);
   ASSERT_TRUE(db_->Commit(after.get()).ok());
+}
+
+/// Pauses the reader at its first template load only: its retry after a
+/// failed validation runs through.
+std::atomic<bool> g_pause_once{false};
+void PauseReaderOnce(TxnPausePoint point) {
+  if (t_race_role == 1 && point == TxnPausePoint::kBeginTemplateLoaded &&
+      g_pause_once.exchange(false)) {
+    g_race_stage.store(1);
+    WaitForStage(3);
+  }
+}
+
+// The same registration window against SIAS-V's in-band trimming: a
+// writer samples the GC horizon when it takes its xid, and two updates trim
+// the item's vector while a reader sits between its template load and its
+// slot publication. The template the reader loaded still treats the first
+// writer as in progress, and only value 10 is visible under it; 10 is
+// trimmed by then. Begin's validation must notice that the template moved,
+// so the reader starts over on a snapshot that sees the newest value.
+TEST_P(SiAnomalyTest, TrimmingWritersKeepVersionForUnpublishedReader) {
+  Vid vid = Put(1, 10);
+  auto first = db_->Begin(&clk_);
+  ASSERT_TRUE(
+      kv_->Update(first.get(), vid, Row{{int64_t{1}, int64_t{11}}}).ok());
+  g_race_stage.store(0);
+  g_pause_once.store(true);
+  db_->txns()->SetPauseHookForTest(&PauseReaderOnce);
+
+  int64_t seen = -1;  // stays -1 if the reader's version was trimmed away
+  Xid reader_xmax = kInvalidXid;
+  std::thread reader_thread([&] {
+    t_race_role = 1;
+    VirtualClock clk;
+    auto reader = db_->Begin(&clk);  // pauses before publishing its slot
+    reader_xmax = reader->snapshot().xmax;
+    auto row = kv_->Get(reader.get(), vid);
+    if (row.ok() && row->has_value()) seen = (*row)->GetInt(1);
+    EXPECT_TRUE(db_->Commit(reader.get()).ok());
+    g_race_stage.store(5);
+  });
+  WaitForStage(1);
+  // The paused reader's template lists `first` as in progress.
+  ASSERT_TRUE(db_->Commit(first.get()).ok());
+  Xid last_writer = kInvalidXid;
+  for (int64_t v : {12, 13}) {
+    auto w = db_->Begin(&clk_);
+    ASSERT_TRUE(kv_->Update(w.get(), vid, Row{{int64_t{1}, v}}).ok());
+    last_writer = w->xid();
+    ASSERT_TRUE(db_->Commit(w.get()).ok());
+  }
+  if (GetParam() == VersionScheme::kSiasV) {
+    // {13, 12}: versions 11 and 10 were trimmed by the two writers.
+    auto* sias = static_cast<SiasTable*>(kv_->heap());
+    EXPECT_EQ(sias->vid_map_v().Get(vid).size(), 2u);
+  }
+  g_race_stage.store(3);  // let the reader publish, validate and read
+  WaitForStage(5);
+  reader_thread.join();
+  db_->txns()->SetPauseHookForTest(nullptr);
+  EXPECT_GT(reader_xmax, last_writer) << "reader kept the stale template";
+  EXPECT_EQ(seen, 13);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SiAnomalyTest,
