@@ -14,6 +14,7 @@
 #include "device/flash_ssd.h"
 #include "device/mem_device.h"
 #include "engine/database.h"
+#include "obs/metrics.h"
 
 using namespace sias;
 
@@ -73,14 +74,18 @@ int main() {
 
   // Release every snapshot; the GC horizon then passes all old versions
   // and vacuum truncates the chain down to the newest committed version.
+  // The engine counts what GC does in the metrics registry.
   for (auto& snap : snapshots) (void)(*db)->Commit(snap.get());
-  GcStats gc;
-  (void)(*db)->Vacuum(&clock, &gc);
+  obs::Counter* discarded = obs::MetricsRegistry::Default().GetCounter(
+      "mvcc.gc.versions_discarded");
+  const int64_t discarded_before = discarded->Value();
+  (void)(*db)->Vacuum(&clock);
   auto after = sias->ChainOf(vid, &clock);
   printf("\nAfter releasing all snapshots and garbage collection: chain has "
-         "%zu reachable version(s), %llu version(s) were discarded.\n",
+         "%zu reachable version(s), %lld version(s) were discarded "
+         "(mvcc.gc.versions_discarded).\n",
          after->size(),
-         static_cast<unsigned long long>(gc.versions_discarded));
+         static_cast<long long>(discarded->Value() - discarded_before));
   auto txn = (*db)->Begin(&clock);
   auto row = docs->Get(txn.get(), vid);
   printf("The current revision is intact: rev %lld \"%s\"\n",

@@ -5,8 +5,8 @@
 #      bench/), using the check set in .clang-tidy.
 #   2. sias-tidy: the project's own checks (sias-epoch-escape,
 #      sias-latch-rank, sias-virtual-time, sias-metric-literal,
-#      sias-rank-table) via tools/sias-tidy/sias_tidy_lite.py, plus a grep
-#      that keeps heap WAL records inside src/mvcc/heap_pages.*.
+#      sias-rank-table, sias-dead-api) via tools/sias-tidy/sias_tidy_lite.py,
+#      plus a grep that keeps heap WAL records inside src/mvcc/heap_pages.*.
 #   3. Python: ruff + mypy --strict over the scripts listed in
 #      pyproject.toml, when those tools are installed.
 #

@@ -167,7 +167,6 @@ bool BufferPool::TryFetchCached(PageId id, PageGuard* out) {
       continue;
     }
     f.referenced.store(true, std::memory_order_relaxed);
-    lockfree_hits_.fetch_add(1, std::memory_order_relaxed);
     m_hits_->Increment();
     *out = PageGuard(this, idx, id);
     return true;
@@ -246,8 +245,6 @@ Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
   }
   if (s.ok()) {
     f.dirty.store(false, std::memory_order_release);
-    stats_.dirty_writebacks++;
-    stats_.flushes_by_source[static_cast<int>(source)]++;
     m_writebacks_->Increment();
     auto pending = pending_reads_.find(f.id);
     if (pending != pending_reads_.end()) {
@@ -301,7 +298,6 @@ Result<size_t> BufferPool::FindVictim(VirtualClock* clk) {
       IndexErase(f.id, idx);
       table_.erase(f.id);
       f.valid = false;
-      stats_.evictions++;
       m_evictions_->Increment();
       return idx;
     }
@@ -326,14 +322,12 @@ Result<BufferPool::AsyncFetch> BufferPool::StartFetch(PageId id,
       Frame& f = frames_[it->second];
       f.pins.fetch_add(1, std::memory_order_acquire);
       f.referenced.store(true, std::memory_order_relaxed);
-      stats_.hits++;
       m_hits_->Increment();
       out.valid = true;
       out.resident = true;
       out.guard = PageGuard(this, it->second, id);
       return out;
     }
-    stats_.misses++;
     m_misses_->Increment();
     SIAS_ASSIGN_OR_RETURN(offset, disk_->PageOffset(id.relation, id.page));
     SIAS_ASSIGN_OR_RETURN(out.frame, FindVictim(clk));
@@ -588,13 +582,6 @@ std::vector<PageId> BufferPool::DirtyPages() const {
   for (const auto& f : frames_) {
     if (f.valid && f.dirty.load(std::memory_order_acquire)) out.push_back(f.id);
   }
-  return out;
-}
-
-BufferPoolStats BufferPool::stats() const {
-  MutexLock lock(&mu_);
-  BufferPoolStats out = stats_;
-  out.hits += lockfree_hits_.load(std::memory_order_relaxed);
   return out;
 }
 

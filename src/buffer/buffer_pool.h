@@ -29,26 +29,13 @@ namespace sias {
 
 class BufferPool;
 
-/// Why a page got written to the device (Table 1 decomposition).
+/// Why a page got written to the device. Bgwriter and checkpoint writes are
+/// paced background I/O; eviction and explicit flushes pay foreground time.
 enum class FlushSource : int {
   kEviction = 0,
   kBackgroundWriter = 1,
   kCheckpoint = 2,
   kExplicit = 3,
-};
-
-struct BufferPoolStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t dirty_writebacks = 0;
-  uint64_t flushes_by_source[4] = {0, 0, 0, 0};
-
-  double HitRate() const {
-    uint64_t total = hits + misses;
-    return total ? static_cast<double>(hits) / static_cast<double>(total)
-                 : 1.0;
-  }
 };
 
 /// RAII pin + latch over one buffered page. Movable, not copyable.
@@ -218,8 +205,6 @@ class BufferPool {
   };
   std::vector<DirtyPageInfo> DirtyPagesWithFlags(bool clear_referenced = false);
 
-  BufferPoolStats stats() const;
-  size_t num_frames() const { return frames_.size(); }
   DiskManager* disk() { return disk_; }
 
  private:
@@ -297,7 +282,6 @@ class BufferPool {
   std::vector<std::atomic<uint32_t>> index_;
   size_t index_mask_ = 0;
   size_t clock_hand_ SIAS_GUARDED_BY(mu_) = 0;
-  BufferPoolStats stats_ SIAS_GUARDED_BY(mu_);
   /// Device reads in flight per page (StartFetch misses not yet finished or
   /// abandoned), with the sequence number of the page's latest write-back
   /// while any of them was in flight. Only misses and write-backs touch it.
@@ -307,9 +291,7 @@ class BufferPool {
   };
   std::unordered_map<PageId, PendingRead> pending_reads_ SIAS_GUARDED_BY(mu_);
   uint64_t writeback_seq_ SIAS_GUARDED_BY(mu_) = 0;
-  /// Hits served by TryFetchCached (merged into stats().hits).
-  std::atomic<uint64_t> lockfree_hits_{0};
-
+  /// The pool's only hit/miss/eviction/write-back tallies (buffer.*).
   obs::Counter* m_hits_;
   obs::Counter* m_misses_;
   obs::Counter* m_evictions_;

@@ -37,6 +37,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/analysis_annotations.h"
+
 namespace sias {
 
 /// Global latch acquisition order (ascending). Values leave gaps so new
@@ -105,6 +107,7 @@ bool IsHeld(const void* latch);
 void AssertHeld(const void* latch);
 
 /// Number of latches the calling thread currently holds (tests).
+SIAS_DEAD_API_OK("latch_check_test checks the held set it reports");
 size_t HeldCount();
 
 // -- Epoch-aware rules ------------------------------------------------------
@@ -125,6 +128,7 @@ void OnEpochEnter();
 void OnEpochExit();
 
 /// Epoch nesting depth recorded for the calling thread (tests).
+SIAS_DEAD_API_OK("latch_check_test checks the epoch nesting it reports");
 size_t EpochDepth();
 
 }  // namespace check

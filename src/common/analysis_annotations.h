@@ -4,8 +4,9 @@
 // capability attributes; the sias-tidy checks match these macro names in
 // the source text rather than anything the compiler emits.
 //
-// SIAS_EPOCH_PROTECTED expands to nothing and SIAS_WALLCLOCK_OK to a
-// static_assert, so annotating is always free at runtime.
+// SIAS_EPOCH_PROTECTED expands to nothing, SIAS_WALLCLOCK_OK and
+// SIAS_DEAD_API_OK to a static_assert, so annotating is always free at
+// runtime.
 #pragma once
 
 // Marks a function or method whose returned pointer (or pointee handle)
@@ -44,3 +45,20 @@
   static_assert(sizeof(justification) > 1,                            \
                 "SIAS_WALLCLOCK_OK requires a non-empty justification \
 string")
+
+// Audited-waiver marker for the sias-dead-api check, which flags a function
+// declared in a src/ header that nothing in src/, bench/, perfbench/,
+// examples/ or tools/ calls: a test calling it does not make it live. A
+// deliberate test hook, which exists so tests can steer or observe the
+// engine, takes this waiver on its declaration line or within the five
+// lines above it, with a justification naming the tests that use it:
+//
+//   SIAS_DEAD_API_OK("txn_test pauses Begin between its publish steps");
+//   void SetPauseHookForTest(void (*hook)(TxnPausePoint));
+//
+// One waiver excuses one declaration. Empty strings fail to compile, and
+// the check reports a waiver as stale once its declaration has a caller
+// outside tests, or when no declaration follows it.
+#define SIAS_DEAD_API_OK(justification)                               \
+  static_assert(sizeof(justification) > 1,                            \
+                "SIAS_DEAD_API_OK requires a non-empty justification")

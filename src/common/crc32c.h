@@ -14,9 +14,5 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t init = 0);
 inline uint32_t MaskCrc(uint32_t crc) {
   return ((crc >> 15) | (crc << 17)) + 0xa282ead8u;
 }
-inline uint32_t UnmaskCrc(uint32_t masked) {
-  uint32_t rot = masked - 0xa282ead8u;
-  return (rot << 15) | (rot >> 17);
-}
 
 }  // namespace sias

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/analysis_annotations.h"
 #include "common/types.h"
 
 namespace sias {
@@ -22,7 +23,9 @@ class Histogram {
   uint64_t count() const { return count_; }
   double Mean() const;
   /// Exact total of recorded values (not bucket-quantized).
+  SIAS_DEAD_API_OK("mvcc_test and span_test check recorded totals");
   double Sum() const { return sum_; }
+  SIAS_DEAD_API_OK("common_test and epoch_test check the recorded minimum");
   VDuration Min() const { return count_ ? min_ : 0; }
   VDuration Max() const { return max_; }
   /// p in [0, 100].

@@ -24,6 +24,7 @@
 #include <thread>
 
 #include "check/latch_order.h"
+#include "common/analysis_annotations.h"
 #include "common/thread_annotations.h"
 
 namespace sias {
@@ -116,6 +117,7 @@ class SIAS_CAPABILITY("spinlatch") SpinLatch {
     }
   }
 
+  SIAS_DEAD_API_OK("latch_check_test drives the validator's try-acquire path");
   bool TryLock() SIAS_TRY_ACQUIRE(true) {
     bool acquired = !flag_.exchange(true, std::memory_order_acquire);
     if (acquired) latch_detail::RecordTryAcquire(this, rank_);
@@ -132,8 +134,6 @@ class SIAS_CAPABILITY("spinlatch") SpinLatch {
   void AssertHeld() const SIAS_ASSERT_CAPABILITY(this) {
     latch_detail::RecordAssertHeld(this);
   }
-
-  LatchRank rank() const { return rank_; }
 
  private:
   std::atomic<bool> flag_{false};
@@ -170,6 +170,7 @@ class SIAS_CAPABILITY("mutex") Mutex {
     mu_.lock();
   }
 
+  SIAS_DEAD_API_OK("latch_check_test drives the validator's try-acquire path");
   bool TryLock() SIAS_TRY_ACQUIRE(true) {
     bool acquired = mu_.try_lock();
     if (acquired) latch_detail::RecordTryAcquire(this, rank_);
@@ -196,8 +197,6 @@ class SIAS_CAPABILITY("mutex") Mutex {
     latch_detail::RecordRelease(this);
     mu_.unlock();
   }
-
-  LatchRank rank() const { return rank_; }
 
  private:
   std::mutex mu_;
@@ -230,6 +229,7 @@ class SIAS_CAPABILITY("shared_mutex") SharedMutex {
     latch_detail::RecordAcquire(this, rank_);
     mu_.lock();
   }
+  SIAS_DEAD_API_OK("latch_check_test drives the validator's try-acquire path");
   bool TryLock() SIAS_TRY_ACQUIRE(true) {
     bool acquired = mu_.try_lock();
     if (acquired) latch_detail::RecordTryAcquire(this, rank_);
@@ -257,8 +257,6 @@ class SIAS_CAPABILITY("shared_mutex") SharedMutex {
   void AssertHeld() const SIAS_ASSERT_CAPABILITY(this) {
     latch_detail::RecordAssertHeld(this);
   }
-
-  LatchRank rank() const { return rank_; }
 
  private:
   std::shared_mutex mu_;

@@ -8,16 +8,15 @@ namespace sias {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Global log threshold; messages below it are suppressed.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
+/// Log threshold; messages below it are suppressed.
+inline constexpr LogLevel kLogLevel = LogLevel::kWarn;
 
 }  // namespace sias
 
 #define SIAS_LOG(level, ...)                                          \
   do {                                                                \
     if (static_cast<int>(level) >=                                    \
-        static_cast<int>(::sias::GetLogLevel())) {                    \
+        static_cast<int>(::sias::kLogLevel)) {                        \
       fprintf(stderr, "[%s] ",                                        \
               level == ::sias::LogLevel::kDebug  ? "DEBUG"            \
               : level == ::sias::LogLevel::kInfo ? "INFO"             \

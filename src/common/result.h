@@ -41,10 +41,6 @@ class Result {
   const T* operator->() const { return &ValueOrDie(); }
   T* operator->() { return &ValueOrDie(); }
 
-  T ValueOr(T fallback) const {
-    return ok() ? *value_ : std::move(fallback);
-  }
-
  private:
   std::optional<T> value_;
   Status status_;

@@ -28,9 +28,6 @@ class Slice {
   std::string ToString() const {
     return std::string(reinterpret_cast<const char*>(data_), size_);
   }
-  std::string_view View() const {
-    return std::string_view(reinterpret_cast<const char*>(data_), size_);
-  }
 
   /// memcmp ordering (the ordering used by byte-comparable index keys).
   int Compare(const Slice& other) const {

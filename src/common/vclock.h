@@ -56,14 +56,6 @@ class AtomicVTime {
     }
   }
 
-  /// Raises the mark to at least `t` (used for makespan tracking).
-  void RaiseTo(VTime t) {
-    VTime cur = t_.load(std::memory_order_relaxed);
-    while (cur < t &&
-           !t_.compare_exchange_weak(cur, t, std::memory_order_acq_rel)) {
-    }
-  }
-
  private:
   std::atomic<VTime> t_;
 };

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "common/analysis_annotations.h"
 #include "common/latch.h"
 #include "common/result.h"
 #include "common/types.h"
@@ -47,12 +48,14 @@ class AppendRegion {
   bool TakesAppends(PageNumber page) const;
 
   /// Currently open (filling) page, if any.
+  SIAS_DEAD_API_OK("core_test and engine_test find the page appends fill");
   PageId open_page() const;
 
   /// Seals the open page (used before clean shutdown).
   void SealOpenPage();
 
   /// The reclaimed pages the next appends may reopen, in reuse order.
+  SIAS_DEAD_API_OK("core_test and engine_test inspect the free list");
   std::vector<PageNumber> free_pages() const;
 
   AppendRegionStats stats() const;

@@ -664,8 +664,7 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
   return Status::OK();
 }
 
-Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
-                                 GcStats* stats) {
+Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk) {
   // §6 Space Reclamation: (i) pick victim pages, (ii) re-insert live
   // versions, (iii) discard dead versions; reclaimed pages are recycled by
   // the append region.
@@ -706,12 +705,24 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
       return true;
     });
     if (!inventory.ok()) return inventory.status();
-    if (stats != nullptr) stats->pages_examined++;
     MvccObs().gc_pages_examined->Increment();
     if (slots.empty()) {
       // Nothing live, nothing published: reusable at once. This is how a
       // page reclaimed before a restart (all its slots dead) comes back.
       region_.AddFreePage(p);
+      continue;
+    }
+
+    // Insert takes no row lock, so the item locks below do not keep GC off
+    // an uncommitted insert: relocating it would leave the inserter's abort
+    // undoing against the old TID, and the entrypoint on the aborted copy.
+    // Skip a page holding a version whose creator is still running (retry
+    // on the next GC cycle). A creator that has finished stays finished, so
+    // checking the inventory once is enough.
+    const Clog& clog = *env_.txns->clog();
+    if (std::any_of(slots.begin(), slots.end(), [&](const VersionRef& s) {
+          return clog.Get(s.header.xmin) == TxnStatus::kInProgress;
+        })) {
       continue;
     }
 
@@ -858,7 +869,6 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
           }
           Tid new_tid = *nr;
           remap[it->tid.Pack()] = new_tid;
-          if (stats != nullptr) stats->versions_relocated++;
           MvccObs().gc_versions_relocated->Increment();
 
           // Fix the reference to this version.
@@ -893,11 +903,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
         }
       }
       // Unpublish is complete: no map path references this page any more.
-      // Stats are counted at enqueue: the reclamation decision is made here.
-      if (stats != nullptr) {
-        stats->versions_discarded += slots.size() - live_on_page;
-        stats->pages_reclaimed++;
-      }
+      // Counted at enqueue: the reclamation decision is made here.
       MvccObs().gc_versions_discarded->Add(
           static_cast<int64_t>(slots.size() - live_on_page));
       MvccObs().gc_pages_reclaimed->Increment();
@@ -912,7 +918,6 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk,
       for (const auto& s : slots) {
         if (is_live_here(s.header.vid, s.tid)) continue;
         dead_slots.push_back(s.tid.slot);
-        if (stats != nullptr) stats->versions_discarded++;
         MvccObs().gc_versions_discarded->Increment();
         if (scheme_ == VersionScheme::kSiasChains &&
             item_dead[s.header.vid]) {

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/analysis_annotations.h"
 #include "core/append_region.h"
 #include "core/vid_map.h"
 #include "core/vid_map_v.h"
@@ -74,8 +75,7 @@ class SiasTable : public MvccTable {
   Status ScanWithTid(Transaction* txn,
                      const VersionScanCallback& cb) override;
   Vid vid_bound() const override;
-  Status GarbageCollect(Xid horizon, VirtualClock* clk,
-                        GcStats* stats) override;
+  Status GarbageCollect(Xid horizon, VirtualClock* clk) override;
   /// Rebuilds the VidMap from the committed versions in the heap.
   Status Rebuild() override;
 
@@ -101,11 +101,13 @@ class SiasTable : public MvccTable {
   /// *before* any version is dereferenced — the window the epoch protocol
   /// must protect against concurrent vacuum reclamation. Pass nullptr to
   /// disarm. Costs one relaxed atomic load per probe when disarmed.
+  SIAS_DEAD_API_OK("epoch_visibility_test pauses a reader mid-walk");
   static void SetReadPauseHookForTest(void (*hook)(Vid));
 
   /// Test-only schedule control: when set, GarbageCollect invokes the hook
   /// as it reaches each page, before deciding whether to skip it, with no
   /// latch or row lock held. Pass nullptr to disarm.
+  SIAS_DEAD_API_OK("engine_test reclaims as a GC pass reaches a page");
   static void SetGcPageHookForTest(void (*hook)(PageNumber));
 
  private:

@@ -43,12 +43,6 @@ class ChannelCalendar {
     return start;
   }
 
-  /// Latest reserved end (diagnostics).
-  VTime horizon() const {
-    MutexLock g(&mu_);
-    return intervals_.empty() ? 0 : intervals_.back().end;
-  }
-
   /// Cumulative reserved (busy) virtual time across the calendar's lifetime.
   /// Dividing by the makespan yields the channel's utilisation.
   VDuration busy_total() const {

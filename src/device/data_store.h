@@ -53,12 +53,6 @@ class DataStore {
     }
   }
 
-  /// Number of materialized 4 KB chunks (memory footprint probe).
-  size_t chunk_count() const {
-    MutexLock g(&mu_);
-    return chunks_.size();
-  }
-
  private:
   /// Rank kDeviceStore: terminal leaf of the device layer.
   mutable Mutex mu_{LatchRank::kDeviceStore};

@@ -257,7 +257,6 @@ class StorageDevice {
   /// Attaches a block-trace recorder (may be nullptr to detach). The
   /// recorder sees every host-level I/O with its virtual start time.
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
-  TraceRecorder* trace() const { return trace_; }
 
  protected:
   /// A recorded (but not yet reaped) asynchronous completion.

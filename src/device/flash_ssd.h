@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/analysis_annotations.h"
 #include "common/latch.h"
 #include "device/channel_calendar.h"
 #include "device/data_store.h"
@@ -66,6 +67,7 @@ class FlashSsd : public StorageDevice {
 
   /// Internal consistency probe for tests: checks that the logical->physical
   /// mapping is injective and agrees with the reverse map.
+  SIAS_DEAD_API_OK("device_test and integration_test check the FTL maps");
   Status CheckFtlInvariants() const;
 
  private:

@@ -29,9 +29,6 @@ class Raid0 : public StorageDevice {
   /// Member telemetries merged (channels concatenate in member order).
   DeviceTelemetry telemetry() const override;
 
-  size_t num_members() const { return members_.size(); }
-  StorageDevice* member(size_t i) { return members_[i].get(); }
-
  private:
   struct Segment {
     size_t member;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/analysis_annotations.h"
 #include "common/latch.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -33,8 +34,11 @@ class TraceRecorder {
   void Clear();
 
   std::vector<TraceEvent> events() const;
+  SIAS_DEAD_API_OK("device_test and property_test check traced volume");
   uint64_t total_bytes_written() const;
+  SIAS_DEAD_API_OK("device_test and property_test check traced volume");
   uint64_t total_bytes_read() const;
+  SIAS_DEAD_API_OK("device_test checks the trace ring's overflow count");
   uint64_t dropped_events() const;
 
   /// Writes a CSV ("time_ms,offset_mb,len,op") usable for scatter plots like

@@ -18,6 +18,14 @@ namespace sias {
 
 namespace {
 constexpr uint64_t kControlMagic = 0x534941534442ull;  // "SIASDB"
+/// Reserved control region at the start of the data device.
+constexpr uint64_t kControlRegionBytes = 4ull << 20;
+/// Non-append dirty pages flushed per bgwriter pass. The PostgreSQL-era
+/// budget is tiny — the bulk of write traffic comes from checkpoints and
+/// dirty evictions, which is what the paper's Table 1 measures. Append pages
+/// (SIAS) are exempt from the budget: draining sealed pages is the
+/// flush-threshold policy itself.
+constexpr size_t kBgWriterPagesPerPass = 16;
 
 // Control-block slot layout:
 //   [magic u64][seq u64][ckpt_lsn u64][dm_len u32][dm bytes]
@@ -41,7 +49,7 @@ Result<std::unique_ptr<Database>> Database::Open(const DatabaseOptions& opts) {
   }
   std::unique_ptr<Database> db(new Database(opts));
   db->disk_ = std::make_unique<DiskManager>(opts.data_device,
-                                            opts.control_region_bytes);
+                                            kControlRegionBytes);
   if (opts.wal_device != nullptr) {
     db->wal_ = std::make_unique<WalWriter>(opts.wal_device, 0,
                                            opts.wal_limit_bytes);
@@ -128,12 +136,6 @@ Result<Table*> Database::CreateTable(const std::string& name, Schema schema,
   return ptr;
 }
 
-Table* Database::GetTable(const std::string& name) {
-  MutexLock g(&catalog_mu_);
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
-}
-
 Status Database::CreateIndex(Table* table, const std::string& index_name,
                              KeyExtractor extractor) {
   return CreateIndex(table, index_name, std::move(extractor),
@@ -166,19 +168,11 @@ std::unique_ptr<Transaction> Database::Begin(VirtualClock* clock) {
 
 Status Database::Commit(Transaction* txn) {
   Status s = txns_.Commit(txn);
-  if (s.ok()) {
-    committed_.Increment();
-  } else {
-    aborted_.Increment();
-  }
   if (txn->clock() != nullptr) AdvanceMakespan(txn->clock()->now());
   return s;
 }
 
-Status Database::Abort(Transaction* txn) {
-  aborted_.Increment();
-  return txns_.Abort(txn);
-}
+Status Database::Abort(Transaction* txn) { return txns_.Abort(txn); }
 
 void Database::AdvanceMakespan(VTime now) {
   std::atomic<VTime>& shard =
@@ -250,9 +244,7 @@ Status Database::BgWriterPass(VirtualClock* clk) {
     }
   }
 
-  size_t budget = opts_.bgwriter_pages_per_pass == 0
-                      ? ~size_t{0}
-                      : opts_.bgwriter_pages_per_pass;
+  size_t budget = kBgWriterPagesPerPass;
   for (const auto& info : pool_->DirtyPagesWithFlags(
            /*clear_referenced=*/true)) {
     bool append_page = (info.page_flags & kPageFlagAppendRegion) != 0;
@@ -368,7 +360,7 @@ Status Database::WriteControlBlock(Lsn checkpoint_lsn, VirtualClock* clk) {
   blob += cl;
   PutFixed64(&blob, txns_.NextXid());
   PutFixed32(&blob, MaskCrc(Crc32c(blob.data(), blob.size())));
-  const uint64_t slot_bytes = opts_.control_region_bytes / 2;
+  const uint64_t slot_bytes = kControlRegionBytes / 2;
   if (blob.size() > slot_bytes) {
     return Status::OutOfSpace("control block exceeds its slot");
   }
@@ -396,7 +388,7 @@ Result<Lsn> Database::ReadControlBlock() {
   // Parse both slots; the highest-sequence one with a valid CRC wins. A
   // fresh device has neither; a crash mid-write leaves at most the slot
   // being written invalid.
-  const uint64_t slot_bytes = opts_.control_region_bytes / 2;
+  const uint64_t slot_bytes = kControlRegionBytes / 2;
   struct Parsed {
     uint64_t seq;
     Lsn lsn;
@@ -610,7 +602,7 @@ Status Database::Recover(const RecoverOptions& ropts) {
   return done;
 }
 
-Status Database::Vacuum(VirtualClock* clk, GcStats* stats) {
+Status Database::Vacuum(VirtualClock* clk) {
   bool expected = false;
   if (!vacuum_running_.compare_exchange_strong(expected, true)) {
     return Status::OK();  // another pass is in flight; see header comment
@@ -631,7 +623,7 @@ Status Database::Vacuum(VirtualClock* clk, GcStats* stats) {
     for (auto& [name, table] : tables_) tables.push_back(table.get());
   }
   for (Table* t : tables) {
-    SIAS_RETURN_NOT_OK(t->GarbageCollect(horizon, clk, stats));
+    SIAS_RETURN_NOT_OK(t->GarbageCollect(horizon, clk));
     // MV-PBT partition flush/merge rides the vacuum cadence (B+-trees
     // no-op here).
     SIAS_RETURN_NOT_OK(t->MaintainIndexes(horizon, clk));
@@ -651,16 +643,9 @@ Status Database::Vacuum(VirtualClock* clk, GcStats* stats) {
 DatabaseStats Database::stats() const {
   DatabaseStats s;
   s.device = opts_.data_device->stats();
-  s.pool = pool_->stats();
-  if (wal_ != nullptr) {
-    s.wal_appended_bytes = wal_->appended_bytes();
-    s.wal_written_bytes = wal_->written_bytes();
-  }
   s.heap_allocated_bytes = disk_->allocated_bytes();
   s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   s.bgwriter_passes = bgwriter_passes_.load(std::memory_order_relaxed);
-  s.committed = static_cast<uint64_t>(committed_.Value());
-  s.aborted = static_cast<uint64_t>(aborted_.Value());
   return s;
 }
 
@@ -675,22 +660,11 @@ obs::MetricsSnapshot Database::DumpMetrics() {
   reg.GetGauge("db.device.write_ops")->Set(static_cast<int64_t>(s.device.write_ops));
   reg.GetGauge("db.device.read_bytes")->Set(static_cast<int64_t>(s.device.bytes_read));
   reg.GetGauge("db.device.write_bytes")->Set(static_cast<int64_t>(s.device.bytes_written));
-  reg.GetGauge("db.pool.hits")->Set(static_cast<int64_t>(s.pool.hits));
-  reg.GetGauge("db.pool.misses")->Set(static_cast<int64_t>(s.pool.misses));
-  reg.GetGauge("db.pool.evictions")->Set(static_cast<int64_t>(s.pool.evictions));
-  reg.GetGauge("db.pool.dirty_writebacks")
-      ->Set(static_cast<int64_t>(s.pool.dirty_writebacks));
-  reg.GetGauge("db.wal.appended_bytes")
-      ->Set(static_cast<int64_t>(s.wal_appended_bytes));
-  reg.GetGauge("db.wal.written_bytes")
-      ->Set(static_cast<int64_t>(s.wal_written_bytes));
   reg.GetGauge("db.heap_allocated_bytes")
       ->Set(static_cast<int64_t>(s.heap_allocated_bytes));
   reg.GetGauge("db.checkpoints")->Set(static_cast<int64_t>(s.checkpoints));
   reg.GetGauge("db.bgwriter_passes")
       ->Set(static_cast<int64_t>(s.bgwriter_passes));
-  reg.GetGauge("db.txn.committed")->Set(static_cast<int64_t>(s.committed));
-  reg.GetGauge("db.txn.aborted")->Set(static_cast<int64_t>(s.aborted));
   reg.GetGauge("db.txn.active")
       ->Set(static_cast<int64_t>(txns_.ActiveCount()));
   Xid oldest = txns_.OldestActiveXid();

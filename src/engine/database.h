@@ -22,6 +22,7 @@
 #include <string>
 
 #include "buffer/buffer_pool.h"
+#include "common/analysis_annotations.h"
 #include "common/latch.h"
 #include "core/sias_table.h"
 #include "engine/table.h"
@@ -50,19 +51,11 @@ struct DatabaseOptions {
   FlushPolicy flush_policy = FlushPolicy::kT2Checkpoint;
   VDuration bgwriter_interval = 200 * kVMillisecond;
   VDuration checkpoint_interval = 30 * kVSecond;
-  /// Non-append dirty pages flushed per bgwriter pass (0 = all). The
-  /// PostgreSQL-era default budget is tiny — the bulk of write traffic
-  /// comes from checkpoints and dirty evictions, which is what the paper's
-  /// Table 1 measures. Append pages (SIAS) are exempt from the budget:
-  /// draining sealed pages is the flush-threshold policy itself.
-  size_t bgwriter_pages_per_pass = 16;
   /// Engine-driven GC cadence: Tick() runs Vacuum() (version GC + device
   /// TRIM of reclaimed append pages) every `vacuum_interval` of virtual
   /// time. 0 disables it — GC then only runs via explicit Vacuum() calls.
   VDuration vacuum_interval = 0;
   int lock_timeout_ms = 1000;
-  /// Reserved control region at the start of the data device.
-  uint64_t control_region_bytes = 4ull << 20;
   uint64_t wal_limit_bytes = 4ull << 30;
 };
 
@@ -75,16 +68,15 @@ struct RecoverOptions {
   int64_t skip_redo_record = -1;
 };
 
+/// Per-database totals the process-wide registry cannot give: the data
+/// device's own stats and the engine's allocation and maintenance counts.
+/// Buffer, WAL and transaction events are counted once, in the buffer.*,
+/// wal.* and txn.* registry counters.
 struct DatabaseStats {
   DeviceStats device;
-  BufferPoolStats pool;
-  uint64_t wal_appended_bytes = 0;
-  uint64_t wal_written_bytes = 0;
   uint64_t heap_allocated_bytes = 0;
   uint64_t checkpoints = 0;
   uint64_t bgwriter_passes = 0;
-  uint64_t committed = 0;
-  uint64_t aborted = 0;
 };
 
 /// The engine. All public methods are thread-safe.
@@ -98,7 +90,6 @@ class Database {
   /// tables in the same order after a crash binds them to their data.
   Result<Table*> CreateTable(const std::string& name, Schema schema,
                              VersionScheme scheme);
-  Table* GetTable(const std::string& name);
 
   /// Adds a B+-tree index on `table` (key,TID under SI; key,VID under SIAS).
   Status CreateIndex(Table* table, const std::string& index_name,
@@ -142,7 +133,7 @@ class Database {
   /// its epoch-deferred slot kills. A call that finds another vacuum in flight
   /// returns OK without doing work (the running pass covers the cadence;
   /// single-threaded callers are never skipped).
-  Status Vacuum(VirtualClock* clk, GcStats* stats = nullptr);
+  Status Vacuum(VirtualClock* clk);
 
   /// Crash recovery: restores the control block, replays the WAL, aborts
   /// in-flight transactions, rebuilds VidMaps/locators and indexes.
@@ -158,15 +149,16 @@ class Database {
   BufferPool* pool() { return pool_.get(); }
   DiskManager* disk() { return disk_.get(); }
   WalWriter* wal() { return wal_.get(); }
-  const DatabaseOptions& options() const { return opts_; }
   DatabaseStats stats() const;
 
-  /// Refreshes the `db.*` gauges (device/pool/WAL totals, active
-  /// transactions, GC-horizon lag) from engine state and returns a snapshot
+  /// Refreshes the `db.*` gauges (device totals, heap allocation, maintenance
+  /// passes, active transactions, GC-horizon lag) from engine state and
+  /// returns a snapshot
   /// of the process-wide metrics registry. See docs/OBSERVABILITY.md.
   obs::MetricsSnapshot DumpMetrics();
 
   /// Makespan across all terminal clocks (advanced by Tick / Commit).
+  SIAS_DEAD_API_OK("integration_test resumes its bursts at the makespan");
   VTime max_vtime() const;
 
  private:
@@ -231,8 +223,6 @@ class Database {
 
   std::atomic<uint64_t> checkpoints_{0};
   std::atomic<uint64_t> bgwriter_passes_{0};
-  obs::Counter committed_;
-  obs::Counter aborted_;
 };
 
 }  // namespace sias

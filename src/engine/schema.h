@@ -30,14 +30,6 @@ class Schema {
   size_t num_columns() const { return columns_.size(); }
   const Column& column(size_t i) const { return columns_[i]; }
 
-  /// Index of a column by name, or -1.
-  int Find(const std::string& name) const {
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      if (columns_[i].name == name) return static_cast<int>(i);
-    }
-    return -1;
-  }
-
  private:
   std::vector<Column> columns_;
 };

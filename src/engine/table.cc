@@ -254,8 +254,8 @@ Status Table::IndexOnlyRange(Transaction* txn, size_t index_id, Slice lo,
   return s;
 }
 
-Status Table::GarbageCollect(Xid horizon, VirtualClock* clk, GcStats* stats) {
-  return heap_->GarbageCollect(horizon, clk, stats);
+Status Table::GarbageCollect(Xid horizon, VirtualClock* clk) {
+  return heap_->GarbageCollect(horizon, clk);
 }
 
 Status Table::MaintainIndexes(Xid horizon, VirtualClock* clk) {

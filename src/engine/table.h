@@ -40,7 +40,6 @@ class Table {
   void AttachIndex(std::string index_name,
                    std::unique_ptr<SecondaryIndex> index,
                    KeyExtractor extractor);
-  size_t num_indexes() const { return indexes_.size(); }
   SecondaryIndex* index(size_t i) { return indexes_[i].index.get(); }
 
   Result<Vid> Insert(Transaction* txn, const Row& row);
@@ -76,7 +75,7 @@ class Table {
                         Slice hi, const KeyVidCallback& cb);
 
   /// Garbage collection of the heap (indexes clean lazily on lookup).
-  Status GarbageCollect(Xid horizon, VirtualClock* clk, GcStats* stats);
+  Status GarbageCollect(Xid horizon, VirtualClock* clk);
 
   /// Vacuum-driven index maintenance (MV-PBT partition flush/merge).
   Status MaintainIndexes(Xid horizon, VirtualClock* clk);

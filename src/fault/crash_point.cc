@@ -1,49 +1,17 @@
 #include "fault/crash_point.h"
 
-#include <algorithm>
-#include <set>
-
-#include "common/latch.h"
 #include "fault/fault_injector.h"
 
 namespace sias {
 namespace fault {
-
 namespace internal {
 
 std::atomic<FaultInjector*> g_armed_injector{nullptr};
 
-namespace {
-// Process-wide name registry. Guarded by its own unranked mutex: the
-// registry is only touched on the armed slow path and from test code.
-struct Registry {
-  Mutex mu;
-  std::set<std::string> names;
-};
-Registry& GlobalRegistry() {
-  static Registry* r = new Registry;
-  return *r;
-}
-}  // namespace
-
-void RegisterCrashPoint(const char* name) {
-  Registry& r = GlobalRegistry();
-  MutexLock g(&r.mu);
-  r.names.insert(name);
-}
-
 Status DispatchCrashPoint(FaultInjector* injector, const char* name) {
-  RegisterCrashPoint(name);
   return injector->OnCrashPoint(name);
 }
 
 }  // namespace internal
-
-std::vector<std::string> RegisteredCrashPoints() {
-  internal::Registry& r = internal::GlobalRegistry();
-  MutexLock g(&r.mu);
-  return std::vector<std::string>(r.names.begin(), r.names.end());
-}
-
 }  // namespace fault
 }  // namespace sias

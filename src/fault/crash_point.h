@@ -51,16 +51,6 @@ inline Status CrashPoint(const char* name) {
   return internal::DispatchCrashPoint(injector, name);
 }
 
-/// Crash-point names hit since process start (across all injectors),
-/// sorted. Registration happens lazily on first armed execution, so this
-/// reflects the union of every armed run so far.
-std::vector<std::string> RegisteredCrashPoints();
-
-namespace internal {
-/// Adds `name` to the process-wide registry (idempotent).
-void RegisterCrashPoint(const char* name);
-}  // namespace internal
-
 }  // namespace fault
 }  // namespace sias
 

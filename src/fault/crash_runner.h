@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/analysis_annotations.h"
 #include "device/mem_device.h"
 #include "engine/database.h"
 #include "fault/fault_injector.h"
@@ -90,11 +91,14 @@ class CrashRunner {
   /// Disarms the injector, revives the devices, reopens the database on
   /// the surviving bytes, re-declares the catalog (same creation order)
   /// and runs Recover(ropts).
+  SIAS_DEAD_API_OK("crash_test recovers each cut database through it");
   Status ReopenAndRecover(const RecoverOptions& ropts = RecoverOptions{});
 
   /// Post-recovery invariant suite; non-OK pinpoints the violation.
+  SIAS_DEAD_API_OK("crash_test checks every recovered database");
   Status CheckInvariants();
 
+  SIAS_DEAD_API_OK("crash_test reads each run's outcome");
   CrashReport report() const;
   Database* db() { return db_.get(); }
   Table* table() { return table_; }
@@ -132,6 +136,7 @@ class CrashRunner {
 
 /// Runs the full workload with a record-only injector and returns every
 /// crash point it reached (sorted). The crash-matrix test sweeps these.
+SIAS_DEAD_API_OK("crash_test sweeps the points it finds");
 Result<std::vector<std::string>> DiscoverCrashPoints(CrashConfig cfg);
 
 }  // namespace fault

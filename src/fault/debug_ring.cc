@@ -17,8 +17,6 @@ std::atomic<bool> g_enabled{false};
 
 void DebugRingEnable(bool on) { g_enabled.store(on, std::memory_order_release); }
 
-bool DebugRingEnabled() { return g_enabled.load(std::memory_order_acquire); }
-
 void DebugRingReset() { g_cursor.store(0, std::memory_order_release); }
 
 void DebugRingLog(const char* tag, uint64_t a, uint64_t b, uint64_t c,

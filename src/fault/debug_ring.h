@@ -24,7 +24,6 @@ struct DebugEvent {
 
 /// Enable/disable recording (e.g. around a failing reproduction).
 void DebugRingEnable(bool on);
-bool DebugRingEnabled();
 
 /// Drop all recorded events and reset the cursor.
 void DebugRingReset();

@@ -10,19 +10,7 @@
 namespace sias {
 namespace fault {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kPowerCut: return "power_cut";
-    case FaultKind::kTransientIoError: return "transient_io";
-    case FaultKind::kTornWrite: return "torn_write";
-    case FaultKind::kPartialSectorWrite: return "partial_write";
-    case FaultKind::kBitFlip: return "bit_flip";
-    case FaultKind::kLatencySpike: return "latency_spike";
-  }
-  return "unknown";
-}
-
-FaultInjector::FaultInjector(uint64_t seed) : seed_(seed), rng_(seed) {
+FaultInjector::FaultInjector(uint64_t seed) : rng_(seed) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   m_crash_point_hits_ = reg.GetCounter("fault.crash_point_hits");
   m_power_cuts_ = reg.GetCounter("fault.power_cuts");

@@ -64,8 +64,6 @@ enum class FaultKind : uint8_t {
   kLatencySpike,
 };
 
-const char* FaultKindName(FaultKind kind);
-
 /// Which device operations a rule applies to.
 enum class OpClass : uint8_t { kAny, kRead, kWrite, kSync };
 
@@ -115,8 +113,6 @@ class FaultInjector {
  public:
   explicit FaultInjector(uint64_t seed);
   ~FaultInjector();
-
-  uint64_t seed() const { return seed_; }
 
   void AddRule(FaultRule rule);
   void ClearRules();
@@ -171,7 +167,6 @@ class FaultInjector {
   AppliedFault MakeApplied(const FaultRule& rule, size_t len)
       SIAS_REQUIRES(mu_);
 
-  const uint64_t seed_;
   std::atomic<bool> record_only_{false};
   std::atomic<bool> power_cut_{false};
 

@@ -24,11 +24,6 @@ FaultyDevice::~FaultyDevice() {
   if (injector_ != nullptr) injector_->UnregisterDevice(this);
 }
 
-uint64_t FaultyDevice::pending_bytes() const {
-  MutexLock g(&mu_);
-  return pending_bytes_;
-}
-
 Status FaultyDevice::Read(uint64_t offset, size_t len, uint8_t* out,
                           VirtualClock* clk) {
   // Synchronous ops observe every prior submission: drain the deferred
@@ -157,7 +152,6 @@ Status FaultyDevice::WriteImpl(uint64_t offset, size_t len,
   MutexLock g(&mu_);
   DebugRingLog("dev_cache_write", options_.tag.size(), offset, effective_len);
   pending_.push_back(PendingWrite{offset, {data, data + effective_len}});
-  pending_bytes_ += effective_len;
   m_cached_writes_->Increment();
   return Status::OK();
 }
@@ -197,7 +191,6 @@ Status FaultyDevice::Sync(VirtualClock* clk) {
   SIAS_RETURN_NOT_OK(FlushPrefixLocked(pending_.size(), 0, clk));
   m_synced_writes_->Add(pending_.size());
   pending_.clear();
-  pending_bytes_ = 0;
   return inner_->Sync(clk);
 }
 
@@ -235,7 +228,6 @@ void FaultyDevice::PowerCut(uint64_t plan_seed, bool tear) {
   SIAS_CHECK(st.ok());  // the inner device has no failure mode here
   m_dropped_writes_->Add(n - keep);
   pending_.clear();
-  pending_bytes_ = 0;
 }
 
 void FaultyDevice::Revive() {
@@ -248,7 +240,6 @@ void FaultyDevice::Revive() {
   }
   MutexLock g(&mu_);
   pending_.clear();
-  pending_bytes_ = 0;
   crashed_.store(false, std::memory_order_release);
 }
 

@@ -93,9 +93,6 @@ class FaultyDevice : public StorageDevice {
 
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
-  /// Volatile bytes currently pending (not yet Sync()ed).
-  uint64_t pending_bytes() const;
-
   const std::string& tag() const { return options_.tag; }
 
  private:
@@ -139,7 +136,6 @@ class FaultyDevice : public StorageDevice {
   /// WAL, disk) and below the inner device's own latches.
   mutable Mutex mu_{LatchRank::kFaultyDevice};
   std::vector<PendingWrite> pending_ SIAS_GUARDED_BY(mu_);
-  uint64_t pending_bytes_ SIAS_GUARDED_BY(mu_) = 0;
 
   /// Rank kIoQueue: held across lazy FIFO execution (which takes mu_ and
   /// the inner device's latches, all of higher rank). A power cut never

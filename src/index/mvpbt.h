@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "common/analysis_annotations.h"
 #include "common/latch.h"
 #include "common/result.h"
 #include "common/slice.h"
@@ -118,10 +119,13 @@ class MvPbt : public SecondaryIndex {
   // -- Introspection / test hooks -------------------------------------------
 
   /// Number of flushed partitions currently installed.
+  SIAS_DEAD_API_OK("mvpbt_test checks flush and merge activity");
   size_t num_partitions() const;
   /// Records currently in the buffer partition.
+  SIAS_DEAD_API_OK("mvpbt_test checks what a flush drains");
   size_t buffer_entries() const;
   /// Forces a buffer flush regardless of thresholds (tests).
+  SIAS_DEAD_API_OK("mvpbt_test forces partitions below the thresholds");
   Status Flush(VirtualClock* clk);
 
   RelationId relation() const { return relation_; }

@@ -137,8 +137,6 @@ class BTreeIndex : public SecondaryIndex {
   Status Maintain(Xid, VirtualClock*) override { return Status::OK(); }
   uint64_t entries() const override { return tree_.size(); }
 
-  BTree* tree() { return &tree_; }
-
  private:
   VersionScheme scheme_;
   BTree tree_;

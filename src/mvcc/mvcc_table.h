@@ -20,14 +20,6 @@
 
 namespace sias {
 
-/// Garbage-collection result counters.
-struct GcStats {
-  uint64_t pages_examined = 0;
-  uint64_t pages_reclaimed = 0;
-  uint64_t versions_discarded = 0;
-  uint64_t versions_relocated = 0;
-};
-
 /// Shared plumbing handed to each table implementation.
 struct TableEnv {
   BufferPool* pool = nullptr;
@@ -123,8 +115,8 @@ class MvccTable {
   virtual Vid vid_bound() const = 0;
 
   /// Reclaims versions invisible to every snapshot at or after `horizon`.
-  virtual Status GarbageCollect(Xid horizon, VirtualClock* clk,
-                                GcStats* stats) = 0;
+  /// Outcomes are counted in the mvcc.gc.* registry counters.
+  virtual Status GarbageCollect(Xid horizon, VirtualClock* clk) = 0;
 
   /// Recovery: rebuilds the in-memory version index from the heap once
   /// redo is done ("all information that is required for a reconstruction

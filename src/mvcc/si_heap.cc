@@ -233,8 +233,7 @@ Vid SiHeap::vid_bound() const {
   return next_vid_;
 }
 
-Status SiHeap::GarbageCollect(Xid horizon, VirtualClock* clk,
-                              GcStats* stats) {
+Status SiHeap::GarbageCollect(Xid horizon, VirtualClock* clk) {
   // Inventory under the shared latch, then one logged kill per page. Safe
   // without holding the latch in between: a dead SI version stays dead, and
   // SI never reuses a slot number (appends take slot_count, compaction keeps
@@ -253,7 +252,6 @@ Status SiHeap::GarbageCollect(Xid horizon, VirtualClock* clk,
       return true;
     });
     if (!visited.ok()) return visited.status();
-    if (stats != nullptr) stats->pages_examined++;
     MvccObs().gc_pages_examined->Increment();
     if (dead.empty()) continue;
 
@@ -262,7 +260,6 @@ Status SiHeap::GarbageCollect(Xid horizon, VirtualClock* clk,
     for (const VersionRef& v : dead) slots.push_back(v.tid.slot);
     size_t free_space = 0;
     SIAS_RETURN_NOT_OK(heap().KillSlots(p, slots, clk, &free_space));
-    if (stats != nullptr) stats->versions_discarded += dead.size();
     MvccObs().gc_versions_discarded->Add(static_cast<int64_t>(dead.size()));
     {
       MutexLock g(&map_mu_);

@@ -45,8 +45,7 @@ class SiHeap : public MvccTable {
   Status ScanWithTid(Transaction* txn,
                      const VersionScanCallback& cb) override;
   Vid vid_bound() const override;
-  Status GarbageCollect(Xid horizon, VirtualClock* clk,
-                        GcStats* stats) override;
+  Status GarbageCollect(Xid horizon, VirtualClock* clk) override;
   /// Rebuilds the version locators and the free-space map from the heap.
   Status Rebuild() override;
 

@@ -136,10 +136,6 @@ SpanScope::~SpanScope() {
   st->depth--;
 }
 
-void SpanScope::set_wait_tag(uint64_t tag) {
-  if (active_ && rec_ >= 0) tls_span.records[rec_].wait_tag = tag;
-}
-
 void SpanScope::set_name(const char* name) {
   if (active_ && rec_ >= 0) tls_span.records[rec_].name = name;
 }

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/analysis_annotations.h"
 #include "common/histogram.h"
 #include "common/latch.h"
 #include "common/types.h"
@@ -89,9 +90,6 @@ class SpanScope {
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
-  /// Tags the span after construction (e.g. the lock holder's xid, learned
-  /// only once the wait is observed).
-  void set_wait_tag(uint64_t tag);
   /// Renames the span once the role is known (WAL flush leader vs follower).
   void set_name(const char* name);
 
@@ -128,6 +126,7 @@ class TxnSpan {
 };
 
 /// True when a TxnSpan root is open on the calling thread.
+SIAS_DEAD_API_OK("span_test and crash_test check that roots close");
 bool SpanRootActive();
 
 /// Tags the calling thread's open root with the transaction's xid; a no-op
@@ -156,8 +155,10 @@ class SpanAggregator {
   /// each exemplar renders on its own tid, timestamps in virtual µs.
   std::string ExemplarsToChromeTraceJson() const;
 
+  SIAS_DEAD_API_OK("span_test checks how many exemplars are kept");
   size_t exemplar_count() const;
   /// Latency of the fastest retained exemplar (0 when empty).
+  SIAS_DEAD_API_OK("span_test checks which exemplars are kept");
   VDuration exemplar_floor() const;
 
   void Reset();

@@ -77,31 +77,6 @@ Result<uint64_t> DiskManager::PageOffset(RelationId relation,
   return PageOffsetLocked(relation, page_no);
 }
 
-Status DiskManager::ReadPage(RelationId relation, PageNumber page_no,
-                             uint8_t* out, VirtualClock* clk) {
-  uint64_t offset;
-  {
-    MutexLock g(&mu_);
-    auto r = PageOffsetLocked(relation, page_no);
-    if (!r.ok()) return r.status();
-    offset = *r;
-  }
-  return device_->Read(offset, kPageSize, out, clk);
-}
-
-Status DiskManager::WritePage(RelationId relation, PageNumber page_no,
-                              const uint8_t* data, VirtualClock* clk,
-                              bool background) {
-  uint64_t offset;
-  {
-    MutexLock g(&mu_);
-    auto r = PageOffsetLocked(relation, page_no);
-    if (!r.ok()) return r.status();
-    offset = *r;
-  }
-  return device_->Write(offset, kPageSize, data, clk, background);
-}
-
 uint64_t DiskManager::allocated_bytes() const {
   MutexLock g(&mu_);
   uint64_t total = 0;

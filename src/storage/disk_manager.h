@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "common/analysis_annotations.h"
 #include "common/latch.h"
 #include "common/result.h"
 #include "common/slice.h"
@@ -30,6 +31,7 @@ class DiskManager {
   /// Registers a relation. Relation ids are assigned by the caller (catalog)
   /// and must be dense-ish small integers.
   Status CreateRelation(RelationId relation);
+  SIAS_DEAD_API_OK("storage_test checks the restored catalog");
   bool HasRelation(RelationId relation) const;
 
   /// Extends the relation by one page; returns its page number.
@@ -37,12 +39,6 @@ class DiskManager {
 
   /// Number of pages ever allocated to the relation.
   Result<PageNumber> PageCount(RelationId relation) const;
-
-  Status ReadPage(RelationId relation, PageNumber page_no, uint8_t* out,
-                  VirtualClock* clk);
-  Status WritePage(RelationId relation, PageNumber page_no,
-                   const uint8_t* data, VirtualClock* clk,
-                   bool background = false);
 
   /// Device byte offset of a page (exposed for trace interpretation).
   Result<uint64_t> PageOffset(RelationId relation, PageNumber page_no) const;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "common/analysis_annotations.h"
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "common/slice.h"
@@ -66,6 +67,7 @@ class SlottedPage {
 
   /// Fraction of the tuple space in use: the "filling degree" the paper's
   /// flush thresholds are defined over (§5.2).
+  SIAS_DEAD_API_OK("storage_test checks the filling degree");
   double FillFraction() const;
 
   /// Appends a tuple; returns its slot or kInvalidSlot when full.

@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <unordered_map>
 
+#include "common/analysis_annotations.h"
 #include "common/latch.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -41,6 +42,7 @@ class LockManager {
   void Release(RelationId relation, Vid vid, Xid xid, VTime release_vtime);
 
   /// Number of currently held locks (tests).
+  SIAS_DEAD_API_OK("txn and engine tests check that no lock leaks");
   size_t HeldCount() const;
 
  private:

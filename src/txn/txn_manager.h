@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/analysis_annotations.h"
 #include "common/latch.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -111,6 +112,7 @@ class TransactionManager {
 
   /// Calls `hook` at each TxnPausePoint, on the thread that reaches it;
   /// nullptr disarms. Costs one relaxed atomic load per point when disarmed.
+  SIAS_DEAD_API_OK("txn_test pauses Begin between its publish steps");
   void SetPauseHookForTest(void (*hook)(TxnPausePoint));
 
   Clog* clog() { return clog_; }

@@ -165,7 +165,6 @@ Status WalWriter::FlushTo(Lsn lsn, VirtualClock* clk) {
         return device_->Write(base_ + write_begin, kPageSize, block.data(),
                               clk);
       }));
-      written_bytes_ += kPageSize;
       blocks_written++;
     } else if (nblocks > 1) {
       std::vector<IoHandle> handles(nblocks);
@@ -218,8 +217,7 @@ Status WalWriter::FlushTo(Lsn lsn, VirtualClock* clk) {
           }
         }
         SIAS_RETURN_NOT_OK(st);
-        written_bytes_ += kPageSize;
-        blocks_written++;
+          blocks_written++;
       }
     }
   }
@@ -261,16 +259,6 @@ Lsn WalWriter::current_lsn() const {
 Lsn WalWriter::flushed_lsn() const {
   MutexLock g(&mu_);
   return flushed_lsn_;
-}
-
-uint64_t WalWriter::appended_bytes() const {
-  MutexLock g(&mu_);
-  return next_lsn_;
-}
-
-uint64_t WalWriter::written_bytes() const {
-  MutexLock g(&mu_);
-  return written_bytes_;
 }
 
 WalReader::WalReader(StorageDevice* device, uint64_t base_offset,

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/analysis_annotations.h"
 #include "common/latch.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -80,13 +81,10 @@ class WalWriter {
   /// every record appended before it). Charges `clk` for the device writes.
   Status FlushTo(Lsn lsn, VirtualClock* clk);
 
+  /// The logical end of the log: every byte appended so far.
   Lsn current_lsn() const;
+  SIAS_DEAD_API_OK("wal_test checks the durable end after a flush");
   Lsn flushed_lsn() const;
-
-  /// Total bytes of WAL appended (logical) and written (physical, including
-  /// partial-block rewrite amplification).
-  uint64_t appended_bytes() const;
-  uint64_t written_bytes() const;
 
  private:
   StorageDevice* device_;
@@ -99,7 +97,6 @@ class WalWriter {
   /// Logical byte position of the next record.
   Lsn next_lsn_ SIAS_GUARDED_BY(mu_) = 0;
   Lsn flushed_lsn_ SIAS_GUARDED_BY(mu_) = 0;
-  uint64_t written_bytes_ SIAS_GUARDED_BY(mu_) = 0;
   /// Bytes in [flushed_block_start_, next_lsn_).
   std::vector<uint8_t> tail_ SIAS_GUARDED_BY(mu_);
   /// Logical offset of tail_[0].

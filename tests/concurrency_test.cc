@@ -26,6 +26,7 @@
 #include "common/random.h"
 #include "device/mem_device.h"
 #include "engine/database.h"
+#include "tests/test_env.h"
 
 namespace sias {
 namespace {
@@ -312,11 +313,11 @@ TEST_P(ConcurrencyTest, VacuumRacingTickReclaimsKeepsHotRowsIntact) {
       writers_done.fetch_add(1);
     });
   }
-  GcStats gc;
+  CounterDelta examined("mvcc.gc.pages_examined");
   {
     VirtualClock clk;
     while (writers_done.load() < kWriters) {
-      Status s = db_->Vacuum(&clk, &gc);
+      Status s = db_->Vacuum(&clk);
       if (!s.ok()) {
         ADD_FAILURE() << "vacuum failed: " << s.ToString();
         break;
@@ -324,7 +325,7 @@ TEST_P(ConcurrencyTest, VacuumRacingTickReclaimsKeepsHotRowsIntact) {
     }
   }
   for (auto& th : threads) th.join();
-  EXPECT_GT(gc.pages_examined, 0u);
+  EXPECT_GT(examined(), 0);
 
   VirtualClock clk;
   ASSERT_TRUE(db_->Vacuum(&clk).ok());

@@ -15,6 +15,7 @@
 #include "mvcc/epoch.h"
 #include "mvcc/heap_pages.h"
 #include "obs/metrics.h"
+#include "tests/test_env.h"
 
 namespace sias {
 namespace {
@@ -284,9 +285,9 @@ TEST_P(EngineTest, VacuumAfterChurnKeepsDataCorrect) {
       ASSERT_TRUE(db_->Commit(txn.get()).ok());
     }
   }
-  GcStats gc;
-  ASSERT_TRUE(db_->Vacuum(&clk_, &gc).ok());
-  EXPECT_GT(gc.versions_discarded, 0u);
+  CounterDelta discarded("mvcc.gc.versions_discarded");
+  ASSERT_TRUE(db_->Vacuum(&clk_).ok());
+  EXPECT_GT(discarded(), 0);
   auto txn = db_->Begin(&clk_);
   for (int i = 0; i < 20; ++i) {
     auto hits = accounts_->IndexLookup(txn.get(), 0, IntKey(i));
@@ -399,9 +400,9 @@ TEST_P(EngineTest, RecoveryAfterVacuumRestoresTheHeapGcLeft) {
     ASSERT_TRUE(accounts_->Delete(txn.get(), vids[7]).ok());
     ASSERT_TRUE(db_->Commit(txn.get()).ok());
   }
-  GcStats gc;
-  ASSERT_TRUE(db_->Vacuum(&clk_, &gc).ok());
-  ASSERT_GT(gc.versions_discarded, 0u);
+  CounterDelta discarded("mvcc.gc.versions_discarded");
+  ASSERT_TRUE(db_->Vacuum(&clk_).ok());
+  ASSERT_GT(discarded(), 0);
   Vid late = InsertAccount(100, "late", 1.0);  // its commit flushes the kills
   const size_t live_before = LiveHeapVersions();
 
@@ -432,7 +433,7 @@ TEST_P(EngineTest, ReclaimedPagesAreReusedAfterRestart) {
     GTEST_SKIP() << "SI reuses space by compaction, not by a page free list";
   }
   ChurnAccounts();
-  ASSERT_TRUE(db_->Vacuum(&clk_, nullptr).ok());
+  ASSERT_TRUE(db_->Vacuum(&clk_).ok());
   std::vector<PageNumber> reclaimed =
       static_cast<SiasTable*>(accounts_->heap())->region().free_pages();
   ASSERT_FALSE(reclaimed.empty());
@@ -441,7 +442,7 @@ TEST_P(EngineTest, ReclaimedPagesAreReusedAfterRestart) {
   db_.reset();
   Reopen();
   ASSERT_TRUE(db_->Recover().ok());
-  ASSERT_TRUE(db_->Vacuum(&clk_, nullptr).ok());
+  ASSERT_TRUE(db_->Vacuum(&clk_).ok());
   auto* sias = static_cast<SiasTable*>(accounts_->heap());
   std::vector<PageNumber> free = sias->region().free_pages();
   ASSERT_FALSE(free.empty());

@@ -161,8 +161,7 @@ TEST_P(EpochVisibilityTest, RandomScheduleMatchesSiOracle) {
   auto vacuum = [&] {
     VirtualClock clk;
     while (!stop.load()) {
-      GcStats gs;
-      Status s = table->GarbageCollect(env.txns_.GcHorizon(), &clk, &gs);
+      Status s = table->GarbageCollect(env.txns_.GcHorizon(), &clk);
       if (!s.ok()) {
         ADD_FAILURE() << "vacuum failed: " << s.ToString();
         fatal.store(true);
@@ -304,10 +303,11 @@ TEST(EpochAbaWindowTest, VacuumDefersWipeWhileReaderHoldsStaleVector) {
 
   // Vacuum with the reader pinned: relocates x's version off the victim
   // page, unpublishes the page and queues its wipe behind the epoch.
-  GcStats gs;
-  ASSERT_TRUE(table->GarbageCollect(env.txns_.GcHorizon(), &clk, &gs).ok());
-  EXPECT_GE(gs.pages_reclaimed, 1u);
-  EXPECT_EQ(gs.versions_relocated, 1u);
+  CounterDelta reclaimed("mvcc.gc.pages_reclaimed");
+  CounterDelta relocated("mvcc.gc.versions_relocated");
+  ASSERT_TRUE(table->GarbageCollect(env.txns_.GcHorizon(), &clk).ok());
+  EXPECT_GE(reclaimed(), 1);
+  EXPECT_EQ(relocated(), 1);
 
   std::vector<Tid> vec_after = table->vid_map_v().Get(x);
   ASSERT_EQ(vec_after.size(), 1u);
@@ -417,10 +417,9 @@ class ChainGuardTest : public ::testing::Test {
     }
     v1_tid_ = Tid{0, 0};
 
-    GcStats gs;
-    ASSERT_TRUE(
-        table_->GarbageCollect(env_.txns_.GcHorizon(), &clk_, &gs).ok());
-    ASSERT_EQ(gs.pages_reclaimed, 1u);  // page 0 only; page 1 stays put
+    CounterDelta reclaimed("mvcc.gc.pages_reclaimed");
+    ASSERT_TRUE(table_->GarbageCollect(env_.txns_.GcHorizon(), &clk_).ok());
+    ASSERT_EQ(reclaimed(), 1);  // page 0 only; page 1 stays put
     EpochManager::Global().Quiesce();
     ASSERT_EQ(EpochManager::Global().pending(), 0u);
     // v2 must still be where the update appended it.

@@ -122,8 +122,7 @@ TEST_P(IntegrationTest, CrashAfterVacuumRecovers) {
   auto r1 = RunBurst(db_->max_vtime());
   EXPECT_GT(r1.TotalCommitted(), 0u);
   VirtualClock clk(db_->max_vtime());
-  GcStats gc;
-  ASSERT_TRUE(db_->Vacuum(&clk, &gc).ok());
+  ASSERT_TRUE(db_->Vacuum(&clk).ok());
   ASSERT_TRUE(db_->Checkpoint(&clk).ok());
   db_.reset();
   Reopen();

@@ -193,9 +193,7 @@ TEST_P(ChainPropertyTest, XidsStrictlyDecreaseAlongChains) {
       }
     }
     if (round % 3 == 2) {
-      GcStats gc;
-      ASSERT_TRUE(
-          table->GarbageCollect(env.txns_.GcHorizon(), &clk, &gc).ok());
+      ASSERT_TRUE(table->GarbageCollect(env.txns_.GcHorizon(), &clk).ok());
     }
     // Invariant: every chain, walked from the entrypoint over reachable
     // versions, has strictly decreasing xmin.

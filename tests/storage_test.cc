@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/random.h"
 #include "device/mem_device.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
@@ -113,16 +112,14 @@ TEST_F(DiskManagerTest, CreateAndAllocate) {
 
 TEST_F(DiskManagerTest, UnknownRelationRejected) {
   EXPECT_FALSE(disk_.AllocatePage(9).ok());
-  uint8_t buf[kPageSize];
-  EXPECT_FALSE(disk_.ReadPage(9, 0, buf, nullptr).ok());
+  EXPECT_FALSE(disk_.PageOffset(9, 0).ok());
 }
 
 TEST_F(DiskManagerTest, PageBeyondEndRejected) {
   ASSERT_TRUE(disk_.CreateRelation(1).ok());
   ASSERT_TRUE(disk_.AllocatePage(1).ok());
-  uint8_t buf[kPageSize] = {};
-  EXPECT_TRUE(disk_.ReadPage(1, 0, buf, nullptr).ok());
-  EXPECT_FALSE(disk_.ReadPage(1, 1, buf, nullptr).ok());
+  EXPECT_TRUE(disk_.PageOffset(1, 0).ok());
+  EXPECT_FALSE(disk_.PageOffset(1, 1).ok());
 }
 
 TEST_F(DiskManagerTest, RelationsLiveInDisjointExtents) {
@@ -144,19 +141,6 @@ TEST_F(DiskManagerTest, SequentialPagesAreContiguous) {
   for (int i = 0; i + 1 < 10; ++i) {
     EXPECT_EQ(*disk_.PageOffset(1, i) + kPageSize, *disk_.PageOffset(1, i + 1));
   }
-}
-
-TEST_F(DiskManagerTest, ReadWriteRoundTrip) {
-  ASSERT_TRUE(disk_.CreateRelation(1).ok());
-  ASSERT_TRUE(disk_.AllocatePage(1).ok());
-  std::vector<uint8_t> page(kPageSize);
-  Random rng(5);
-  for (auto& b : page) b = static_cast<uint8_t>(rng.Next());
-  VirtualClock clk;
-  ASSERT_TRUE(disk_.WritePage(1, 0, page.data(), &clk).ok());
-  std::vector<uint8_t> out(kPageSize);
-  ASSERT_TRUE(disk_.ReadPage(1, 0, out.data(), &clk).ok());
-  EXPECT_EQ(out, page);
 }
 
 TEST_F(DiskManagerTest, AllocatedBytesTracksPages) {

@@ -1,5 +1,6 @@
 // Shared wiring for MVCC-layer tests: device + disk + pool + txn machinery,
-// and a factory producing a table of any version scheme.
+// a factory producing a table of any version scheme, and a reader for the
+// registry counters the engine counts its events in.
 #pragma once
 
 #include <memory>
@@ -9,6 +10,7 @@
 #include "device/mem_device.h"
 #include "mvcc/mvcc_table.h"
 #include "mvcc/si_heap.h"
+#include "obs/metrics.h"
 #include "storage/disk_manager.h"
 #include "txn/clog.h"
 #include "txn/lock_manager.h"
@@ -16,6 +18,25 @@
 #include "wal/wal.h"
 
 namespace sias {
+
+/// How far one process-wide registry counter (docs/OBSERVABILITY.md) has
+/// moved since construction. Engine events are counted only there, so a
+/// test reads GC outcomes, buffer hits or WAL bytes as the benches do:
+///   CounterDelta relocated("mvcc.gc.versions_relocated");
+///   ...
+///   EXPECT_EQ(relocated(), 1);
+class CounterDelta {
+ public:
+  explicit CounterDelta(const char* name)
+      : counter_(obs::MetricsRegistry::Default().GetCounter(name)),
+        start_(counter_->Value()) {}
+
+  int64_t operator()() const { return counter_->Value() - start_; }
+
+ private:
+  obs::Counter* counter_;
+  int64_t start_;
+};
 
 /// Self-contained mini engine for tests.
 class TestEnv {

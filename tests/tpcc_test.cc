@@ -213,8 +213,7 @@ TEST_P(TpccTest, DriverWithVacuumAndCheckpointStaysConsistent) {
   ASSERT_TRUE(r1.ok());
   VirtualClock clk;
   ASSERT_TRUE(db_->Checkpoint(&clk).ok());
-  GcStats gc;
-  ASSERT_TRUE(db_->Vacuum(&clk, &gc).ok());
+  ASSERT_TRUE(db_->Vacuum(&clk).ok());
   auto r2 = driver.Run();
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->errors, 0u) << r2->first_error.ToString();

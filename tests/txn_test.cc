@@ -271,7 +271,7 @@ class UndoRecorder : public MvccTable {
     return Status::OK();
   }
   Vid vid_bound() const override { return 0; }
-  Status GarbageCollect(Xid, VirtualClock*, GcStats*) override {
+  Status GarbageCollect(Xid, VirtualClock*) override {
     return Status::OK();
   }
   Status Rebuild() override { return Status::OK(); }

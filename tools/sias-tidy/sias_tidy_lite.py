@@ -25,6 +25,11 @@ Checks:
                        docs/CONCURRENCY.md rank table agree exactly (a
                        whole-tree rule: it reads those three files under
                        --root, whatever PATHs are given)
+  sias-dead-api        every function declared in a src/ header is called
+                       from src/, bench/, perfbench/, examples/ or tools/
+                       (tests do not count); SIAS_DEAD_API_OK waives one
+                       test hook with a non-empty justification (a
+                       whole-tree rule, like sias-rank-table)
 
 Usage:
   sias_tidy_lite.py [--root DIR] [--checks a,b] [PATH...]   # lint (default src/)
@@ -45,6 +50,7 @@ ALL_CHECKS = (
     "sias-virtual-time",
     "sias-metric-literal",
     "sias-rank-table",
+    "sias-dead-api",
 )
 
 # Paths (relative to the repo root, '/'-separated) where wall-clock use is
@@ -401,23 +407,28 @@ CLOCK_ALIAS_RE = re.compile(
 WAIVER_TOKEN = "SIAS_WALLCLOCK_OK"
 
 
+def justified(sf: ScannedFile, idx: int, col: int) -> bool:
+    """Does the waiver macro at 0-based line `idx`, column `col` carry a
+    non-empty string, on its own line or the next?"""
+    just = next(
+        (
+            s
+            for s in sf.strings
+            if (s.line == idx + 1 and s.col > col) or s.line == idx + 2
+        ),
+        None,
+    )
+    return just is not None and len(just.value) > 0
+
+
 def waiver_at(sf: ScannedFile, line_no: int) -> tuple[bool, bool]:
     """(waived, has_justification) for a banned call at `line_no` (1-based):
     a SIAS_WALLCLOCK_OK token on the same or the preceding five lines."""
     lo = max(0, line_no - 1 - WAIVER_WINDOW_LINES)
     for idx in range(lo, line_no):
         col = sf.code[idx].find(WAIVER_TOKEN)
-        if col < 0:
-            continue
-        just = next(
-            (
-                s
-                for s in sf.strings
-                if (s.line == idx + 1 and s.col > col) or s.line == idx + 2
-            ),
-            None,
-        )
-        return True, just is not None and len(just.value) > 0
+        if col >= 0:
+            return True, justified(sf, idx, col)
     return False, False
 
 
@@ -868,6 +879,260 @@ def check_latch_rank_table(root: pathlib.Path) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# sias-dead-api
+# ---------------------------------------------------------------------------
+
+# Where a call makes a src/ function live. tests/ is not a consumer: code
+# that only its own unit test calls is dead. The lint fixtures are not
+# either: their self-contained stubs reuse engine names.
+DEAD_API_CONSUMER_DIRS = ("src", "bench", "perfbench", "examples", "tools")
+DEAD_API_IGNORED_PREFIXES = ("tools/sias-tidy/test/",)
+DEAD_API_WAIVER = "SIAS_DEAD_API_OK"
+API_TOKEN_RE = re.compile(r"[A-Za-z_]\w*|::|->|\S")
+# Identifiers followed by '(' that never name a declared function.
+NOT_FUNCTION_NAMES = frozenset(
+    {
+        "alignas", "alignof", "auto", "bool", "char", "decltype", "double",
+        "float", "int", "long", "noexcept", "operator", "requires", "short",
+        "signed", "sizeof", "static_assert", "typeid", "unsigned", "void",
+        "__attribute__",
+    }
+)
+# A declaration with one of these tokens is exempt: overrides are called
+# through their base, the rest are not callable by name.
+DEAD_API_EXEMPT_TOKENS = frozenset(
+    {"virtual", "override", "final", "friend", "operator", "delete", "default"}
+)
+# `class Name`, `struct alignas(64) Name`, `class SIAS_CAPABILITY("mutex") Name`.
+OWNER_RE = re.compile(
+    r"\b(?:class|struct|union)\s+(?:(?:alignas|[A-Z_]+)\s*\([^)]*\)\s*)?(\w+)"
+)
+
+
+@dataclass
+class ApiDecl:
+    name: str
+    owner: str | None
+    path: str
+    line: int
+
+
+@dataclass
+class ApiScan:
+    """One file's function declarations (the declarator names at namespace
+    or class scope) and every name it calls (followed by '(' or template
+    arguments and '(', or address-taken with '&')."""
+
+    decls: list[ApiDecl] = field(default_factory=list)
+    calls: set[str] = field(default_factory=set)
+
+
+def scan_api(sf: ScannedFile) -> ApiScan:
+    out = ApiScan()
+    toks: list[tuple[int, str, bool]] = []  # (line, token, in a directive)
+    continued = False
+    for i, ln in enumerate(sf.code):
+        directive = continued or ln.lstrip().startswith("#")
+        continued = directive and ln.rstrip().endswith("\\")
+        toks += [(i + 1, m.group(0), directive) for m in API_TOKEN_RE.finditer(ln)]
+
+    def tok(k: int) -> str:
+        return toks[k][1] if 0 <= k < len(toks) else ""
+
+    def is_ident(k: int) -> bool:
+        return tok(k)[:1].isalpha() or tok(k)[:1] == "_"
+
+    def is_call(k: int) -> bool:
+        nxt = tok(k + 1)
+        if nxt == "(":
+            return True
+        if nxt == "<":  # Name<Args>(
+            depth = 0
+            for j in range(k + 1, min(k + 40, len(toks))):
+                t = tok(j)
+                depth += (t == "<") - (t == ">")
+                if t in (";", "{", "}"):
+                    return False
+                if depth == 0:
+                    return tok(j + 1) == "("
+            return False
+        j = k - 1
+        while tok(j) == "::" and is_ident(j - 1):
+            j -= 2
+        return tok(j) == "&"  # &Fn, &Class::Fn
+
+    # Open braces as (kind, class name): "ns" is a namespace or the file,
+    # "class" a class, struct, union or enum body, "fn" a function body or a
+    # braced initialiser, where every name is a use and none a declaration.
+    scopes: list[tuple[str, str | None]] = [("ns", None)]
+    stmt: list[str] = []
+    parens = 0
+    angles = 0
+    initialized = False
+    declarator: tuple[str, int, bool] | None = None  # name, line, qualified
+
+    def reset() -> None:
+        nonlocal stmt, parens, angles, initialized, declarator
+        stmt, parens, angles, initialized, declarator = [], 0, 0, False, None
+
+    def finish() -> None:
+        if declarator is not None:
+            name, line, qualified = declarator
+            owner = scopes[-1][1]
+            if not (
+                qualified
+                or name in (owner, "main")  # constructors; the runtime's entry
+                or DEAD_API_EXEMPT_TOKENS.intersection(stmt)
+                or stmt[0] in (",", ":")  # a constructor's member initialisers
+            ):
+                out.decls.append(ApiDecl(name, owner, sf.path, line))
+        reset()
+
+    for k, (line, t, directive) in enumerate(toks):
+        if directive:
+            if is_ident(k) and tok(k + 1) == "(":
+                out.calls.add(t)
+            continue
+        kind = scopes[-1][0]
+        if kind == "fn":
+            if t == "{":
+                scopes.append(("fn", None))
+            elif t == "}":
+                scopes.pop()
+                if scopes[-1][0] != "fn":
+                    reset()
+            elif is_ident(k) and is_call(k):
+                out.calls.add(t)
+            continue
+        if t == "{":
+            words = set(stmt)
+            owner_m = OWNER_RE.search(" ".join(stmt))
+            if "namespace" in words or "extern" in words:
+                scope: tuple[str, str | None] = ("ns", None)
+            elif declarator is None and owner_m is not None:
+                scope = ("class", owner_m.group(1))
+            elif declarator is None and "enum" in words:
+                scope = ("class", None)
+            else:
+                scope = ("fn", None)  # a body or a braced initialiser
+            finish()
+            scopes.append(scope)
+            continue
+        if t == "}":
+            if len(scopes) > 1:
+                scopes.pop()
+            reset()
+            continue
+        if t == ";":
+            finish()
+            continue
+        if t == ":" and stmt in (["public"], ["private"], ["protected"]):
+            reset()
+            continue
+        stmt.append(t)
+        if t == "(":
+            parens += 1
+        elif t == ")":
+            parens -= 1
+        elif parens == 0 and t in ("<", ">"):
+            angles += 1 if t == "<" else -1
+        elif parens == 0 and t == "=":
+            initialized = True
+        if not is_ident(k) or not is_call(k):
+            continue
+        if (
+            declarator is None
+            and tok(k + 1) == "("
+            and parens == 0
+            and angles == 0
+            and not initialized
+            and tok(k - 1) not in (".", "->", "~")
+            and t not in NOT_FUNCTION_NAMES
+            and not t.isupper()
+            and not t.endswith("_")
+        ):
+            declarator = (t, line, tok(k - 1) == "::")
+        else:
+            out.calls.add(t)
+    return out
+
+
+def check_dead_api(
+    headers: list[ScannedFile], consumers: list[ScannedFile]
+) -> list[Finding]:
+    """Flags each function declared in `headers` that no file in
+    `consumers` calls: only its own declaration and definition name it.
+    SIAS_DEAD_API_OK("why") on the declaration line or up to five lines
+    above waives one declaration (a deliberate test hook); a waiver whose
+    declaration is called after all, or that has no declaration below it,
+    is stale."""
+    calls: set[str] = set()
+    for sf in consumers:
+        calls |= scan_api(sf).calls
+    findings: list[Finding] = []
+
+    where = ", ".join(DEAD_API_CONSUMER_DIRS)
+
+    def add(path: str, line: int, message: str) -> None:
+        findings.append(Finding(path, line, "sias-dead-api", message))
+
+    for sf in headers:
+        decls = scan_api(sf).decls
+        waived: set[int] = set()
+        for idx, ln in enumerate(sf.code):
+            col = ln.find(DEAD_API_WAIVER)
+            if col < 0 or ln.lstrip().startswith("#"):
+                continue
+            line = idx + 1
+            target = next(
+                (
+                    d
+                    for d in decls
+                    if line <= d.line <= line + WAIVER_WINDOW_LINES
+                    and d.line not in waived
+                ),
+                None,
+            )
+            stale = f"stale {DEAD_API_WAIVER} waiver: "
+            if target is None:
+                add(sf.path, line, stale + "no function declared in the next "
+                    f"{WAIVER_WINDOW_LINES} lines")
+            elif target.name in calls:
+                add(sf.path, line, stale + f"{target.name} is called outside tests")
+            else:
+                waived.add(target.line)
+                if not justified(sf, idx, col):
+                    add(sf.path, line, f"{DEAD_API_WAIVER} needs a justification")
+        reported: set[tuple[str | None, str]] = set()
+        for d in decls:
+            key = (d.owner, d.name)
+            if d.name in calls or d.line in waived or key in reported:
+                continue
+            reported.add(key)  # once per name: overloads, declare-then-define
+            qual = f"{d.owner}::{d.name}" if d.owner else d.name
+            add(d.path, d.line, f"{qual} is called nowhere in {where} (tests do "
+                "not count): delete it with the tests that only exercise it, or "
+                f'waive a deliberate test hook with {DEAD_API_WAIVER}("why")')
+    return findings
+
+
+def check_dead_api_tree(root: pathlib.Path) -> list[Finding]:
+    """sias-dead-api over the tree: src/ headers against every consumer."""
+    consumers: list[ScannedFile] = []
+    for d in DEAD_API_CONSUMER_DIRS:
+        for f in sorted((root / d).rglob("*")):
+            rel = rel_of(f, root)
+            if f.suffix in (".cc", ".cpp", ".h") and not rel.startswith(
+                DEAD_API_IGNORED_PREFIXES
+            ):
+                consumers.append(scan_cpp(f, rel))
+    headers = [
+        sf for sf in consumers if sf.rel.startswith("src/") and sf.rel.endswith(".h")
+    ]
+    return check_dead_api(headers, consumers)
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -917,11 +1182,18 @@ def cpp_files(paths: list[pathlib.Path]) -> list[pathlib.Path]:
     return files
 
 
+# Whole-tree rules: they read fixed files under --root, whatever PATHs are
+# given.
+TREE_CHECKS = ("sias-rank-table", "sias-dead-api")
+
+
 def lint(root: pathlib.Path, paths: list[pathlib.Path], checks: tuple[str, ...]) -> int:
     findings: list[Finding] = []
     if "sias-rank-table" in checks:
         findings += check_latch_rank_table(root)
-    file_checks = tuple(c for c in checks if c != "sias-rank-table")
+    if "sias-dead-api" in checks:
+        findings += check_dead_api_tree(root)
+    file_checks = tuple(c for c in checks if c not in TREE_CHECKS)
     if file_checks:
         tables = root_tables(root)
         for f in cpp_files([root / "src"]):
@@ -957,10 +1229,13 @@ def run_fixtures(root: pathlib.Path, fixture_dir: pathlib.Path) -> int:
             print(f"  SKIP {f.name}: unknown check '{check}'")
             continue
         ran += 1
-        tables = root_tables(root)
         sf = scan_cpp(f, f.name)
-        collect_decl_facts(sf, tables)
-        found = run_checks(sf, tables, (check,))
+        if check == "sias-dead-api":
+            found = check_dead_api([sf], [sf])
+        else:
+            tables = root_tables(root)
+            collect_decl_facts(sf, tables)
+            found = run_checks(sf, tables, (check,))
         lines = f.read_text(encoding="utf-8").splitlines()
         bad = {i + 1 for i, ln in enumerate(lines) if BAD_MARK_RE.search(ln)}
         ok = {fd.line for fd in found} == bad
