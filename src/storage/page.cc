@@ -1,5 +1,6 @@
 #include "storage/page.h"
 
+#include <cstddef>
 #include <vector>
 
 #include "common/logging.h"
@@ -120,20 +121,25 @@ void SlottedPage::Compact() {
   }
 }
 
+uint32_t SlottedPage::ComputeChecksum() const {
+  // The CRC of the page with its checksum field read as zero: four zero
+  // bytes, then the rest of the page in place.
+  static_assert(offsetof(PageHeader, checksum) == 0);
+  constexpr uint8_t kZeroField[sizeof(PageHeader::checksum)] = {};
+  uint32_t crc = Crc32c(kZeroField, sizeof(kZeroField));
+  crc = Crc32c(data_ + sizeof(kZeroField), kPageSize - sizeof(kZeroField),
+               crc);
+  return MaskCrc(crc);
+}
+
 void SlottedPage::UpdateChecksum() {
-  PageHeader* h = header();
-  h->checksum = 0;
-  h->checksum = MaskCrc(Crc32c(data_, kPageSize));
+  header()->checksum = ComputeChecksum();
 }
 
 bool SlottedPage::VerifyChecksum() const {
-  PageHeader copy = *header();
-  if (copy.checksum == 0) return true;  // never checksummed (fresh page)
-  // Recompute with the checksum field zeroed.
-  uint8_t tmp[kPageSize];
-  memcpy(tmp, data_, kPageSize);
-  reinterpret_cast<PageHeader*>(tmp)->checksum = 0;
-  return MaskCrc(Crc32c(tmp, kPageSize)) == copy.checksum;
+  uint32_t stored = header()->checksum;
+  if (stored == 0) return true;  // never checksummed (fresh page)
+  return ComputeChecksum() == stored;
 }
 
 }  // namespace sias

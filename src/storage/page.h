@@ -112,6 +112,9 @@ class SlottedPage {
   bool VerifyChecksum() const;
 
  private:
+  /// Masked CRC32C of the page with the checksum field taken as zero.
+  uint32_t ComputeChecksum() const;
+
   uint16_t SlotOffset(uint16_t slot) const {
     return static_cast<uint16_t>(kHeaderSize + slot * kSlotSize);
   }

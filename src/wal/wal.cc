@@ -32,21 +32,23 @@ constexpr int kZeroRunStop = 2;
 }  // namespace
 
 void EncodeWalRecord(const WalRecord& record, std::string* out) {
-  uint32_t total =
-      static_cast<uint32_t>(kFrameHeader + kFixedFields + record.body.size());
-  std::string payload;
-  payload.reserve(kFixedFields + record.body.size());
-  payload.push_back(static_cast<char>(record.type));
-  PutFixed64(&payload, record.xid);
-  PutFixed32(&payload, record.relation);
-  PutFixed32(&payload, record.tid.page);
-  PutFixed16(&payload, record.tid.slot);
-  PutFixed64(&payload, record.aux);
-  payload += record.body;
-
-  PutFixed32(out, total);
-  PutFixed32(out, MaskCrc(Crc32c(payload.data(), payload.size())));
-  *out += payload;
+  // The frame is written straight into `out`; the CRC field is patched once
+  // the payload after it is in place.
+  const size_t start = out->size();
+  const size_t total = kFrameHeader + kFixedFields + record.body.size();
+  out->reserve(start + total);
+  PutFixed32(out, static_cast<uint32_t>(total));
+  PutFixed32(out, 0);
+  out->push_back(static_cast<char>(record.type));
+  PutFixed64(out, record.xid);
+  PutFixed32(out, record.relation);
+  PutFixed32(out, record.tid.page);
+  PutFixed16(out, record.tid.slot);
+  PutFixed64(out, record.aux);
+  *out += record.body;
+  uint8_t* frame = reinterpret_cast<uint8_t*>(out->data()) + start;
+  EncodeFixed32(frame + 4, MaskCrc(Crc32c(frame + kFrameHeader,
+                                          total - kFrameHeader)));
 }
 
 WalWriter::WalWriter(StorageDevice* device, uint64_t base_offset,
@@ -77,6 +79,7 @@ Result<Lsn> WalWriter::Append(const WalRecord& record) {
 }
 
 Status WalWriter::Resume(Lsn lsn) {
+  MutexLock flusher(&flush_mu_);
   MutexLock g(&mu_);
   Lsn block_start = lsn / kPageSize * kPageSize;
   tail_.assign(kPageSize, 0);
@@ -123,58 +126,69 @@ Status WalWriter::FlushTo(Lsn lsn, VirtualClock* clk) {
   // Group-commit span: renamed leader/follower once the role is known (a
   // follower's lsn was already made durable by another terminal's flush).
   obs::SpanScope flush_span(obs::SpanPhase::kWalFlush, "wal", "flush");
-  MutexLock g(&mu_);
-  if (lsn <= flushed_lsn_) {
-    flush_span.set_name("flush_follower");
-    m_gc_follower_->Increment();
-    return Status::OK();
+  // One flusher at a time. Appends only take mu_, which is held just long
+  // enough to snapshot the blocks to write and, afterwards, to publish the
+  // result: the device write and the sync run without it.
+  MutexLock flusher(&flush_mu_);
+  Lsn write_begin = 0;
+  Lsn write_end = 0;
+  Lsn snapshot_end = 0;
+  {
+    MutexLock g(&mu_);
+    if (lsn <= flushed_lsn_) {
+      flush_span.set_name("flush_follower");
+      m_gc_follower_->Increment();
+      return Status::OK();
+    }
+    lsn = std::min<Lsn>(lsn, next_lsn_);
+    // Write whole blocks from tail_start_ up to the block containing `lsn`.
+    write_begin = tail_start_;
+    write_end = (lsn + kPageSize - 1) / kPageSize * kPageSize;
+    SIAS_CHECK(write_begin % kPageSize == 0);  // tail starts block-aligned
+    size_t n = std::min<size_t>(tail_.size(),
+                                static_cast<size_t>(write_end - write_begin));
+    snapshot_end = write_begin + n;
+    stage_.resize(static_cast<size_t>(write_end - write_begin));
+    memcpy(stage_.data(), tail_.data(), n);
   }
-  lsn = std::min<Lsn>(lsn, next_lsn_);
+  // Zero-pad the partial last block of the snapshot.
+  const size_t staged = static_cast<size_t>(snapshot_end - write_begin);
+  memset(stage_.data() + staged, 0, stage_.size() - staged);
   // The group-commit fsync: virtual time from here to the last block write
   // is what a committing terminal waits on the log device.
   VTime flush_start = clk != nullptr ? clk->now() : 0;
   uint64_t blocks_written = 0;
-  // Write whole blocks from tail_start_ up to the block containing `lsn`.
-  Lsn write_end = (lsn + kPageSize - 1) / kPageSize * kPageSize;
-  Lsn write_begin = tail_start_ / kPageSize * kPageSize;
-  SIAS_CHECK(write_begin == tail_start_);  // tail always starts block-aligned
-  std::vector<uint8_t> block(kPageSize, 0);
   {
     // The device-write burst is the WAL's "fsync": the log is not durable
     // until the last block lands. The burst is pipelined through the async
     // submit/complete interface — all blocks are submitted up front (their
     // channel reservations overlap, group commit), then waited in LSN
     // order. Devices either execute the payload during Submit or copy it,
-    // so one staging buffer serves the whole burst.
+    // and stage_ is not touched until the burst is done.
     SIAS_CRASH_POINT("wal.pre_block_write");
     const size_t nblocks =
         static_cast<size_t>((write_end - write_begin) / kPageSize);
-    auto stage_block = [&](Lsn pos) {
-      size_t off = static_cast<size_t>(pos - tail_start_);
-      size_t n = std::min<size_t>(kPageSize, tail_.size() - off);
-      memcpy(block.data(), tail_.data() + off, n);
-      if (n < kPageSize) memset(block.data() + n, 0, kPageSize - n);
+    auto block_at = [&](Lsn pos) {
+      return stage_.data() + static_cast<size_t>(pos - write_begin);
     };
     if (nblocks == 1) {
       // Single-block burst — the common small-commit case. There is nothing
       // to overlap, so the submit/complete bookkeeping (handle allocation,
       // completion-table round-trip) buys nothing: issue it synchronously.
       // This keeps the commit fast path at its pre-pipeline cost.
-      stage_block(write_begin);
       SIAS_RETURN_NOT_OK(fault::RetryTransient("wal block write", clk, [&] {
-        return device_->Write(base_ + write_begin, kPageSize, block.data(),
-                              clk);
+        return device_->Write(base_ + write_begin, kPageSize,
+                              block_at(write_begin), clk);
       }));
       blocks_written++;
     } else if (nblocks > 1) {
       std::vector<IoHandle> handles(nblocks);
       auto submit_block = [&](Lsn pos) -> Result<IoHandle> {
-        stage_block(pos);
         IoRequest req;
         req.op = IoOp::kWrite;
         req.offset = base_ + pos;
         req.len = kPageSize;
-        req.data = block.data();
+        req.data = block_at(pos);
         return device_->Submit(req, clk != nullptr ? clk->now() : 0);
       };
       auto submit_from = [&](size_t from) -> Status {
@@ -217,7 +231,7 @@ Status WalWriter::FlushTo(Lsn lsn, VirtualClock* clk) {
           }
         }
         SIAS_RETURN_NOT_OK(st);
-          blocks_written++;
+        blocks_written++;
       }
     }
   }
@@ -234,15 +248,15 @@ Status WalWriter::FlushTo(Lsn lsn, VirtualClock* clk) {
   }
   flush_span.set_name("flush_leader");
   m_gc_leader_->Increment();
-  flushed_lsn_ = lsn;
   fault::DebugRingLog("wal_flush", lsn, blocks_written);
-  // Retain the partially-filled last block in the tail; drop full blocks.
-  Lsn new_tail_start = write_end;
-  if (new_tail_start > next_lsn_) {
-    // lsn landed inside the final (partial) block: keep that block buffered
-    // so the next flush can rewrite it with more records appended.
-    new_tail_start = write_end - kPageSize;
-  }
+  MutexLock g(&mu_);
+  flushed_lsn_ = lsn;
+  // Drop the full blocks; keep the last one buffered if the snapshot ended
+  // inside it, so the next flush rewrites it with the records appended
+  // since. The test is on the snapshot, not on next_lsn_: appends that
+  // landed in that block during the write are not on the device yet.
+  Lsn new_tail_start = snapshot_end < write_end ? write_end - kPageSize
+                                                : write_end;
   if (new_tail_start > tail_start_) {
     size_t drop = static_cast<size_t>(new_tail_start - tail_start_);
     tail_.erase(tail_.begin(), tail_.begin() + drop);

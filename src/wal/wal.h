@@ -79,6 +79,9 @@ class WalWriter {
 
   /// Makes the log durable up to `lsn` (group commit: a single flush covers
   /// every record appended before it). Charges `clk` for the device writes.
+  /// Appends from other threads proceed while the blocks are written; a
+  /// concurrent FlushTo waits, then returns at once if this flush covered
+  /// its lsn.
   Status FlushTo(Lsn lsn, VirtualClock* clk);
 
   /// The logical end of the log: every byte appended so far.
@@ -91,8 +94,16 @@ class WalWriter {
   uint64_t base_;
   uint64_t limit_;
 
+  /// Rank kWalFlush: serializes flushers (and Resume). Held across the
+  /// device write and sync; appends never take it, so they do not wait on
+  /// the log device. Nested inside the pool mutex (WAL-before-data hook).
+  Mutex flush_mu_{LatchRank::kWalFlush};
+  /// FlushTo's snapshot of the blocks it writes, reused across flushes.
+  std::vector<uint8_t> stage_ SIAS_GUARDED_BY(flush_mu_);
+
   /// Rank kWal: nested inside page latches (appends under an exclusive
-  /// page latch) and the pool mutex (WAL-before-data flush hook).
+  /// page latch), the pool mutex (full-page images) and flush_mu_. Held
+  /// only for the append itself and for a flush's snapshot and publish.
   mutable Mutex mu_{LatchRank::kWal};
   /// Logical byte position of the next record.
   Lsn next_lsn_ SIAS_GUARDED_BY(mu_) = 0;

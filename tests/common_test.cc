@@ -134,6 +134,48 @@ TEST(Crc32cTest, KnownVector) {
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
 }
 
+// RFC 3720 (iSCSI) appendix B.4 vectors, on both paths.
+TEST(Crc32cTest, Rfc3720Vectors) {
+  std::vector<uint8_t> zeros(32, 0x00), ones(32, 0xff), ascending(32);
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+  }
+  for (auto crc : {&Crc32c, &Crc32cPortableForTest}) {
+    EXPECT_EQ(crc(zeros.data(), zeros.size(), 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones.data(), ones.size(), 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending.data(), ascending.size(), 0), 0x46DD794Eu);
+  }
+}
+
+// Crc32c takes the SSE4.2 path on CPUs that have it; it must agree with
+// the table path on every length and alignment (head, words, tail).
+TEST(Crc32cTest, HardwarePathMatchesPortable) {
+  Random r(2024);
+  std::vector<uint8_t> buf(9000 + 16);
+  for (auto& b : buf) b = static_cast<uint8_t>(r.Next());
+  for (int i = 0; i < 500; ++i) {
+    size_t offset = r.Uniform(0, 15);
+    size_t len = r.Uniform(0, 9000);
+    uint32_t init = i % 2 == 0 ? 0 : static_cast<uint32_t>(r.Next());
+    ASSERT_EQ(Crc32c(buf.data() + offset, len, init),
+              Crc32cPortableForTest(buf.data() + offset, len, init))
+        << "offset " << offset << " len " << len << " init " << init;
+  }
+}
+
+TEST(Crc32cTest, InitChainsSplits) {
+  Random r(99);
+  std::vector<uint8_t> buf(3000);
+  for (auto& b : buf) b = static_cast<uint8_t>(r.Next());
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  for (size_t split : {size_t{0}, size_t{1}, size_t{4}, size_t{7},
+                       size_t{8}, size_t{1001}, buf.size()}) {
+    uint32_t a = Crc32c(buf.data(), split);
+    EXPECT_EQ(Crc32c(buf.data() + split, buf.size() - split, a), whole)
+        << "split at " << split;
+  }
+}
+
 TEST(Crc32cTest, DetectsBitFlip) {
   std::string data(1024, 'x');
   uint32_t base = Crc32c(data.data(), data.size());

@@ -3,8 +3,9 @@
 //
 // Three layers of proof, from probabilistic to deterministic:
 //
-//  1. VisibilityOracle — randomized concurrent schedules of writers, readers
-//     and an aggressive vacuum thread. Every read records its snapshot and
+//  1. VisibilityOracle — randomized concurrent schedules of writers
+//     (updates, deletes, and inserts that commit or abort), readers and an
+//     aggressive vacuum thread. Every read records its snapshot and
 //     result; every write records its xid and final commit verdict. After
 //     the threads join, a single-threaded snapshot-isolation oracle replays
 //     each recorded read against the full write history: the visible
@@ -31,6 +32,7 @@
 // Seed and iteration count are env-overridable for long soak runs:
 //   SIAS_VISIBILITY_SEED=<n>  SIAS_STRESS_ITERS=<n>  ctest -R epoch_visibility
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -113,26 +115,58 @@ TEST_P(EpochVisibilityTest, RandomScheduleMatchesSiOracle) {
   std::vector<std::vector<WriteRecord>> writes(kWriters);
   std::vector<std::vector<ReadRecord>> reads(kReaders);
 
+  // Items the writers insert during the run, published as soon as Insert
+  // returns: readers and other writers then reach them while the insert is
+  // still in flight, and after it commits or aborts. A claimed slot reads
+  // kInvalidVid until its vid is stored.
+  std::vector<std::atomic<Vid>> inserted(static_cast<size_t>(kWriters * ops));
+  for (auto& v : inserted) v.store(kInvalidVid);
+  std::atomic<size_t> inserted_count{0};
+  auto pick_vid = [&](Random& rng) {
+    size_t n = std::min(inserted_count.load(), inserted.size());
+    size_t i = rng.Uniform(0, kItems + n - 1);
+    if (i < kItems) return vids[i];
+    Vid vid = inserted[i - kItems].load();
+    return vid != kInvalidVid ? vid : vids[i % kItems];
+  };
+
   auto writer = [&](int id) {
     Random rng(seed ^ 0xA11CEull ^ static_cast<uint64_t>(id * 7919 + 1));
     VirtualClock clk;
     for (int i = 0; i < ops && !fatal.load(); ++i) {
       auto txn = env.txns_.Begin(&clk);
-      Vid vid = vids[rng.Uniform(0, kItems - 1)];
-      // Only the last item ever gets tombstoned, so the value-carrying
-      // items keep producing visibility decisions for the whole run.
-      bool tombstone = vid == vids.back() && rng.Uniform(0, 99) < 10;
       env.txns_.AssignXid(txn.get());  // the value names its writer's xid
       std::string value = std::string("x").append(std::to_string(txn->xid()));
-      Status s = tombstone ? table->Delete(txn.get(), vid)
-                           : table->Update(txn.get(), vid, Slice(value));
+      Vid vid = kInvalidVid;
+      bool tombstone = false;
+      Status s;
+      if (rng.Uniform(0, 99) < 15) {
+        auto v = table->Insert(txn.get(), Slice(value));
+        s = v.status();
+        if (v.ok()) {
+          vid = *v;
+          inserted[inserted_count.fetch_add(1)].store(vid);
+        }
+      } else {
+        vid = pick_vid(rng);
+        // Only the last seed item ever gets tombstoned, so the other seed
+        // items keep producing visibility decisions for the whole run.
+        tombstone = vid == vids.back() && rng.Uniform(0, 99) < 10;
+        s = tombstone ? table->Delete(txn.get(), vid)
+                      : table->Update(txn.get(), vid, Slice(value));
+      }
       bool committed = false;
       if (s.ok() && rng.Uniform(0, 99) >= 15) {
         committed = env.txns_.Commit(txn.get()).ok();
       } else {
-        // Serialization conflict, lock timeout, deleted item, or an
-        // intentional abort: either way the write must leave no trace.
+        // Serialization conflict, lock timeout, deleted or aborted item,
+        // or an intentional abort: either way the write must leave no trace.
         (void)env.txns_.Abort(txn.get());
+      }
+      if (vid == kInvalidVid) {
+        ADD_FAILURE() << "insert failed: " << s.ToString();
+        fatal.store(true);
+        break;
       }
       writes[id].push_back(
           WriteRecord{vid, txn->xid(), tombstone, committed, std::move(value)});
@@ -145,7 +179,7 @@ TEST_P(EpochVisibilityTest, RandomScheduleMatchesSiOracle) {
     for (int i = 0; i < ops && !fatal.load(); ++i) {
       auto txn = env.txns_.Begin(&clk);
       for (int k = 0; k < 4; ++k) {
-        Vid vid = vids[rng.Uniform(0, kItems - 1)];
+        Vid vid = pick_vid(rng);
         auto r = table->Read(txn.get(), vid);
         if (!r.ok()) {
           ADD_FAILURE() << "read failed: " << r.status().ToString();
@@ -185,7 +219,8 @@ TEST_P(EpochVisibilityTest, RandomScheduleMatchesSiOracle) {
   }
 
   // Oracle replay: for each recorded read, the expected result is the
-  // committed write with the largest xid the snapshot contains.
+  // committed write with the largest xid the snapshot contains. An inserted
+  // item has none before its insert commits, nor ever after an abort.
   size_t checked = 0;
   for (const auto& thread_reads : reads) {
     for (const auto& r : thread_reads) {
@@ -195,8 +230,14 @@ TEST_P(EpochVisibilityTest, RandomScheduleMatchesSiOracle) {
         if (!r.snapshot.Contains(w.xid)) continue;
         if (visible == nullptr || w.xid > visible->xid) visible = &w;
       }
-      ASSERT_NE(visible, nullptr) << "no committed seed visible to snapshot";
-      if (visible->tombstone) {
+      if (visible == nullptr) {
+        ASSERT_EQ(std::count(vids.begin(), vids.end(), r.vid), 0)
+            << "no committed seed visible to snapshot";
+        EXPECT_FALSE(r.result.has_value())
+            << "vid " << r.vid << ": no committed insert is visible to the "
+            << "snapshot of xid " << r.snapshot.xid << ", read returned "
+            << *r.result;
+      } else if (visible->tombstone) {
         EXPECT_FALSE(r.result.has_value())
             << "vid " << r.vid << ": tombstone by xid " << visible->xid
             << " should hide the item, read returned " << *r.result;

@@ -291,12 +291,17 @@ constexpr EngineEdge kEngineEdges[] = {
     // and the disk manager under the pool mutex.
     {"BufferPool::WriteFrame", LatchRank::kBufferPool, LatchRank::kPage,
      true},
+    {"BufferPool::WriteFrame fpi", LatchRank::kBufferPool, LatchRank::kWal,
+     false},
     {"BufferPool::WriteFrame wal hook", LatchRank::kBufferPool,
-     LatchRank::kWal, false},
+     LatchRank::kWalFlush, false},
     {"BufferPool::WriteFrame write", LatchRank::kBufferPool, LatchRank::kDisk,
      false},
-    // WAL flush writes blocks through the device stack.
-    {"WalWriter::FlushTo", LatchRank::kWal, LatchRank::kDevice, false},
+    // WAL flush: the flusher mutex wraps the tail snapshot and publish
+    // (log mutex) and the block writes through the device stack.
+    {"WalWriter::FlushTo snapshot", LatchRank::kWalFlush, LatchRank::kWal,
+     false},
+    {"WalWriter::FlushTo", LatchRank::kWalFlush, LatchRank::kDevice, false},
     // Async I/O: the deferred FIFO executes queued requests through the
     // fault decorator's write cache and on into the device; the base
     // device records each completion (and its lag histogram) under the

@@ -93,11 +93,16 @@ class RankTableTest(unittest.TestCase):
 
     def test_dropped_documented_row(self) -> None:
         path = self.root / DOC
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        kept = [ln for ln in lines if not ln.startswith("| `kWal` |")]
-        self.assertEqual(len(kept), len(lines) - 1)
-        path.write_text("".join(kept), encoding="utf-8")
-        self.assert_flags(HEADER, "kWal (= 65) has no row")
+        original = path.read_text(encoding="utf-8")
+        for name, value in (("kWal", 65), ("kWalFlush", 62)):
+            with self.subTest(rank=name):
+                lines = original.splitlines(keepends=True)
+                kept = [ln for ln in lines
+                        if not ln.startswith(f"| `{name}` |")]
+                self.assertEqual(len(kept), len(lines) - 1)
+                path.write_text("".join(kept), encoding="utf-8")
+                self.assert_flags(HEADER, f"{name} (= {value}) has no row")
+                path.write_text(original, encoding="utf-8")
 
     def test_missing_file(self) -> None:
         (self.root / DOC).unlink()

@@ -2,9 +2,11 @@
 // compaction, and DiskManager extent allocation / persistence.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "device/mem_device.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
@@ -80,6 +82,37 @@ TEST_F(SlottedPageTest, ChecksumDetectsCorruption) {
   EXPECT_TRUE(page_->VerifyChecksum());
   buf_[5000] ^= 0x40;
   EXPECT_FALSE(page_->VerifyChecksum());
+}
+
+// VerifyChecksum covers every byte of the page, the checksum field too.
+TEST_F(SlottedPageTest, ChecksumCoversHeaderSlotsFieldAndLastByte) {
+  page_->InsertTuple(Slice("payload"));
+  page_->InsertTuple(Slice("second"));
+  page_->UpdateChecksum();
+  ASSERT_TRUE(page_->VerifyChecksum());
+  const size_t positions[] = {
+      offsetof(PageHeader, page_no),        // a header field
+      sizeof(PageHeader) + 1,               // the slot array
+      offsetof(PageHeader, checksum) + 2,   // the checksum itself
+      kPageSize - 1,                        // the last byte of the page
+  };
+  for (size_t pos : positions) {
+    buf_[pos] ^= 0x10;
+    EXPECT_FALSE(page_->VerifyChecksum()) << "flip at byte " << pos;
+    buf_[pos] ^= 0x10;
+    EXPECT_TRUE(page_->VerifyChecksum());
+  }
+}
+
+// The on-disk format: the stored value is the masked CRC32C of the page with
+// its checksum field zeroed, computed here on a copy by the table path.
+TEST_F(SlottedPageTest, StoredChecksumIsMaskedCrcOfZeroedCopy) {
+  page_->InsertTuple(Slice("format"));
+  page_->UpdateChecksum();
+  std::vector<uint8_t> copy = buf_;
+  reinterpret_cast<PageHeader*>(copy.data())->checksum = 0;
+  EXPECT_EQ(page_->header()->checksum,
+            MaskCrc(Crc32cPortableForTest(copy.data(), copy.size())));
 }
 
 TEST_F(SlottedPageTest, FreshPageVerifies) {

@@ -3,6 +3,11 @@
 // routine all version schemes recover through (HeapPages::Redo).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -220,6 +225,124 @@ TEST_F(WalTest, ReaderStartsMidLog) {
   auto r = reader.Next();
   ASSERT_TRUE(r.ok() && r->has_value());
   EXPECT_EQ((*r)->body, "second");
+}
+
+// A MemDevice whose next Write, once armed, parks until Release(): holds a
+// WAL flush inside its device write.
+class ParkingDevice : public StorageDevice {
+ public:
+  explicit ParkingDevice(uint64_t capacity) : inner_(capacity) {}
+
+  Status Read(uint64_t offset, size_t len, uint8_t* out,
+              VirtualClock* clk) override {
+    return inner_.Read(offset, len, out, clk);
+  }
+  Status Write(uint64_t offset, size_t len, const uint8_t* data,
+               VirtualClock* clk, bool background = false) override {
+    {
+      std::unique_lock<std::mutex> l(mu_);
+      if (armed_) {
+        armed_ = false;
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(l, [&] { return released_; });
+      }
+    }
+    return inner_.Write(offset, len, data, clk, background);
+  }
+  Status Sync(VirtualClock* clk) override { return inner_.Sync(clk); }
+  uint64_t capacity_bytes() const override { return inner_.capacity_bytes(); }
+  DeviceStats stats() const override { return inner_.stats(); }
+
+  void Arm() {
+    std::lock_guard<std::mutex> l(mu_);
+    armed_ = true;
+  }
+  bool WaitParked() {
+    std::unique_lock<std::mutex> l(mu_);
+    return cv_.wait_for(l, std::chrono::seconds(10), [&] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> l(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  MemDevice inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// Appends do not wait on the log device: while one flush is parked in its
+// block write, another thread's appends return. A second flush waits for the
+// first, then leads (its lsn is past the first flush) or follows (it is
+// not). The records appended during the write land in the block the first
+// flush wrote partly, and extend past it: that block must stay buffered and
+// be rewritten, or they are lost.
+TEST(WalConcurrencyTest, AppendsProceedWhileAFlushWrites) {
+  constexpr uint64_t kRegion = 1ull << 20;
+  ParkingDevice device(kRegion);
+  WalWriter writer(&device, 0, kRegion);
+  auto l1 = writer.Append(MakeInsert(2, 1, Tid{0, 0}, "first"));
+  ASSERT_TRUE(l1.ok());
+  CounterDelta leaders("wal.group_commit.leader");
+  CounterDelta followers("wal.group_commit.follower");
+
+  device.Arm();
+  auto flush = [&](Lsn lsn) {
+    return std::async(std::launch::async, [&writer, lsn] {
+      VirtualClock clk;
+      return writer.FlushTo(lsn, &clk);
+    });
+  };
+  auto first = flush(*l1);
+  if (!device.WaitParked()) {
+    device.Release();
+    FAIL() << "the first flush never reached its device write";
+  }
+
+  const std::string body2(5000, 'b'), body3(5000, 'c');
+  auto appends = std::async(std::launch::async, [&] {
+    auto l2 = writer.Append(MakeInsert(3, 1, Tid{0, 1}, body2));
+    auto l3 = writer.Append(MakeInsert(4, 1, Tid{0, 2}, body3));
+    return l2.ok() && l3.ok() ? *l3 : Lsn{0};
+  });
+  if (appends.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    device.Release();
+    FAIL() << "Append waited on a flush's device write";
+  }
+  const Lsn l3 = appends.get();
+  ASSERT_GT(l3, kPageSize);  // the appends ran past the parked block
+
+  auto second = flush(l3);   // leads once the first is done
+  auto third = flush(*l1);   // the first flush covers it: follows
+  EXPECT_EQ(second.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  EXPECT_EQ(third.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::timeout);
+  device.Release();
+  EXPECT_TRUE(first.get().ok());
+  EXPECT_TRUE(second.get().ok());
+  EXPECT_TRUE(third.get().ok());
+  EXPECT_EQ(leaders(), 2);
+  EXPECT_EQ(followers(), 1);
+  EXPECT_EQ(writer.flushed_lsn(), l3);
+
+  WalReader reader(&device, 0, kRegion);
+  std::vector<std::string> bodies;
+  for (;;) {
+    auto r = reader.Next();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (!r->has_value()) break;
+    bodies.push_back((*r)->body);
+  }
+  EXPECT_EQ(bodies, (std::vector<std::string>{"first", body2, body3}));
+  EXPECT_EQ(reader.lsn(), l3);
 }
 
 // ---------------------------------------------------------------------------
