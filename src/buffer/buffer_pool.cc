@@ -14,13 +14,6 @@
 
 namespace sias {
 
-namespace {
-/// Bounded linear-probe window for the lock-free side index. At <= 25%
-/// load a cluster this long is vanishingly rare; on overflow the page is
-/// simply not optimistically reachable and readers take the locked path.
-constexpr size_t kIndexProbes = 16;
-}  // namespace
-
 PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
   if (this != &other) {
     Release();
@@ -115,63 +108,75 @@ bool BufferPool::EndPendingRead(PageId id, uint64_t start_seq) {
   return stale;
 }
 
-void BufferPool::IndexInsert(PageId id, size_t frame) {
-  size_t h = PageIdHash{}(id)&index_mask_;
-  for (size_t k = 0; k < kIndexProbes; ++k) {
-    std::atomic<uint32_t>& e = index_[(h + k) & index_mask_];
-    if (e.load(std::memory_order_relaxed) == 0) {
-      e.store(static_cast<uint32_t>(frame + 1), std::memory_order_seq_cst);
-      return;
-    }
+size_t BufferPool::Lookup(uint64_t tag) const {
+  // Bounded by the table size: a mutex-free probe racing shifts must end.
+  for (size_t k = 0, i = Home(tag); k <= index_mask_;
+       ++k, i = (i + 1) & index_mask_) {
+    uint32_t e = index_[i].load(std::memory_order_seq_cst);
+    if (e == 0) return kNoFrame;
+    if (frames_[e - 1].tag.load(std::memory_order_seq_cst) == tag) return e - 1;
   }
-  // Window full: skip — see kIndexProbes.
+  return kNoFrame;
 }
 
-void BufferPool::IndexErase(PageId id, size_t frame) {
-  size_t h = PageIdHash{}(id)&index_mask_;
-  uint32_t want = static_cast<uint32_t>(frame + 1);
-  for (size_t k = 0; k < kIndexProbes; ++k) {
-    std::atomic<uint32_t>& e = index_[(h + k) & index_mask_];
-    if (e.load(std::memory_order_relaxed) == want) {
-      e.store(0, std::memory_order_seq_cst);
-      return;
-    }
-  }
-}
-
-void BufferPool::PublishFrame(size_t idx, PageId id) {
+size_t BufferPool::PinResident(PageId id) {
+  const uint64_t tag = PackTag(id);
+  size_t idx = Lookup(tag);
+  if (idx == kNoFrame) return kNoFrame;
   Frame& f = frames_[idx];
-  f.tag.store(PackTag(id), std::memory_order_seq_cst);
-  IndexInsert(id, idx);
+  uint64_t s = f.stamp.load(std::memory_order_seq_cst);
+  if ((s & 1) != 0 || f.tag.load(std::memory_order_seq_cst) != tag) {
+    return kNoFrame;
+  }
+  // Pin, then re-validate: eviction bumps the stamp odd *before*
+  // re-checking pins, so if the stamp is still s here, the evictor is
+  // guaranteed to observe this pin and abort (Dekker; Frame comment).
+  f.pins.fetch_add(1, std::memory_order_seq_cst);
+  if (f.stamp.load(std::memory_order_seq_cst) != s) {
+    Unpin(idx);
+    return kNoFrame;
+  }
+  f.referenced.store(true, std::memory_order_relaxed);
+  return idx;
+}
+
+void BufferPool::PublishFrame(size_t idx, PageId id, Lsn lsn, bool dirty) {
+  Frame& f = frames_[idx];
+  f.sticky = false;
+  f.referenced.store(true, std::memory_order_relaxed);
+  f.dirty.store(dirty, std::memory_order_relaxed);
+  f.lsn.store(lsn, std::memory_order_relaxed);
+  const uint64_t tag = PackTag(id);
+  f.tag.store(tag, std::memory_order_seq_cst);
+  size_t i = Home(tag);
+  while (index_[i].load(std::memory_order_relaxed) != 0) {
+    i = (i + 1) & index_mask_;  // <= 25% load: an empty slot always exists
+  }
+  index_[i].store(static_cast<uint32_t>(idx + 1), std::memory_order_seq_cst);
   uint64_t s = f.stamp.fetch_add(1, std::memory_order_seq_cst);
   SIAS_CHECK((s & 1) == 1);  // frame must have been transitioning
 }
 
-bool BufferPool::TryFetchCached(PageId id, PageGuard* out) {
-  uint64_t want = PackTag(id);
-  size_t h = PageIdHash{}(id)&index_mask_;
-  for (size_t k = 0; k < kIndexProbes; ++k) {
-    uint32_t e = index_[(h + k) & index_mask_].load(std::memory_order_seq_cst);
-    if (e == 0) continue;  // erase punches holes; scan the whole window
-    size_t idx = e - 1;
-    Frame& f = frames_[idx];
-    uint64_t s1 = f.stamp.load(std::memory_order_seq_cst);
-    if ((s1 & 1) != 0) continue;  // transitioning
-    if (f.tag.load(std::memory_order_seq_cst) != want) continue;
-    // Pin, then re-validate: eviction bumps the stamp odd *before*
-    // re-checking pins, so if the stamp is still s1 here, the evictor is
-    // guaranteed to observe this pin and abort (Dekker; Frame comment).
-    f.pins.fetch_add(1, std::memory_order_seq_cst);
-    if (f.stamp.load(std::memory_order_seq_cst) != s1) {
-      Unpin(idx);
-      continue;
-    }
-    f.referenced.store(true, std::memory_order_relaxed);
-    m_hits_->Increment();
-    *out = PageGuard(this, idx, id);
-    return true;
+void BufferPool::Unpublish(size_t idx) {
+  Frame& f = frames_[idx];
+  size_t hole = Home(f.tag.load(std::memory_order_relaxed));
+  while (index_[hole].load(std::memory_order_relaxed) != idx + 1) {
+    hole = (hole + 1) & index_mask_;
   }
-  return false;
+  // Backward shift: an entry later in the cluster moves into the hole
+  // unless its home lies cyclically in (hole, j], where the probe from its
+  // home would no longer cross the hole.
+  for (size_t j = (hole + 1) & index_mask_;; j = (j + 1) & index_mask_) {
+    uint32_t e = index_[j].load(std::memory_order_relaxed);
+    if (e == 0) break;
+    size_t home = Home(frames_[e - 1].tag.load(std::memory_order_relaxed));
+    if (((j - home) & index_mask_) >= ((j - hole) & index_mask_)) {
+      index_[hole].store(e, std::memory_order_seq_cst);
+      hole = j;
+    }
+  }
+  index_[hole].store(0, std::memory_order_seq_cst);
+  f.tag.store(kNoTag, std::memory_order_seq_cst);
 }
 
 Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
@@ -197,13 +202,14 @@ Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
   // WAL-before-data: the log must be durable up to the page's LSN. The
   // crash points bracket the two halves of that protocol — a cut between
   // them exercises "log durable, data page not".
+  const PageId id = UnpackTag(f.tag.load(std::memory_order_relaxed));
   Lsn lsn = f.lsn.load(std::memory_order_relaxed);
   Status s = fault::CrashPoint("buffer.pre_wal_hook");
   // Torn-page protection: log the full image ahead of the in-place write
   // and widen the WAL flush to cover it. If the write below tears, redo
   // restores the page from this image instead of reading the device.
   if (s.ok() && fpi_log_) {
-    auto fpi = fpi_log_(f.id, f.data.get(), clk);
+    auto fpi = fpi_log_(id, f.data.get(), clk);
     if (!fpi.ok()) {
       s = fpi.status();
     } else if (*fpi != kInvalidLsn) {
@@ -223,7 +229,7 @@ Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
     // calendar at the post-backoff instant.
     bool background = source == FlushSource::kBackgroundWriter ||
                       source == FlushSource::kCheckpoint;
-    auto offset = disk_->PageOffset(f.id.relation, f.id.page);
+    auto offset = disk_->PageOffset(id.relation, id.page);
     if (!offset.ok()) {
       s = offset.status();
     } else {
@@ -238,7 +244,7 @@ Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
   }
   if (s.ok()) s = fault::CrashPoint("buffer.post_page_write");
   if (s.ok()) {
-    fault::DebugRingLog("write_frame", f.id.relation, f.id.page,
+    fault::DebugRingLog("write_frame", id.relation, id.page,
                         SlottedPage(f.data.get()).slot_count() |
                             (uint64_t(source) << 32),
                         f.lsn.load(std::memory_order_relaxed));
@@ -246,7 +252,7 @@ Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
   if (s.ok()) {
     f.dirty.store(false, std::memory_order_release);
     m_writebacks_->Increment();
-    auto pending = pending_reads_.find(f.id);
+    auto pending = pending_reads_.find(id);
     if (pending != pending_reads_.end()) {
       pending->second.written_back = ++writeback_seq_;
     }
@@ -266,8 +272,8 @@ Result<size_t> BufferPool::FindVictim(VirtualClock* clk) {
       Frame& f = frames_[clock_hand_];
       size_t idx = clock_hand_;
       clock_hand_ = (clock_hand_ + 1) % frames_.size();
-      if (!f.valid) {
-        // Never-installed (or already-evicted) frame. A pinned invalid
+      if (f.tag.load(std::memory_order_relaxed) == kNoTag) {
+        // Never-installed (or already-evicted) frame. A pinned untagged
         // frame is privately claimed by an in-flight StartFetch whose read
         // is landing in it — not a victim. The installer expects a
         // transitioning frame, so make sure the stamp is odd.
@@ -294,10 +300,7 @@ Result<size_t> BufferPool::FindVictim(VirtualClock* clk) {
         f.stamp.fetch_add(1, std::memory_order_seq_cst);  // back to stable
         continue;
       }
-      f.tag.store(kNoTag, std::memory_order_seq_cst);
-      IndexErase(f.id, idx);
-      table_.erase(f.id);
-      f.valid = false;
+      Unpublish(idx);
       m_evictions_->Increment();
       return idx;
     }
@@ -314,30 +317,31 @@ Result<BufferPool::AsyncFetch> BufferPool::StartFetch(PageId id,
                                                       VirtualClock* clk) {
   AsyncFetch out;
   out.id = id;
-  uint64_t offset;
-  {
+  out.valid = true;
+  uint64_t offset = 0;
+  size_t hit = PinResident(id);
+  if (hit == kNoFrame) {
     MutexLock lock(&mu_);
-    auto it = table_.find(id);
-    if (it != table_.end()) {
-      Frame& f = frames_[it->second];
-      f.pins.fetch_add(1, std::memory_order_acquire);
-      f.referenced.store(true, std::memory_order_relaxed);
-      m_hits_->Increment();
-      out.valid = true;
-      out.resident = true;
-      out.guard = PageGuard(this, it->second, id);
-      return out;
+    out.locked = true;
+    hit = PinResident(id);  // exact: no frame transitions under mu_
+    if (hit == kNoFrame) {
+      m_misses_->Increment();
+      SIAS_ASSIGN_OR_RETURN(offset, disk_->PageOffset(id.relation, id.page));
+      SIAS_ASSIGN_OR_RETURN(out.frame, FindVictim(clk));
+      // The frame leaves FindVictim private: untagged, stamp odd, absent
+      // from the index. The claim pin keeps FindVictim from handing it to a
+      // second fetch while the device read below runs outside mu_; it
+      // becomes the guard pin once FinishFetch installs the page.
+      frames_[out.frame].pins.fetch_add(1, std::memory_order_acq_rel);
+      pending_reads_[id].count++;
+      out.start_seq = writeback_seq_;
     }
-    m_misses_->Increment();
-    SIAS_ASSIGN_OR_RETURN(offset, disk_->PageOffset(id.relation, id.page));
-    SIAS_ASSIGN_OR_RETURN(out.frame, FindVictim(clk));
-    // The frame leaves FindVictim private: !valid, stamp odd, absent from
-    // table_. The claim pin keeps FindVictim from handing it to a second
-    // fetch while the device read below runs outside mu_; it becomes the
-    // guard pin once FinishFetch installs the page.
-    frames_[out.frame].pins.fetch_add(1, std::memory_order_acq_rel);
-    pending_reads_[id].count++;
-    out.start_seq = writeback_seq_;
+  }
+  if (hit != kNoFrame) {
+    m_hits_->Increment();
+    out.resident = true;
+    out.guard = PageGuard(this, hit, id);
+    return out;
   }
   IoRequest req;
   req.op = IoOp::kRead;
@@ -348,10 +352,9 @@ Result<BufferPool::AsyncFetch> BufferPool::StartFetch(PageId id,
   if (!h.ok()) {
     MutexLock lock(&mu_);
     EndPendingRead(id, out.start_seq);
-    Unpin(out.frame);  // frame returns to the victim pool (!valid)
+    Unpin(out.frame);  // frame returns to the victim pool (untagged)
     return h.status();
   }
-  out.valid = true;
   out.io = *h;
   return out;
 }
@@ -395,32 +398,19 @@ Result<PageGuard> BufferPool::FinishFetch(AsyncFetch* fetch,
   {
     MutexLock lock(&mu_);
     const bool stale = EndPendingRead(id, fetch->start_seq);
-    auto it = table_.find(id);
-    if (st.ok() && it != table_.end()) {
-      // A racing fetch installed the page while our read was in flight: pin
-      // the winner; our private frame stays !valid/odd for the next victim
-      // scan.
-      Frame& winner = frames_[it->second];
-      winner.pins.fetch_add(1, std::memory_order_acquire);
-      winner.referenced.store(true, std::memory_order_relaxed);
-      Unpin(fetch->frame);
-      return PageGuard(this, it->second, id);
-    }
-    if (st.ok() && !stale) {
-      f.id = id;
-      f.valid = true;
-      f.dirty.store(false, std::memory_order_relaxed);
-      f.sticky = false;
-      f.referenced.store(true, std::memory_order_relaxed);
-      f.lsn.store(sp.header()->lsn, std::memory_order_relaxed);
+    // A racing fetch may have installed the page while our read was in
+    // flight: pin the winner; our private frame stays untagged/odd for the
+    // next victim scan.
+    const size_t winner = st.ok() ? PinResident(id) : kNoFrame;
+    if (winner == kNoFrame && st.ok() && !stale) {
       // The claim pin taken in StartFetch becomes the guard pin (no extra
-      // pin here); lock-free readers cannot have pinned the frame meanwhile
+      // pin here); mutex-free hits cannot have pinned the frame meanwhile
       // — its tag was kNoTag until PublishFrame below.
-      table_[id] = fetch->frame;
-      PublishFrame(fetch->frame, id);
+      PublishFrame(fetch->frame, id, sp.header()->lsn, /*dirty=*/false);
       return PageGuard(this, fetch->frame, id);
     }
     Unpin(fetch->frame);
+    if (winner != kNoFrame) return PageGuard(this, winner, id);
   }
   if (!st.ok()) return st;
   // A racing fetch installed, dirtied and wrote back the page, and it has
@@ -448,15 +438,14 @@ Result<PageGuard> BufferPool::NewPage(RelationId relation, VirtualClock* clk,
                                       uint32_t page_flags) {
   MutexLock lock(&mu_);
   SIAS_ASSIGN_OR_RETURN(PageNumber page_no, disk_->AllocatePage(relation));
-  size_t idx;
-  auto existing = table_.find(PageId{relation, page_no});
-  if (existing != table_.end()) {
+  const PageId id{relation, page_no};
+  size_t idx = Lookup(PackTag(id));
+  if (idx != kNoFrame) {
     // The allocator handed out a page number that is still resident: redo
     // re-extends a relation over a warm pool after the control block rolled
     // the disk map back (a second Recover() on a live engine). Reuse that
-    // frame — victimizing a fresh one would leave the old frame published
-    // for lock-free readers under the same tag, and the two copies diverge.
-    idx = existing->second;
+    // frame — victimizing a fresh one would leave two frames tagged with
+    // the same page, and the two copies diverge.
     Frame& old = frames_[idx];
     old.stamp.fetch_add(1, std::memory_order_seq_cst);  // transitioning
     // Only transient optimistic pins can exist here (recovery is
@@ -464,26 +453,13 @@ Result<PageGuard> BufferPool::NewPage(RelationId relation, VirtualClock* clk,
     // stamp and unpin, so this drains promptly.
     SpinBackoff backoff;
     while (old.pins.load(std::memory_order_seq_cst) > 0) backoff.Pause();
-    old.tag.store(kNoTag, std::memory_order_seq_cst);
-    IndexErase(old.id, idx);
-    table_.erase(existing);
-    old.valid = false;
+    Unpublish(idx);
   } else {
     SIAS_ASSIGN_OR_RETURN(idx, FindVictim(clk));
   }
-  Frame& f = frames_[idx];
-  SlottedPage sp(f.data.get());
-  sp.Init(relation, page_no, page_flags);
-  PageId id{relation, page_no};
-  f.id = id;
-  f.valid = true;
-  f.dirty.store(true, std::memory_order_relaxed);
-  f.sticky = false;
-  f.referenced.store(true, std::memory_order_relaxed);
-  f.lsn.store(kInvalidLsn, std::memory_order_relaxed);
-  f.pins.fetch_add(1, std::memory_order_acq_rel);  // see FetchPage
-  table_[id] = idx;
-  PublishFrame(idx, id);
+  SlottedPage(frames_[idx].data.get()).Init(relation, page_no, page_flags);
+  frames_[idx].pins.fetch_add(1, std::memory_order_acq_rel);
+  PublishFrame(idx, id, kInvalidLsn, /*dirty=*/true);
   return PageGuard(this, idx, id);
 }
 
@@ -499,31 +475,21 @@ Status BufferPool::RestorePage(PageId id, const uint8_t* image,
     if (!count.ok()) return count.status();
   }
   MutexLock lock(&mu_);
-  auto it = table_.find(id);
-  size_t idx;
-  if (it != table_.end()) {
-    idx = it->second;
-  } else {
+  const Lsn image_lsn = SlottedPage(const_cast<uint8_t*>(image)).header()->lsn;
+  size_t idx = Lookup(PackTag(id));
+  if (idx == kNoFrame) {
     SIAS_ASSIGN_OR_RETURN(idx, FindVictim(clk));
+    std::memcpy(frames_[idx].data.get(), image, kPageSize);
+    PublishFrame(idx, id, image_lsn, /*dirty=*/true);
+    return Status::OK();
   }
   Frame& f = frames_[idx];
-  Lsn image_lsn = SlottedPage(const_cast<uint8_t*>(image)).header()->lsn;
-  if (it != table_.end()) {
-    Lsn have = f.lsn.load(std::memory_order_relaxed);
-    if (have != kInvalidLsn && have >= image_lsn) return Status::OK();
-  }
+  Lsn have = f.lsn.load(std::memory_order_relaxed);
+  if (have != kInvalidLsn && have >= image_lsn) return Status::OK();
   std::memcpy(f.data.get(), image, kPageSize);
-  f.id = id;
-  f.valid = true;
   f.dirty.store(true, std::memory_order_relaxed);
   f.referenced.store(true, std::memory_order_relaxed);
   f.lsn.store(image_lsn, std::memory_order_relaxed);
-  if (it == table_.end()) {
-    f.sticky = false;
-    f.pins.store(0, std::memory_order_release);  // single-threaded recovery
-    table_[id] = idx;
-    PublishFrame(idx, id);
-  }
   return Status::OK();
 }
 
@@ -534,9 +500,9 @@ Status BufferPool::FlushPage(PageId id, VirtualClock* clk,
   for (;;) {
     {
       MutexLock lock(&mu_);
-      auto it = table_.find(id);
-      if (it == table_.end()) return Status::OK();
-      Frame& f = frames_[it->second];
+      size_t idx = Lookup(PackTag(id));
+      if (idx == kNoFrame) return Status::OK();
+      Frame& f = frames_[idx];
       if (!f.dirty.load(std::memory_order_acquire)) return Status::OK();
       bool busy = false;
       Status s = WriteFrame(f, clk, source, &busy);
@@ -547,40 +513,31 @@ Status BufferPool::FlushPage(PageId id, VirtualClock* clk,
 }
 
 Status BufferPool::FlushAll(VirtualClock* clk, FlushSource source) {
-  for (PageId id : DirtyPages()) {
-    SIAS_RETURN_NOT_OK(FlushPage(id, clk, source));
+  for (const DirtyPageInfo& info : DirtyPages()) {
+    SIAS_RETURN_NOT_OK(FlushPage(info.id, clk, source));
   }
   return Status::OK();
 }
 
 Status BufferPool::SetSticky(PageId id, bool sticky) {
   MutexLock lock(&mu_);
-  auto it = table_.find(id);
-  if (it == table_.end()) return Status::NotFound("page not resident");
-  frames_[it->second].sticky = sticky;
+  size_t idx = Lookup(PackTag(id));
+  if (idx == kNoFrame) return Status::NotFound("page not resident");
+  frames_[idx].sticky = sticky;
   return Status::OK();
 }
 
-std::vector<BufferPool::DirtyPageInfo> BufferPool::DirtyPagesWithFlags(
+std::vector<BufferPool::DirtyPageInfo> BufferPool::DirtyPages(
     bool clear_referenced) {
   MutexLock lock(&mu_);
   std::vector<DirtyPageInfo> out;
   for (auto& f : frames_) {
-    if (f.valid && f.dirty.load(std::memory_order_acquire)) {
-      out.push_back(DirtyPageInfo{
-          f.id, reinterpret_cast<const PageHeader*>(f.data.get())->flags,
-          f.referenced.load(std::memory_order_relaxed), f.sticky});
-      if (clear_referenced) f.referenced.store(false, std::memory_order_relaxed);
-    }
-  }
-  return out;
-}
-
-std::vector<PageId> BufferPool::DirtyPages() const {
-  MutexLock lock(&mu_);
-  std::vector<PageId> out;
-  for (const auto& f : frames_) {
-    if (f.valid && f.dirty.load(std::memory_order_acquire)) out.push_back(f.id);
+    uint64_t tag = f.tag.load(std::memory_order_relaxed);
+    if (tag == kNoTag || !f.dirty.load(std::memory_order_acquire)) continue;
+    out.push_back(DirtyPageInfo{UnpackTag(tag),
+                                f.referenced.load(std::memory_order_relaxed),
+                                f.sticky});
+    if (clear_referenced) f.referenced.store(false, std::memory_order_relaxed);
   }
   return out;
 }

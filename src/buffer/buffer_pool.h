@@ -110,9 +110,8 @@ class BufferPool {
   ~BufferPool();
 
   /// Fetches an existing page, reading it from the device on a miss.
-  /// Composed of StartFetch + FinishFetch, so a miss's device read happens
-  /// OUTSIDE the pool mutex (only the frame-table probe and the install are
-  /// serialized).
+  /// Composed of StartFetch + FinishFetch: a hit pins without the pool
+  /// mutex, and a miss's device read happens outside it.
   Result<PageGuard> FetchPage(PageId id, VirtualClock* clk);
 
   /// One in-flight asynchronous page fetch. Either the page was resident
@@ -122,6 +121,7 @@ class BufferPool {
   struct AsyncFetch {
     bool valid = false;
     bool resident = false;
+    bool locked = false;  ///< took the pool mutex (a miss or a lost race)
     PageGuard guard;     ///< pinned guard when resident
     PageId id{};
     size_t frame = 0;    ///< private victim frame index when !resident
@@ -129,11 +129,14 @@ class BufferPool {
     uint64_t start_seq = 0;  ///< pool write-back sequence when read began
   };
 
-  /// Begins fetching `id`: on a hit returns a resident AsyncFetch (pinned,
-  /// no I/O); on a miss claims a victim frame under the mutex, then submits
-  /// the device read outside it and returns with the I/O in flight. Submit
-  /// charges the device channel immediately (arrival-time backfill), so N
-  /// StartFetch calls from one terminal overlap on the device — this is the
+  /// Begins fetching `id`. A hit pins the frame through the stamp/tag
+  /// protocol (see Frame) without the mutex and returns a resident
+  /// AsyncFetch; only when that fails (a miss, or a race with eviction or
+  /// an index shift) does it take the mutex, where the same probe is exact.
+  /// A miss claims a victim frame under the mutex, then submits the device
+  /// read outside it and returns with the I/O in flight. Submit charges the
+  /// device channel immediately (arrival-time backfill), so N StartFetch
+  /// calls from one terminal overlap on the device — this is the
   /// resumable-traversal building block.
   Result<AsyncFetch> StartFetch(PageId id, VirtualClock* clk);
 
@@ -151,16 +154,6 @@ class BufferPool {
   /// Discards an unfinished StartFetch (cancels the in-flight read; the
   /// private frame returns to the victim pool).
   void AbandonFetch(AsyncFetch* f);
-
-  /// Latch-free, mutex-free fetch of a *resident* page: probes a lock-free
-  /// side index, then validates frame identity with the stamp/tag protocol
-  /// (see Frame) around a pin. On success `*out` holds a pinned, unlatched
-  /// guard whose frame cannot be evicted until release; the caller may
-  /// read page content through the atomic tuple accessors only. Returns
-  /// false (out untouched) when the page is not resident, mid-transition,
-  /// or lost the race — callers fall back to FetchPage and count the latch
-  /// acquisition.
-  bool TryFetchCached(PageId id, PageGuard* out);
 
   /// Allocates a brand new page at the end of `relation` and returns it
   /// initialized and dirty.
@@ -188,22 +181,16 @@ class BufferPool {
   /// resident. Used for SIAS append-region pages being filled.
   Status SetSticky(PageId id, bool sticky);
 
-  /// Returns ids of resident dirty pages (snapshot; for writer policies).
-  std::vector<PageId> DirtyPages() const;
-
-  /// Dirty pages with their on-page flags — lets the background writer
-  /// treat SIAS append-region pages according to the flush-threshold
-  /// policy (t1 flushes them, t2 leaves them for the checkpoint).
-  /// `referenced` reports whether the page was touched since the previous
-  /// sweep; when `clear_referenced` is set, the bit is consumed so the next
-  /// call reports fresh activity (the background writer's LRU test).
+  /// Resident dirty pages (snapshot; for the flush policies). `referenced`
+  /// reports whether the page was touched since the previous sweep; when
+  /// `clear_referenced` is set, the bit is consumed so the next call
+  /// reports fresh activity (the background writer's LRU test).
   struct DirtyPageInfo {
     PageId id;
-    uint32_t page_flags;
     bool referenced;
     bool sticky;  ///< open (still-filling) SIAS append page
   };
-  std::vector<DirtyPageInfo> DirtyPagesWithFlags(bool clear_referenced = false);
+  std::vector<DirtyPageInfo> DirtyPages(bool clear_referenced = false);
 
   DiskManager* disk() { return disk_; }
 
@@ -212,36 +199,39 @@ class BufferPool {
 
   /// Frame tag value meaning "no page installed" (never a real PageId).
   static constexpr uint64_t kNoTag = ~0ull;
+  static constexpr size_t kNoFrame = ~size_t{0};
 
-  struct Frame {
-    // id/valid/sticky are guarded by the pool's mu_; Frame is a nested
-    // type, so the analysis cannot name the owning pool's capability here —
-    // the rank checker and TSan cover these.
-    PageId id{};
-    bool valid = false;
-    bool sticky = false;
-    /// Clock-sweep reference bit; also set by the lock-free fetch, hence
+  /// Cache-line aligned, with every field a hit touches (stamp, tag,
+  /// pins, referenced, data) in the first line: a hit reads one line, and
+  /// pinning a hot frame does not invalidate its neighbours' lines.
+  struct alignas(64) Frame {
+    /// Identity validation for mutex-free hits (seq_cst on both sides, with
+    /// `tag` and `pins` — the reader/evictor exclusion is Dekker-style):
+    /// even = a page is stably installed, odd = the frame is transitioning
+    /// (being evicted / refilled). Monotone, so a reader comparing the
+    /// stamp before and after its pin can never be fooled by reuse (no
+    /// ABA). Eviction bumps it odd *then* re-checks pins; a hit pins
+    /// *then* re-reads the stamp — at most one side proceeds.
+    std::atomic<uint64_t> stamp{0};
+    /// The frame's only identity: the packed PageId of the installed page,
+    /// kNoTag when none. Written under mu_ while the stamp is odd
+    /// (PublishFrame, Unpublish).
+    std::atomic<uint64_t> tag{kNoTag};
+    std::atomic<int> pins{0};
+    /// Clock-sweep reference bit; also set by mutex-free hits, hence
     /// atomic (relaxed — it is a heuristic, not a correctness bit).
     std::atomic<bool> referenced{false};
     /// dirty/lsn are set by PageGuard::MarkDirty under the page latch (not
     /// the pool mutex) and read by the flush paths under mu_: atomics keep
     /// the two sides race-free without widening any lock.
     std::atomic<bool> dirty{false};
+    // sticky is guarded by the pool's mu_; Frame is a nested type, so the
+    // analysis cannot name the owning pool's capability here — the rank
+    // checker and TSan cover it.
+    bool sticky = false;
     std::atomic<Lsn> lsn{kInvalidLsn};
-    std::atomic<int> pins{0};
-    /// Identity validation for TryFetchCached (seq_cst on both sides, with
-    /// `tag` and `pins` — the reader/evictor exclusion is Dekker-style):
-    /// even = a page is stably installed, odd = the frame is transitioning
-    /// (being evicted / refilled). Monotone, so a reader comparing the
-    /// stamp before and after its pin can never be fooled by reuse (no
-    /// ABA). Eviction bumps it odd *then* re-checks pins; the lock-free
-    /// reader pins *then* re-reads the stamp — at most one side proceeds.
-    std::atomic<uint64_t> stamp{0};
-    /// Packed PageId of the installed page, kNoTag when none. Written
-    /// under mu_ while the stamp is odd.
-    std::atomic<uint64_t> tag{kNoTag};
-    PageLatch latch;
     std::unique_ptr<uint8_t[]> data;
+    PageLatch latch;
   };
 
   // Returns frame index or error if pool exhausted.
@@ -262,13 +252,28 @@ class BufferPool {
   static uint64_t PackTag(PageId id) {
     return (static_cast<uint64_t>(id.relation) << 32) | id.page;
   }
-  /// Lock-free side index maintenance (writers hold mu_; readers probe
-  /// the atomics directly). Entry = frame index + 1; 0 = empty.
-  void IndexInsert(PageId id, size_t frame) SIAS_REQUIRES(mu_);
-  void IndexErase(PageId id, size_t frame) SIAS_REQUIRES(mu_);
-  /// Installs a fetched/new page in frame `idx` for lock-free readers and
-  /// re-evens the stamp (frame must be transitioning, i.e. stamp odd).
-  void PublishFrame(size_t idx, PageId id) SIAS_REQUIRES(mu_);
+  static PageId UnpackTag(uint64_t tag) {
+    return PageId{static_cast<RelationId>(tag >> 32),
+                  static_cast<PageNumber>(tag)};
+  }
+  size_t Home(uint64_t tag) const {
+    return PageIdHash{}(UnpackTag(tag)) & index_mask_;
+  }
+  /// Frame installed under `tag`, or kNoFrame. Exact under mu_; without
+  /// it, a probe that races a backward shift may miss.
+  size_t Lookup(uint64_t tag) const;
+  /// The one resident-pin routine: Lookup, then pin under the stamp/tag
+  /// protocol. Returns the pinned frame, or kNoFrame when `id` is absent
+  /// or the race was lost (never under mu_, where no frame transitions).
+  size_t PinResident(PageId id);
+  /// Installs page `id` in transitioning frame `idx` (stamp odd): fills the
+  /// frame state, tags it, indexes it and re-evens the stamp.
+  void PublishFrame(size_t idx, PageId id, Lsn lsn, bool dirty)
+      SIAS_REQUIRES(mu_);
+  /// Removes transitioning frame `idx` from the index (backward-shift
+  /// deletion: the rest of its cluster moves back, no tombstones) and
+  /// clears its tag.
+  void Unpublish(size_t idx) SIAS_REQUIRES(mu_);
 
   DiskManager* disk_;
   WalFlushHook wal_flush_;
@@ -276,9 +281,9 @@ class BufferPool {
 
   mutable Mutex mu_{LatchRank::kBufferPool};
   std::vector<Frame> frames_;
-  std::unordered_map<PageId, size_t> table_ SIAS_GUARDED_BY(mu_);
-  /// Open-addressed PageId -> frame map probed without mu_ by
-  /// TryFetchCached; power-of-two size >= 4x frames, bounded linear probe.
+  /// The page table: open-addressed, linear-probed tag -> frame index + 1
+  /// (0 = empty), power-of-two size >= 4x frames. Written under mu_;
+  /// probed by mutex-free hits too.
   std::vector<std::atomic<uint32_t>> index_;
   size_t index_mask_ = 0;
   size_t clock_hand_ SIAS_GUARDED_BY(mu_) = 0;

@@ -207,8 +207,8 @@ Status SiasTable::ReadTask::Run() {
     }
 
     // Pin the version's page: a finished demand read, the matching
-    // lookahead, the optimistic resident path, or — cold — submit the read
-    // and suspend. Only the optimistic path avoids the pool mutex.
+    // lookahead, a resident hit, or — cold — submit the read and suspend.
+    // Only fetches that took the pool mutex count as latch acquisitions.
     const PageId page_id{table_->relation_, tid.page};
     PageGuard guard;
     if (fetch_.valid) {
@@ -218,17 +218,17 @@ Status SiasTable::ReadTask::Run() {
     } else if (lookahead_.valid && lookahead_.id == page_id) {
       SIAS_ASSIGN_OR_RETURN(guard, pool->FinishFetch(&lookahead_, clk()));
       batch_->inflight--;
-    } else if (!pool->TryFetchCached(page_id, &guard)) {
-      MvccObs().read_latch_acquisitions->Increment();
-      SIAS_ASSIGN_OR_RETURN(BufferPool::AsyncFetch f,
-                            pool->StartFetch(page_id, clk()));
-      if (!f.resident) {
-        fetch_ = std::move(f);
+    } else {
+      auto f = pool->StartFetch(page_id, clk());
+      if (!f.ok()) return f.status();
+      if (f->locked) MvccObs().read_latch_acquisitions->Increment();
+      if (!f->resident) {
+        fetch_ = std::move(*f);
         batch_->inflight++;
         Prefetch(page_id);
         return Status::OK();  // suspended
       }
-      guard = std::move(f.guard);
+      guard = std::move(f->guard);
     }
 
     Slice tuple = SlottedPage(guard.data()).GetTupleAtomic(tid.slot);

@@ -244,10 +244,12 @@ Status Database::BgWriterPass(VirtualClock* clk) {
     }
   }
 
+  const std::unordered_map<RelationId, uint32_t> page_flags = HeapPageFlags();
   size_t budget = kBgWriterPagesPerPass;
-  for (const auto& info : pool_->DirtyPagesWithFlags(
-           /*clear_referenced=*/true)) {
-    bool append_page = (info.page_flags & kPageFlagAppendRegion) != 0;
+  for (const auto& info : pool_->DirtyPages(/*clear_referenced=*/true)) {
+    auto flags = page_flags.find(info.id.relation);
+    bool append_page = flags != page_flags.end() &&
+                       (flags->second & kPageFlagAppendRegion) != 0;
     if (append_page) {
       // Sealed append pages are full and immutable: writing them now is the
       // paper's optimal threshold ("maximum filling degree") and costs the
@@ -271,6 +273,17 @@ Status Database::BgWriterPass(VirtualClock* clk) {
                                         FlushSource::kBackgroundWriter));
   }
   return Status::OK();
+}
+
+std::unordered_map<RelationId, uint32_t> Database::HeapPageFlags() {
+  MutexLock g(&catalog_mu_);
+  std::unordered_map<RelationId, uint32_t> flags;
+  for (auto& [name, table] : tables_) {
+    flags[table->heap()->relation()] = table->scheme() == VersionScheme::kSi
+                                           ? kPageFlagNone
+                                           : kPageFlagAppendRegion;
+  }
+  return flags;
 }
 
 Status Database::Checkpoint(VirtualClock* clk) {
@@ -300,7 +313,7 @@ Status Database::StartPacedCheckpoint(VirtualClock* clk) {
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   pending_ckpt_lsn_ = wal_ != nullptr ? wal_->current_lsn() : 0;
   ckpt_queue_.clear();
-  for (const auto& info : pool_->DirtyPagesWithFlags(false)) {
+  for (const auto& info : pool_->DirtyPages()) {
     ckpt_queue_.push_back(info.id);
   }
   // Drain across the bgwriter passes of roughly half the interval.
@@ -475,17 +488,9 @@ Status Database::Recover(const RecoverOptions& ropts) {
   }
   fault::DebugRingLog("recover_start", start_lsn);
 
-  // Relation -> flags of the pages redo creates: SIAS heaps are append
-  // regions. Records of relations missing here are skipped.
-  std::unordered_map<RelationId, uint32_t> page_flags;
-  {
-    MutexLock g(&catalog_mu_);
-    for (auto& [name, table] : tables_) {
-      page_flags[table->heap()->relation()] =
-          table->scheme() == VersionScheme::kSi ? kPageFlagNone
-                                                : kPageFlagAppendRegion;
-    }
-  }
+  // Flags of the pages redo creates. Records of relations missing here are
+  // skipped.
+  const std::unordered_map<RelationId, uint32_t> page_flags = HeapPageFlags();
 
   // 2a) Torn-page prepass: collect the newest full-page image per page in
   // the redo window and seed the pool with it. WAL-before-data guarantees

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "buffer/buffer_pool.h"
 #include "common/analysis_annotations.h"
@@ -195,6 +196,10 @@ class Database {
 
   Status DrainCheckpointLocked(VirtualClock* clk)
       SIAS_REQUIRES(maintenance_mu_);
+  /// Relation -> flags of its heap pages: the pages of SIAS heaps are
+  /// append-region pages, so flush policies and redo need not read page
+  /// bytes to tell. Index relations are absent.
+  std::unordered_map<RelationId, uint32_t> HeapPageFlags();
 
   std::atomic<VTime> next_bgwriter_{0};
   std::atomic<VTime> next_checkpoint_{0};

@@ -127,27 +127,37 @@ Status Table::Scan(Transaction* txn, const RowCallback& cb) {
 }
 
 Result<std::optional<std::pair<Vid, Row>>> Table::ResolveIndexHit(
-    Transaction* txn, uint64_t value, Slice key, const IndexDef& index) {
-  if (scheme() == VersionScheme::kSi) {
-    Tid tid = Tid::Unpack(value);
+    Transaction* txn, const IndexHit& hit, Slice key, const IndexDef& index,
+    std::unordered_set<Vid>* seen) {
+  std::optional<std::pair<Vid, Row>> out;
+  if (hit.visibility_resolved) {
+    // The index already decided visibility; the heap read only
+    // materializes attributes not present in the entry.
+    SIAS_ASSIGN_OR_RETURN(std::optional<Row> row, Get(txn, hit.value));
+    if (row.has_value()) out.emplace(hit.value, std::move(*row));
+  } else if (scheme() == VersionScheme::kSi) {
+    Tid tid = Tid::Unpack(hit.value);
     Vid vid = kInvalidVid;
     SIAS_ASSIGN_OR_RETURN(std::optional<std::string> bytes,
                           heap_->ReadAtTid(txn, tid, &vid));
-    if (!bytes.has_value()) return std::optional<std::pair<Vid, Row>>{};
-    SIAS_ASSIGN_OR_RETURN(Row row, Row::Decode(schema_, Slice(*bytes)));
-    return std::optional<std::pair<Vid, Row>>{{vid, std::move(row)}};
+    if (bytes.has_value()) {
+      SIAS_ASSIGN_OR_RETURN(Row row, Row::Decode(schema_, Slice(*bytes)));
+      out.emplace(vid, std::move(row));
+    }
+  } else {
+    // SIAS: value is the VID; resolve through the VidMap, then recheck the
+    // key (the entry may predate a key-changing update).
+    SIAS_ASSIGN_OR_RETURN(std::optional<std::string> bytes,
+                          heap_->Read(txn, hit.value));
+    if (bytes.has_value()) {
+      SIAS_ASSIGN_OR_RETURN(Row row, Row::Decode(schema_, Slice(*bytes)));
+      if (Slice(index.extractor(row)) == key) {
+        out.emplace(hit.value, std::move(row));
+      }
+    }
   }
-  // SIAS: value is the VID; resolve through the VidMap, then recheck the
-  // key (the entry may predate a key-changing update).
-  Vid vid = value;
-  SIAS_ASSIGN_OR_RETURN(std::optional<std::string> bytes,
-                        heap_->Read(txn, vid));
-  if (!bytes.has_value()) return std::optional<std::pair<Vid, Row>>{};
-  SIAS_ASSIGN_OR_RETURN(Row row, Row::Decode(schema_, Slice(*bytes)));
-  if (Slice(index.extractor(row)) != key) {
-    return std::optional<std::pair<Vid, Row>>{};  // stale entry
-  }
-  return std::optional<std::pair<Vid, Row>>{{vid, std::move(row)}};
+  if (out.has_value() && !seen->insert(out->first).second) out.reset();
+  return out;
 }
 
 Result<std::vector<std::pair<Vid, Row>>> Table::IndexLookup(Transaction* txn,
@@ -157,31 +167,23 @@ Result<std::vector<std::pair<Vid, Row>>> Table::IndexLookup(Transaction* txn,
     return Status::InvalidArgument("no such index");
   }
   IndexDef& idx = indexes_[index_id];
-  std::vector<IndexHit> hits;
-  SIAS_RETURN_NOT_OK(idx.index->Probe(txn->snapshot(), key, txn->clock(),
-                                      [&](const IndexHit& hit) {
-                                        hits.push_back(hit);
-                                        return true;
-                                      }));
+  // Hit callbacks run latch-free (SecondaryIndex contract), so rows are
+  // resolved inline.
   std::vector<std::pair<Vid, Row>> out;
   std::unordered_set<Vid> seen;
-  for (const IndexHit& hit : hits) {
-    if (hit.visibility_resolved) {
-      // The index already decided visibility; the heap read only
-      // materializes attributes not present in the entry.
-      Vid vid = hit.value;
-      SIAS_ASSIGN_OR_RETURN(std::optional<Row> row, Get(txn, vid));
-      if (row.has_value() && seen.insert(vid).second) {
-        out.emplace_back(vid, std::move(*row));
-      }
-      continue;
-    }
-    SIAS_ASSIGN_OR_RETURN(auto resolved,
-                          ResolveIndexHit(txn, hit.value, key, idx));
-    if (resolved.has_value() && seen.insert(resolved->first).second) {
-      out.push_back(std::move(*resolved));
-    }
-  }
+  Status inner;
+  Status s = idx.index->Probe(
+      txn->snapshot(), key, txn->clock(), [&](const IndexHit& hit) {
+        auto r = ResolveIndexHit(txn, hit, key, idx, &seen);
+        if (!r.ok()) {
+          inner = r.status();
+          return false;
+        }
+        if (r->has_value()) out.push_back(std::move(**r));
+        return true;
+      });
+  SIAS_RETURN_NOT_OK(inner);
+  SIAS_RETURN_NOT_OK(s);
   return out;
 }
 
@@ -191,33 +193,16 @@ Status Table::IndexRange(Transaction* txn, size_t index_id, Slice lo,
     return Status::InvalidArgument("no such index");
   }
   IndexDef& idx = indexes_[index_id];
-  // Hit callbacks run latch-free (SecondaryIndex contract), so rows can be
-  // resolved inline.
   std::unordered_set<Vid> seen;
   Status inner;
   Status s = idx.index->ProbeRange(
       txn->snapshot(), lo, hi, txn->clock(), [&](const IndexHit& hit) {
-        if (hit.visibility_resolved) {
-          Vid vid = hit.value;
-          auto row = Get(txn, vid);
-          if (!row.ok()) {
-            inner = row.status();
-            return false;
-          }
-          if (row->has_value() && seen.insert(vid).second) {
-            return cb(vid, **row);
-          }
-          return true;
-        }
-        auto resolved = ResolveIndexHit(txn, hit.value, Slice(hit.key), idx);
-        if (!resolved.ok()) {
-          inner = resolved.status();
+        auto r = ResolveIndexHit(txn, hit, Slice(hit.key), idx, &seen);
+        if (!r.ok()) {
+          inner = r.status();
           return false;
         }
-        if (resolved->has_value() && seen.insert((*resolved)->first).second) {
-          return cb((*resolved)->first, (*resolved)->second);
-        }
-        return true;
+        return !r->has_value() || cb((*r)->first, (*r)->second);
       });
   SIAS_RETURN_NOT_OK(inner);
   return s;
@@ -240,15 +225,12 @@ Status Table::IndexOnlyRange(Transaction* txn, size_t index_id, Slice lo,
         }
         // Candidate entry: visibility lives in the heap version chain.
         ScanHeapResolves()->Increment();
-        auto resolved = ResolveIndexHit(txn, hit.value, Slice(hit.key), idx);
-        if (!resolved.ok()) {
-          inner = resolved.status();
+        auto r = ResolveIndexHit(txn, hit, Slice(hit.key), idx, &seen);
+        if (!r.ok()) {
+          inner = r.status();
           return false;
         }
-        if (resolved->has_value() && seen.insert((*resolved)->first).second) {
-          return cb(Slice(hit.key), (*resolved)->first);
-        }
-        return true;
+        return !r->has_value() || cb(Slice(hit.key), (*r)->first);
       });
   SIAS_RETURN_NOT_OK(inner);
   return s;

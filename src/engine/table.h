@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "engine/schema.h"
@@ -95,10 +96,13 @@ class Table {
     KeyExtractor extractor;
   };
 
-  /// Resolves one unresolved index hit to a visible row (scheme-dependent
-  /// heap dereference).
+  /// The one index-hit resolver: the visible (vid, row) behind `hit`
+  /// (the index's verdict, or a scheme-dependent heap dereference with a
+  /// key recheck), or nullopt when it is invisible, stale or already in
+  /// `seen`.
   Result<std::optional<std::pair<Vid, Row>>> ResolveIndexHit(
-      Transaction* txn, uint64_t value, Slice key, const IndexDef& index);
+      Transaction* txn, const IndexHit& hit, Slice key, const IndexDef& index,
+      std::unordered_set<Vid>* seen);
 
   /// Collects (index_id, key, tid, vid) for every row `txn` sees; used by
   /// the rebuild/backfill paths (entries are posted after the heap scan so

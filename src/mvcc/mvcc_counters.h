@@ -14,8 +14,8 @@ struct MvccCounters {
   /// Point reads that returned no row: unknown VID, no visible version, or
   /// a visible tombstone.
   obs::Counter* read_misses;
-  /// Latched fallbacks taken by the SIAS snapshot read path (cold page,
-  /// probe overflow, lost optimistic race). 0 on a warm read-only workload.
+  /// SIAS snapshot-read page fetches that took the pool mutex (cold page,
+  /// or a hit that raced eviction). 0 on a warm read-only workload.
   obs::Counter* read_latch_acquisitions;
   obs::Counter* versions_appended;
   /// Versions a read examined and found invisible.

@@ -2,11 +2,14 @@
 // write-back, sticky (append-region) frames and WAL-before-data hook.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "common/random.h"
 #include "device/mem_device.h"
 #include "storage/disk_manager.h"
 #include "tests/test_env.h"
@@ -249,6 +252,132 @@ TEST_F(BufferPoolTest, ConcurrentFetchesAreSafe) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(ok_count.load(), 2000);
+}
+
+/// Allocates (never writes) pages 0.. of relation 1 until `want` of them
+/// hash into home slots [home, home + width) of a `frames`-frame pool's page
+/// table (power of two >= 4x frames), where `home` is page 0's slot.
+std::vector<PageId> CollidingPages(DiskManager* disk, size_t frames,
+                                   size_t width, size_t want) {
+  size_t slots = 1;
+  while (slots < frames * 4) slots <<= 1;
+  const size_t home = PageIdHash{}(PageId{1, 0}) & (slots - 1);
+  std::vector<PageId> out;
+  for (PageNumber p = 0; out.size() < want; ++p) {
+    auto allocated = disk->AllocatePage(1);
+    EXPECT_TRUE(allocated.ok());
+    if (!allocated.ok()) break;
+    EXPECT_EQ(*allocated, p);
+    PageId id{1, p};
+    if (((PageIdHash{}(id) - home) & (slots - 1)) < width) out.push_back(id);
+  }
+  return out;
+}
+
+TEST_F(BufferPoolTest, CollidingResidentPagesAllHitWithoutTheMutex) {
+  // 20 pages share one home slot: a cluster longer than the old 16-slot
+  // probe window, past which a page was reachable only under the mutex.
+  constexpr size_t kPoolFrames = 64;
+  BufferPool pool(&disk_, kPoolFrames);
+  std::vector<PageId> pages = CollidingPages(&disk_, kPoolFrames, 1, 20);
+  ASSERT_EQ(pages.size(), 20u);
+  auto expect_hits = [&](size_t stride) {
+    CounterDelta misses("buffer.misses");
+    for (size_t i = 0; i < pages.size(); i += stride) {
+      SCOPED_TRACE(pages[i].ToString());
+      auto f = pool.StartFetch(pages[i], &clk_);
+      ASSERT_TRUE(f.ok());
+      EXPECT_TRUE(f->resident);
+      EXPECT_FALSE(f->locked);
+      pool.AbandonFetch(&*f);
+    }
+    EXPECT_EQ(misses(), 0);
+  };
+  for (PageId id : pages) ASSERT_TRUE(pool.FetchPage(id, &clk_).ok());
+  expect_hits(1);
+
+  // Evict every other page of the cluster (the rest stay pinned) by cycling
+  // other pages through the pool: each eviction shifts the cluster back,
+  // and every pinned page must still be found without the mutex.
+  std::vector<PageGuard> pinned;
+  for (size_t i = 0; i < pages.size(); i += 2) {
+    auto g = pool.FetchPage(pages[i], &clk_);
+    ASSERT_TRUE(g.ok());
+    pinned.push_back(std::move(*g));
+  }
+  for (PageNumber p = 1; p <= 4 * kPoolFrames; ++p) {
+    const PageId other{1, p};
+    if (std::find(pages.begin(), pages.end(), other) != pages.end()) continue;
+    ASSERT_TRUE(pool.FetchPage(other, &clk_).ok());
+  }
+  for (size_t i = 1; i < pages.size(); i += 2) {
+    auto f = pool.StartFetch(pages[i], &clk_);
+    ASSERT_TRUE(f.ok());
+    EXPECT_FALSE(f->resident) << pages[i].ToString() << " was not evicted";
+    pool.AbandonFetch(&*f);
+  }
+  expect_hits(2);
+}
+
+TEST_F(BufferPoolTest, EvictionChurnOverCollidingPagesKeepsOneFramePerPage) {
+  // 128 pages over 8 neighbouring home slots, through 64 frames: every
+  // eviction shifts a shared cluster back while other threads probe it
+  // without the mutex. Pages are never dirtied, so each miss is exactly
+  // one cold fetch (no write-back makes a read stale and re-fetched).
+  constexpr size_t kPoolFrames = 64;
+  BufferPool pool(&disk_, kPoolFrames);
+  std::vector<PageId> pages = CollidingPages(&disk_, kPoolFrames, 8, 128);
+  ASSERT_EQ(pages.size(), 128u);
+  for (PageId id : pages) {  // stamp each page with its own number
+    std::vector<uint8_t> image(kPageSize);
+    SlottedPage(image.data()).Init(id.relation, id.page);
+    auto offset = disk_.PageOffset(id.relation, id.page);
+    ASSERT_TRUE(offset.ok());
+    ASSERT_TRUE(device_.Write(*offset, kPageSize, image.data(), nullptr).ok());
+  }
+  struct Holders {
+    const uint8_t* data = nullptr;
+    int count = 0;
+  };
+  std::mutex mu;  // guards holders
+  std::vector<Holders> holders(pages.size());
+  std::atomic<int64_t> cold{0};
+  std::atomic<int> two_frames{0};
+  std::atomic<int> wrong_page{0};
+  CounterDelta misses("buffer.misses");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      VirtualClock clk;
+      Random rng(static_cast<uint64_t>(t) + 1);
+      for (int i = 0; i < 2000; ++i) {
+        size_t k = rng.Uniform(0, pages.size() - 1);
+        auto f = pool.StartFetch(pages[k], &clk);
+        if (!f.ok()) continue;
+        if (!f->resident) cold++;
+        auto g = pool.FinishFetch(&*f, &clk);
+        if (!g.ok()) continue;
+        if (g->page().header()->page_no != pages[k].page) wrong_page++;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          Holders& h = holders[k];
+          if (h.count++ == 0) {
+            h.data = g->data();
+          } else if (h.data != g->data()) {
+            two_frames++;
+          }
+        }
+        std::this_thread::yield();
+        std::lock_guard<std::mutex> lock(mu);
+        holders[k].count--;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(two_frames.load(), 0);
+  EXPECT_EQ(wrong_page.load(), 0);
+  EXPECT_GT(cold.load(), 1000);  // ~half the fetches miss: real churn
+  EXPECT_EQ(misses(), cold.load());
 }
 
 }  // namespace

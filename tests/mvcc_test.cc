@@ -1060,8 +1060,8 @@ TEST_F(PhysicalBehaviourTest, SiasWarmReadFetchesTheVisibleVersionOnce) {
 
 TEST_F(PhysicalBehaviourTest, SiasReadLatchAcquisitionsCountColdReadsOnly) {
   // mvcc.read_latch_acquisitions (gated at 0 on the warm read-scaling leg)
-  // counts the walker's locked fetches: a read whose page is not resident
-  // adds at least one, a warm read adds none.
+  // counts the walker's fetches that took the pool mutex: a read of one
+  // cold page adds exactly one, a warm read adds none.
   constexpr size_t kFrames = 16;
   obs::Counter* latched = obs::MetricsRegistry::Default().GetCounter(
       "mvcc.read_latch_acquisitions");
@@ -1090,7 +1090,7 @@ TEST_F(PhysicalBehaviourTest, SiasReadLatchAcquisitionsCountColdReadsOnly) {
     auto row = table->Read(reader.get(), *vid);
     ASSERT_TRUE(row.ok()) << row.status().ToString();
     EXPECT_EQ(row->value_or(""), "cold");
-    EXPECT_GE(latched->Value() - before, 1);
+    EXPECT_EQ(latched->Value() - before, 1);
 
     before = latched->Value();
     row = table->Read(reader.get(), *vid);
