@@ -162,8 +162,14 @@ void BM_BTreeLookup(benchmark::State& state) {
   BTreeFixture f(static_cast<int>(state.range(0)));
   Random rng(3);
   for (auto _ : state) {
+    uint64_t found = 0;
     benchmark::DoNotOptimize(
-        f.tree.Lookup(IntKey(rng.UniformInt(0, 1 << 24)), &f.clk));
+        f.tree.Lookup(IntKey(rng.UniformInt(0, 1 << 24)), &f.clk,
+                      [&](Slice, uint64_t v) {
+                        found += v;
+                        return true;
+                      }));
+    benchmark::DoNotOptimize(found);
   }
 }
 BENCHMARK(BM_BTreeLookup)->Arg(10000)->Arg(100000);

@@ -14,6 +14,15 @@
 
 namespace sias {
 
+namespace {
+/// See BufferPool::SetPinPauseHookForTest.
+std::atomic<void (*)(size_t)> g_pin_pause_hook{nullptr};
+}  // namespace
+
+void BufferPool::SetPinPauseHookForTest(void (*hook)(size_t frame)) {
+  g_pin_pause_hook.store(hook, std::memory_order_seq_cst);
+}
+
 PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
   if (this != &other) {
     Release();
@@ -127,6 +136,9 @@ size_t BufferPool::PinResident(PageId id) {
   uint64_t s = f.stamp.load(std::memory_order_seq_cst);
   if ((s & 1) != 0 || f.tag.load(std::memory_order_seq_cst) != tag) {
     return kNoFrame;
+  }
+  if (auto* hook = g_pin_pause_hook.load(std::memory_order_relaxed)) {
+    hook(idx);
   }
   // Pin, then re-validate: eviction bumps the stamp odd *before*
   // re-checking pins, so if the stamp is still s here, the evictor is
@@ -309,8 +321,17 @@ Result<size_t> BufferPool::FindVictim(VirtualClock* clk) {
 }
 
 Result<PageGuard> BufferPool::FetchPage(PageId id, VirtualClock* clk) {
+  PageGuard hit = PinIfResident(id);
+  if (hit.valid()) return hit;
   SIAS_ASSIGN_OR_RETURN(AsyncFetch f, StartFetch(id, clk));
   return FinishFetch(&f, clk);
+}
+
+PageGuard BufferPool::PinIfResident(PageId id) {
+  size_t hit = PinResident(id);
+  if (hit == kNoFrame) return PageGuard();
+  m_hits_->Increment();
+  return PageGuard(this, hit, id);
 }
 
 Result<BufferPool::AsyncFetch> BufferPool::StartFetch(PageId id,
@@ -319,10 +340,9 @@ Result<BufferPool::AsyncFetch> BufferPool::StartFetch(PageId id,
   out.id = id;
   out.valid = true;
   uint64_t offset = 0;
-  size_t hit = PinResident(id);
-  if (hit == kNoFrame) {
+  size_t hit = kNoFrame;
+  {
     MutexLock lock(&mu_);
-    out.locked = true;
     hit = PinResident(id);  // exact: no frame transitions under mu_
     if (hit == kNoFrame) {
       m_misses_->Increment();

@@ -109,10 +109,24 @@ class BufferPool {
   void SetFpiHook(FpiHook hook) { fpi_log_ = std::move(hook); }
   ~BufferPool();
 
-  /// Fetches an existing page, reading it from the device on a miss.
-  /// Composed of StartFetch + FinishFetch: a hit pins without the pool
-  /// mutex, and a miss's device read happens outside it.
+  /// Fetches an existing page, reading it from the device on a miss:
+  /// PinIfResident, else StartFetch + FinishFetch (the device read happens
+  /// outside the pool mutex).
   Result<PageGuard> FetchPage(PageId id, VirtualClock* clk);
+
+  /// Pins `id` if it is resident, without the pool mutex, and counts the
+  /// hit: the hit path of every fetch. Returns an invalid guard on a miss
+  /// or when a race with eviction was lost; the caller then goes through
+  /// StartFetch, which takes the mutex.
+  PageGuard PinIfResident(PageId id);
+
+  /// Test-only schedule control: when set, every resident pin calls the
+  /// hook with the frame index between its stamp load and its pin, the
+  /// window that pin-then-revalidate protects on the mutex-free path. Pass
+  /// nullptr to disarm. Costs one relaxed atomic load per hit when
+  /// disarmed.
+  SIAS_DEAD_API_OK("buffer_test evicts a frame inside a hit's pin window");
+  static void SetPinPauseHookForTest(void (*hook)(size_t frame));
 
   /// One in-flight asynchronous page fetch. Either the page was resident
   /// (`resident`, guard pinned) or a device read is in flight into a
@@ -121,7 +135,6 @@ class BufferPool {
   struct AsyncFetch {
     bool valid = false;
     bool resident = false;
-    bool locked = false;  ///< took the pool mutex (a miss or a lost race)
     PageGuard guard;     ///< pinned guard when resident
     PageId id{};
     size_t frame = 0;    ///< private victim frame index when !resident
@@ -129,10 +142,10 @@ class BufferPool {
     uint64_t start_seq = 0;  ///< pool write-back sequence when read began
   };
 
-  /// Begins fetching `id`. A hit pins the frame through the stamp/tag
-  /// protocol (see Frame) without the mutex and returns a resident
-  /// AsyncFetch; only when that fails (a miss, or a race with eviction or
-  /// an index shift) does it take the mutex, where the same probe is exact.
+  /// Begins fetching `id` under the pool mutex, for a caller whose
+  /// PinIfResident failed. Under the mutex the resident probe is exact: a
+  /// page that is resident after all (a race with eviction or a page-table
+  /// shift was lost) comes back as a resident AsyncFetch.
   /// A miss claims a victim frame under the mutex, then submits the device
   /// read outside it and returns with the I/O in flight. Submit charges the
   /// device channel immediately (arrival-time backfill), so N StartFetch

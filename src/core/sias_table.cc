@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <span>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -76,10 +77,11 @@ struct ReadBatch {
 // is reachable. Slot publication is an atomic slot-count release store, slot
 // kills are one atomic word, and chain GC rewrites the header's pred word
 // atomically (tuple.h); payload bytes never change between publication and
-// the page's reuse. The driver's epoch pin keeps the map copy loaded below,
-// every page it references and every predecessor those versions point at
+// the page's reuse. The driver's epoch pin keeps the published version
+// vector walked below (in place: a published vector is immutable), every
+// page it references and every predecessor those versions point at
 // physically intact — vacuum's slot kills and vector frees queue behind it
-// (src/mvcc/epoch.h).
+// (src/mvcc/epoch.h). A task never outlives its driver's EpochGuard.
 class SiasTable::ReadTask {
  public:
   ReadTask() = default;
@@ -91,9 +93,8 @@ class SiasTable::ReadTask {
     table_->env_.pool->AbandonFetch(&lookahead_);
   }
 
-  /// Begins resolving `vid`; the visible payload goes to `*row`.
-  void Start(SiasTable* table, ReadBatch* batch, Vid vid,
-             std::optional<std::string>* row) {
+  /// Begins resolving `vid`; the visible payload is copied into `*row`.
+  void Start(SiasTable* table, ReadBatch* batch, Vid vid, std::string* row) {
     table_ = table;
     batch_ = batch;
     vid_ = vid;
@@ -106,8 +107,19 @@ class SiasTable::ReadTask {
   Status Run();
 
   bool done() const { return done_; }
+  /// Whether a live row was found (its payload is in the task's row).
+  bool live() const { return live_; }
   /// The visible version, a tombstone included; invalid when none.
   Tid visible() const { return visible_; }
+  /// MvccTable::Read's `gone`: the map holds no version of the item, or
+  /// its newest version is a tombstone the reader sees (so committed) below
+  /// the GC horizon. Every current and future snapshot sees that delete,
+  /// and nothing writes a deleted item again.
+  bool gone() const {
+    return no_versions_ ||
+           (newest_tombstone_ != kInvalidXid &&
+            newest_tombstone_ < table_->env_.txns->GcHorizon());
+  }
 
  private:
   bool chains() const { return table_->scheme_ == VersionScheme::kSiasChains; }
@@ -119,7 +131,7 @@ class SiasTable::ReadTask {
     if (chains()) {
       tid_ = table_->map_.Get(vid_);
     } else {
-      table_->map_v_.Get(vid_, &versions_);
+      versions_ = table_->map_v_.Versions(vid_);
       pos_ = 0;
     }
     ReadPausePoint(vid_);
@@ -128,7 +140,7 @@ class SiasTable::ReadTask {
   }
 
   /// A lookahead that outlives its usefulness (item resolved, walk ended or
-  /// restarted from a fresh map copy) is cancelled so its window slot and
+  /// restarted from a fresh map load) is cancelled so its window slot and
   /// claim pin free up immediately.
   void DropLookahead() {
     if (lookahead_.valid && !lookahead_.resident) batch_->inflight--;
@@ -167,6 +179,7 @@ class SiasTable::ReadTask {
     }
     const PageId next{table_->relation_, versions_[pos_ + 1].page};
     if (next.page == page.page) return;
+    if (table_->env_.pool->PinIfResident(next).valid()) return;  // a hit
     auto lf = table_->env_.pool->StartFetch(next, clk());
     if (!lf.ok()) return;
     if (lf->resident) {
@@ -181,8 +194,10 @@ class SiasTable::ReadTask {
   SiasTable* table_ = nullptr;
   ReadBatch* batch_ = nullptr;
   Vid vid_ = 0;
-  std::optional<std::string>* row_ = nullptr;
-  std::vector<Tid> versions_;  ///< SIAS-V map copy, newest first
+  std::string* row_ = nullptr;
+  /// SIAS-V: the published vector, newest first, walked in place. Valid
+  /// while the driver's epoch pin lasts, which outlives the task.
+  SIAS_EPOCH_PROTECTED std::span<const Tid> versions_;
   size_t pos_ = 0;             ///< SIAS-V cursor
   Tid tid_{};                  ///< SIAS-Chains cursor
   bool first_ = true;
@@ -190,6 +205,9 @@ class SiasTable::ReadTask {
   int retries_ = 0;
   size_t examined_ = 0;
   Tid visible_{};
+  bool live_ = false;
+  bool no_versions_ = false;               ///< the first map load was empty
+  Xid newest_tombstone_ = kInvalidXid;     ///< see gone()
   bool done_ = false;
   BufferPool::AsyncFetch fetch_;      ///< demand read the task waits on
   BufferPool::AsyncFetch lookahead_;  ///< SIAS-V next-version prefetch
@@ -202,13 +220,15 @@ Status SiasTable::ReadTask::Run() {
     Tid tid = tid_;
     if (!chains()) tid = pos_ < versions_.size() ? versions_[pos_] : Tid{};
     if (!tid.valid()) {
+      no_versions_ = first_;
       Finish();
       return Status::OK();
     }
 
     // Pin the version's page: a finished demand read, the matching
     // lookahead, a resident hit, or — cold — submit the read and suspend.
-    // Only fetches that took the pool mutex count as latch acquisitions.
+    // Only fetches that took the pool mutex (StartFetch) count as latch
+    // acquisitions.
     const PageId page_id{table_->relation_, tid.page};
     PageGuard guard;
     if (fetch_.valid) {
@@ -219,23 +239,26 @@ Status SiasTable::ReadTask::Run() {
       SIAS_ASSIGN_OR_RETURN(guard, pool->FinishFetch(&lookahead_, clk()));
       batch_->inflight--;
     } else {
-      auto f = pool->StartFetch(page_id, clk());
-      if (!f.ok()) return f.status();
-      if (f->locked) MvccObs().read_latch_acquisitions->Increment();
-      if (!f->resident) {
-        fetch_ = std::move(*f);
-        batch_->inflight++;
-        Prefetch(page_id);
-        return Status::OK();  // suspended
+      guard = pool->PinIfResident(page_id);
+      if (!guard.valid()) {
+        MvccObs().read_latch_acquisitions->Increment();
+        auto f = pool->StartFetch(page_id, clk());
+        if (!f.ok()) return f.status();
+        if (!f->resident) {
+          fetch_ = std::move(*f);
+          batch_->inflight++;
+          Prefetch(page_id);
+          return Status::OK();  // suspended
+        }
+        guard = std::move(f->guard);
       }
-      guard = std::move(f->guard);
     }
 
     Slice tuple = SlottedPage(guard.data()).GetTupleAtomic(tid.slot);
     TupleHeader h;
     if (tuple.empty() || !DecodeTupleHeaderAtomic(tuple, &h) ||
         h.vid != vid_) {
-      // A dead or foreign entrypoint / SIAS-V entry means the map copy
+      // A dead or foreign entrypoint / SIAS-V entry means the map load
       // raced with a concurrent prune: restart from the map. A chain
       // *predecessor* resolving dead or foreign is the durable dangling-tail
       // state (the anchor's pred may point into a reclaimed, even recycled,
@@ -264,9 +287,12 @@ Status SiasTable::ReadTask::Run() {
     if (SiasVersionVisible(h, batch_->txn->snapshot(),
                            *table_->env_.txns->clog())) {
       visible_ = tid;
-      if (!h.is_tombstone()) {
+      if (h.is_tombstone()) {
+        if (first_) newest_tombstone_ = h.xmin;
+      } else {
         Slice p = TuplePayload(tuple);
-        row_->emplace(reinterpret_cast<const char*>(p.data()), p.size());
+        row_->assign(reinterpret_cast<const char*>(p.data()), p.size());
+        live_ = true;
       }
       // Charged for a visible tombstone too: the read model copies the
       // resolved version whatever it holds.
@@ -285,8 +311,8 @@ Status SiasTable::ReadTask::Run() {
   return Status::OK();
 }
 
-Status SiasTable::ReadOne(Transaction* txn, Vid vid,
-                          std::optional<std::string>* row, Tid* tid) {
+Result<bool> SiasTable::ReadOne(Transaction* txn, Vid vid, std::string* row,
+                                Tid* tid, bool* gone) {
   // Version-walk span: whatever virtual time the walk spends outside nested
   // io_wait spans is this transaction's traversal phase.
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "read", vid);
@@ -296,7 +322,8 @@ Status SiasTable::ReadOne(Transaction* txn, Vid vid,
   task.Start(this, &batch, vid, row);
   while (!task.done()) SIAS_RETURN_NOT_OK(task.Run());
   if (tid != nullptr) *tid = task.visible();
-  return Status::OK();
+  if (gone != nullptr) *gone = task.gone();
+  return task.live();
 }
 
 Result<Vid> SiasTable::Insert(Transaction* txn, Slice row, Tid* tid_out) {
@@ -435,13 +462,12 @@ Status SiasTable::Delete(Transaction* txn, Vid vid) {
   return Status::OK();
 }
 
-Result<std::optional<std::string>> SiasTable::Read(Transaction* txn,
-                                                   Vid vid) {
+Result<bool> SiasTable::Read(Transaction* txn, Vid vid, std::string* row,
+                             bool* gone) {
   MvccObs().reads->Increment();
-  std::optional<std::string> row;
-  SIAS_RETURN_NOT_OK(ReadOne(txn, vid, &row, nullptr));
-  if (!row.has_value()) MvccObs().read_misses->Increment();
-  return row;
+  SIAS_ASSIGN_OR_RETURN(bool live, ReadOne(txn, vid, row, nullptr, gone));
+  if (!live) MvccObs().read_misses->Increment();
+  return live;
 }
 
 Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
@@ -450,7 +476,7 @@ Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "read_multi",
                            vids.size());
   MvccObs().reads->Add(static_cast<int64_t>(vids.size()));
-  rows->assign(vids.size(), std::optional<std::string>{});
+  rows->assign(vids.size(), std::optional<std::string>{std::in_place});
 
   // One task per VID, all under one epoch pin. The driver admits tasks
   // until `io_depth` device reads are in flight, then resumes suspended
@@ -467,7 +493,7 @@ Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
   while (true) {
     while (next_admit < tasks.size() && batch.inflight < batch.io_depth) {
       ReadTask& t = tasks[next_admit];
-      t.Start(this, &batch, vids[next_admit], &(*rows)[next_admit]);
+      t.Start(this, &batch, vids[next_admit], &*(*rows)[next_admit]);
       SIAS_RETURN_NOT_OK(t.Run());
       if (!t.done()) suspended.push_back(next_admit);
       next_admit++;
@@ -480,6 +506,9 @@ Status SiasTable::ReadMulti(Transaction* txn, const std::vector<Vid>& vids,
     suspended.pop_front();
     SIAS_RETURN_NOT_OK(tasks[i].Run());
     if (!tasks[i].done()) suspended.push_back(i);
+  }
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    if (!tasks[i].live()) (*rows)[i].reset();
   }
   MvccObs().read_misses->Add(
       std::count(rows->begin(), rows->end(), std::nullopt));
@@ -499,13 +528,14 @@ Status SiasTable::FullRelationScan(Transaction* txn, const ScanCallback& cb) {
       return true;
     });
     if (!r.ok()) return r.status();
+    std::string row;
     for (const VersionRef& c : candidates) {
-      std::optional<std::string> row;
       Tid visible;
-      SIAS_RETURN_NOT_OK(ReadOne(txn, c.header.vid, &row, &visible));
-      if (!row.has_value()) continue;
+      SIAS_ASSIGN_OR_RETURN(
+          bool live, ReadOne(txn, c.header.vid, &row, &visible, nullptr));
+      if (!live) continue;
       if (visible == c.tid) {  // this candidate IS the visible version
-        if (!cb(c.header.vid, Slice(*row))) return Status::OK();
+        if (!cb(c.header.vid, Slice(row))) return Status::OK();
       }
     }
   }
@@ -517,12 +547,12 @@ Status SiasTable::ScanWithTid(Transaction* txn,
   // Algorithm 1: iterate the VidMap; for each VID resolve the visible
   // version. More selective I/O than reading the full relation.
   Vid bound = vid_bound();
+  std::string row;
   for (Vid v = 0; v < bound; ++v) {
-    std::optional<std::string> row;
     Tid visible;
-    SIAS_RETURN_NOT_OK(ReadOne(txn, v, &row, &visible));
-    if (!row.has_value()) continue;
-    if (!cb(v, visible, Slice(*row))) return Status::OK();
+    SIAS_ASSIGN_OR_RETURN(bool live, ReadOne(txn, v, &row, &visible, nullptr));
+    if (!live) continue;
+    if (!cb(v, visible, Slice(row))) return Status::OK();
   }
   return Status::OK();
 }

@@ -59,7 +59,9 @@ class SiasTable : public MvccTable {
   /// Restores the entrypoint the write replaced: Chains swing it back from
   /// `new_tid` to `expected_tid`, SIAS-V pops `new_tid` off the vector.
   void UndoWrite(const TxnWrite& write) override;
-  Result<std::optional<std::string>> Read(Transaction* txn, Vid vid) override;
+  using MvccTable::Read;
+  Result<bool> Read(Transaction* txn, Vid vid, std::string* row,
+                    bool* gone) override;
   /// Pipelined batch read: one ReadTask per VID, the same walker Read()
   /// drives alone. A task that needs a cold page SUBMITS the read
   /// (BufferPool::StartFetch) and suspends; the driver keeps up to
@@ -121,11 +123,13 @@ class SiasTable : public MvccTable {
   class ReadTask;
 
   /// Resolves the version of `vid` visible to txn by driving one ReadTask
-  /// to completion. `*row` receives its payload (left empty when nothing is
-  /// visible or the visible version is a tombstone); `*tid`, when given,
-  /// the visible version (invalid when none).
-  Status ReadOne(Transaction* txn, Vid vid, std::optional<std::string>* row,
-                 Tid* tid);
+  /// to completion. Returns whether a live row is visible, its payload
+  /// copied into `*row`. `*tid`, when given, receives the visible version
+  /// (a tombstone included; invalid when none), and `*gone`, when given,
+  /// whether no current or future snapshot can see the item (MvccTable::
+  /// Read).
+  Result<bool> ReadOne(Transaction* txn, Vid vid, std::string* row, Tid* tid,
+                       bool* gone);
 
   /// Entry validation for Update/Delete under the row lock
   /// (Algorithm 3 lines 3-6). Returns the base version reference.

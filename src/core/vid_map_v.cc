@@ -74,12 +74,12 @@ std::vector<Tid> VidMapV::Get(Vid vid) const {
   return vec == nullptr ? VersionVector{} : *vec;
 }
 
-void VidMapV::Get(Vid vid, std::vector<Tid>* out) const {
-  out->clear();
+std::span<const Tid> VidMapV::Versions(Vid vid) const {
   const auto* slot = SlotFor(vid);
-  if (slot == nullptr) return;
+  if (slot == nullptr) return {};
   const VersionVector* vec = slot->load(std::memory_order_seq_cst);
-  if (vec != nullptr) out->assign(vec->begin(), vec->end());
+  if (vec == nullptr) return {};
+  return std::span<const Tid>(vec->data(), vec->size());
 }
 
 Tid VidMapV::Entrypoint(Vid vid) const {

@@ -17,15 +17,16 @@
 // (src/mvcc/epoch.h), which frees it once no pinned reader can still hold
 // the old pointer.
 //
-// Concurrency contract: callers of Get()/Entrypoint() must either hold an
-// epoch pin (the read path) or be the slot's serialized mutator (write/GC
-// paths run under the row lock, which prevents the current pointer from
-// being superseded-and-retired underneath them). Mutators never require an
-// epoch: per-VID mutations are serialized by row locks, so the loaded
-// pointer is always the live one.
+// Concurrency contract: callers of Get()/Versions()/Entrypoint() must
+// either hold an epoch pin (the read path) or be the slot's serialized
+// mutator (write/GC paths run under the row lock, which prevents the current
+// pointer from being superseded-and-retired underneath them). Mutators
+// never require an epoch: per-VID mutations are serialized by row locks, so
+// the loaded pointer is always the live one.
 #pragma once
 
 #include <atomic>
+#include <span>
 #include <vector>
 
 #include "common/analysis_annotations.h"
@@ -45,13 +46,14 @@ class VidMapV {
 
   Vid AllocateVid();
 
-  /// The version vector of `vid`, newest first (copy; small).
+  /// The version vector of `vid`, newest first (copy; GC, tests).
   std::vector<Tid> Get(Vid vid) const;
 
-  /// Buffer-reusing variant: clears `out` and fills it with the version
-  /// vector of `vid` (batched read paths call this once per retry without
-  /// reallocating).
-  void Get(Vid vid, std::vector<Tid>* out) const;
+  /// The published version vector of `vid`, newest first, in place (empty
+  /// when the item has none). Published vectors are immutable, so the view
+  /// stays valid and unchanged for as long as the caller's epoch pin: a
+  /// write that supersedes it retires it through the epoch queue.
+  SIAS_EPOCH_PROTECTED std::span<const Tid> Versions(Vid vid) const;
 
   /// Entrypoint = front of the vector.
   Tid Entrypoint(Vid vid) const;

@@ -39,13 +39,15 @@ Status Row::Encode(const Schema& schema, std::string* out) const {
 
 Result<Row> Row::Decode(const Schema& schema, Slice data) {
   Row row;
+  row.values_.reserve(schema.num_columns());
   const uint8_t* p = data.data();
   const uint8_t* end = data.data() + data.size();
   for (size_t i = 0; i < schema.num_columns(); ++i) {
     switch (schema.column(i).type) {
       case ColumnType::kInt64: {
         if (p + 8 > end) return Status::Corruption("row truncated");
-        row.Append(static_cast<int64_t>(DecodeFixed64(p)));
+        row.values_.emplace_back(std::in_place_type<int64_t>,
+                                 static_cast<int64_t>(DecodeFixed64(p)));
         p += 8;
         break;
       }
@@ -54,7 +56,7 @@ Result<Row> Row::Decode(const Schema& schema, Slice data) {
         uint64_t bits = DecodeFixed64(p);
         double v;
         memcpy(&v, &bits, 8);
-        row.Append(v);
+        row.values_.emplace_back(std::in_place_type<double>, v);
         p += 8;
         break;
       }
@@ -63,7 +65,8 @@ Result<Row> Row::Decode(const Schema& schema, Slice data) {
         uint16_t len = DecodeFixed16(p);
         p += 2;
         if (p + len > end) return Status::Corruption("row truncated");
-        row.Append(std::string(reinterpret_cast<const char*>(p), len));
+        row.values_.emplace_back(std::in_place_type<std::string>,
+                                 reinterpret_cast<const char*>(p), len);
         p += len;
         break;
       }

@@ -1,11 +1,13 @@
 #include "engine/table.h"
 
+#include <cstring>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "index/key_codec.h"
 #include "obs/metrics.h"
 
 namespace sias {
@@ -20,7 +22,47 @@ obs::Counter* ScanHeapResolves() {
   return c;
 }
 
+/// B+-tree entries removed because their item is gone for every snapshot.
+obs::Counter* DeadEntriesRemoved() {
+  static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
+      "index.dead_entries_removed");
+  return c;
+}
+
+/// The calling thread's heap read buffer: a row is read into it and decoded
+/// at once, so every read reuses its capacity.
+std::string& ReadBuffer() {
+  thread_local std::string buf;
+  return buf;
+}
+
 }  // namespace
+
+KeyExtractor KeyExtractor::IntColumns(std::vector<size_t> columns) {
+  KeyExtractor e;
+  e.int_columns_ = std::move(columns);
+  return e;
+}
+
+std::string KeyExtractor::operator()(const Row& row) const {
+  if (fn_) return fn_(row);
+  KeyBuilder key;
+  for (size_t c : int_columns_) key.AddInt(row.GetInt(c));
+  return key.Take();
+}
+
+bool KeyExtractor::Matches(const Row& row, Slice key) const {
+  if (fn_) return Slice(fn_(row)) == key;
+  if (key.size() != 8 * int_columns_.size()) return false;
+  const uint8_t* p = key.data();
+  for (size_t c : int_columns_) {
+    uint8_t field[8];
+    EncodeIntKeyField(field, row.GetInt(c));
+    if (memcmp(field, p, 8) != 0) return false;
+    p += 8;
+  }
+  return true;
+}
 
 void Table::AttachIndex(std::string index_name,
                         std::unique_ptr<SecondaryIndex> index,
@@ -65,7 +107,8 @@ Status Table::Update(Transaction* txn, Vid vid, const Row& new_row) {
 
 Status Table::Delete(Transaction* txn, Vid vid) {
   // Version-aware indexes need a delete record carrying the doomed row's
-  // key; fetch it only when one asks (B+-trees clean ghosts lazily).
+  // key; fetch it only when one asks. A B+-tree entry stays until a probe
+  // finds its item gone for every snapshot (ResolveIndexHit).
   bool need_keys = false;
   for (auto& idx : indexes_) {
     need_keys = need_keys || idx.index->wants_delete_events();
@@ -88,10 +131,10 @@ Status Table::Delete(Transaction* txn, Vid vid) {
 }
 
 Result<std::optional<Row>> Table::Get(Transaction* txn, Vid vid) {
-  SIAS_ASSIGN_OR_RETURN(std::optional<std::string> bytes,
-                        heap_->Read(txn, vid));
-  if (!bytes.has_value()) return std::optional<Row>{};
-  SIAS_ASSIGN_OR_RETURN(Row row, Row::Decode(schema_, Slice(*bytes)));
+  std::string& bytes = ReadBuffer();
+  SIAS_ASSIGN_OR_RETURN(bool live, heap_->Read(txn, vid, &bytes, nullptr));
+  if (!live) return std::optional<Row>{};
+  SIAS_ASSIGN_OR_RETURN(Row row, Row::Decode(schema_, Slice(bytes)));
   return std::optional<Row>{std::move(row)};
 }
 
@@ -127,12 +170,13 @@ Status Table::Scan(Transaction* txn, const RowCallback& cb) {
 }
 
 Result<std::optional<std::pair<Vid, Row>>> Table::ResolveIndexHit(
-    Transaction* txn, const IndexHit& hit, Slice key, const IndexDef& index,
+    Transaction* txn, const IndexHit& hit, const IndexDef& index,
     std::unordered_set<Vid>* seen) {
   std::optional<std::pair<Vid, Row>> out;
   if (hit.visibility_resolved) {
     // The index already decided visibility; the heap read only
     // materializes attributes not present in the entry.
+    if (!seen->insert(hit.value).second) return out;
     SIAS_ASSIGN_OR_RETURN(std::optional<Row> row, Get(txn, hit.value));
     if (row.has_value()) out.emplace(hit.value, std::move(*row));
   } else if (scheme() == VersionScheme::kSi) {
@@ -147,16 +191,23 @@ Result<std::optional<std::pair<Vid, Row>>> Table::ResolveIndexHit(
   } else {
     // SIAS: value is the VID; resolve through the VidMap, then recheck the
     // key (the entry may predate a key-changing update).
-    SIAS_ASSIGN_OR_RETURN(std::optional<std::string> bytes,
-                          heap_->Read(txn, hit.value));
-    if (bytes.has_value()) {
-      SIAS_ASSIGN_OR_RETURN(Row row, Row::Decode(schema_, Slice(*bytes)));
-      if (Slice(index.extractor(row)) == key) {
+    std::string& bytes = ReadBuffer();
+    bool gone = false;
+    SIAS_ASSIGN_OR_RETURN(bool live,
+                          heap_->Read(txn, hit.value, &bytes, &gone));
+    if (gone) {
+      SIAS_ASSIGN_OR_RETURN(
+          bool removed,
+          index.index->RemoveDeadEntry(hit.key, hit.value, txn->clock()));
+      if (removed) DeadEntriesRemoved()->Increment();
+    }
+    if (live) {
+      SIAS_ASSIGN_OR_RETURN(Row row, Row::Decode(schema_, Slice(bytes)));
+      if (index.extractor.Matches(row, hit.key)) {
         out.emplace(hit.value, std::move(row));
       }
     }
   }
-  if (out.has_value() && !seen->insert(out->first).second) out.reset();
   return out;
 }
 
@@ -174,7 +225,7 @@ Result<std::vector<std::pair<Vid, Row>>> Table::IndexLookup(Transaction* txn,
   Status inner;
   Status s = idx.index->Probe(
       txn->snapshot(), key, txn->clock(), [&](const IndexHit& hit) {
-        auto r = ResolveIndexHit(txn, hit, key, idx, &seen);
+        auto r = ResolveIndexHit(txn, hit, idx, &seen);
         if (!r.ok()) {
           inner = r.status();
           return false;
@@ -197,7 +248,7 @@ Status Table::IndexRange(Transaction* txn, size_t index_id, Slice lo,
   Status inner;
   Status s = idx.index->ProbeRange(
       txn->snapshot(), lo, hi, txn->clock(), [&](const IndexHit& hit) {
-        auto r = ResolveIndexHit(txn, hit, Slice(hit.key), idx, &seen);
+        auto r = ResolveIndexHit(txn, hit, idx, &seen);
         if (!r.ok()) {
           inner = r.status();
           return false;
@@ -221,16 +272,16 @@ Status Table::IndexOnlyRange(Transaction* txn, size_t index_id, Slice lo,
         if (hit.visibility_resolved) {
           // Index-covered: the verdict and both outputs come from the
           // entry; no heap page is touched.
-          return cb(Slice(hit.key), hit.value);
+          return cb(hit.key, hit.value);
         }
         // Candidate entry: visibility lives in the heap version chain.
         ScanHeapResolves()->Increment();
-        auto r = ResolveIndexHit(txn, hit, Slice(hit.key), idx, &seen);
+        auto r = ResolveIndexHit(txn, hit, idx, &seen);
         if (!r.ok()) {
           inner = r.status();
           return false;
         }
-        return !r->has_value() || cb(Slice(hit.key), (*r)->first);
+        return !r->has_value() || cb(hit.key, (*r)->first);
       });
   SIAS_RETURN_NOT_OK(inner);
   return s;

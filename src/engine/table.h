@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -21,8 +22,29 @@
 
 namespace sias {
 
-/// Extracts the index key bytes from a row (see index/key_codec.h).
-using KeyExtractor = std::function<std::string(const Row&)>;
+/// Extracts the index key bytes from a row (see index/key_codec.h): any
+/// row -> key function, or IntColumns, whose keys the lookup-time key
+/// recheck compares against a row in place, without building one.
+class KeyExtractor {
+ public:
+  template <typename F, typename = std::enable_if_t<std::is_invocable_r_v<
+                            std::string, F&, const Row&>>>
+  KeyExtractor(F fn) : fn_(std::move(fn)) {}  // NOLINT: a lambda converts
+
+  /// The key KeyBuilder().AddInt(...) builds from these int64 columns, in
+  /// this order.
+  static KeyExtractor IntColumns(std::vector<size_t> columns);
+
+  std::string operator()(const Row& row) const;
+  /// Whether `row`'s key is `key`.
+  bool Matches(const Row& row, Slice key) const;
+
+ private:
+  KeyExtractor() = default;
+
+  std::function<std::string(const Row&)> fn_;  ///< empty for IntColumns
+  std::vector<size_t> int_columns_;
+};
 
 /// A logical table with typed rows and optional secondary indexes.
 /// Thread-safe (delegates to thread-safe components).
@@ -75,7 +97,10 @@ class Table {
   Status IndexOnlyRange(Transaction* txn, size_t index_id, Slice lo,
                         Slice hi, const KeyVidCallback& cb);
 
-  /// Garbage collection of the heap (indexes clean lazily on lookup).
+  /// Garbage collection of the heap. B+-tree entries are not touched here:
+  /// under SIAS, the probe that first finds an entry's item gone for every
+  /// snapshot removes the entry (ResolveIndexHit); SI's per-version entries
+  /// stay.
   Status GarbageCollect(Xid horizon, VirtualClock* clk);
 
   /// Vacuum-driven index maintenance (MV-PBT partition flush/merge).
@@ -98,10 +123,16 @@ class Table {
 
   /// The one index-hit resolver: the visible (vid, row) behind `hit`
   /// (the index's verdict, or a scheme-dependent heap dereference with a
-  /// key recheck), or nullopt when it is invisible, stale or already in
-  /// `seen`.
+  /// key recheck), or nullopt when it is invisible, stale or, for an
+  /// index-resolved hit, already in `seen`. A B+-tree can emit an item at
+  /// most once per probe: one entry at most passes the key recheck, and
+  /// under SI one version at most is visible.
+  ///
+  /// Under SIAS a candidate whose item no current or future snapshot can
+  /// see (MvccTable::Read's `gone`) is removed from the index here, with
+  /// the tree latch released (index.dead_entries_removed).
   Result<std::optional<std::pair<Vid, Row>>> ResolveIndexHit(
-      Transaction* txn, const IndexHit& hit, Slice key, const IndexDef& index,
+      Transaction* txn, const IndexHit& hit, const IndexDef& index,
       std::unordered_set<Vid>* seen);
 
   /// Collects (index_id, key, tid, vid) for every row `txn` sees; used by

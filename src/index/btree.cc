@@ -324,22 +324,50 @@ Status BTree::Delete(Slice key, uint64_t value, VirtualClock* clk) {
   }
 }
 
-Result<std::vector<uint64_t>> BTree::Lookup(Slice key, VirtualClock* clk) {
-  std::vector<uint64_t> out;
-  Status s = Range(key, Slice(), clk, [&](Slice k, uint64_t v) {
-    if (k.Compare(key) != 0) return false;
-    out.push_back(v);
-    return true;
-  });
-  if (!s.ok()) return s;
-  return out;
+struct BTree::Batch {
+  struct Entry {
+    uint16_t key_len;
+    uint8_t key[kMaxKeyLen];
+    uint64_t value;
+    Slice key_slice() const { return Slice(key, key_len); }
+  };
+  Entry entries[kScanBatch];
+  size_t n = 0;
+  bool more = false;  ///< stopped at kScanBatch, not at the end of the scan
+};
+
+Status BTree::Lookup(Slice key, VirtualClock* clk, RangeCallback cb) {
+  return Scan(key, Slice(), /*point=*/true, clk, cb);
 }
 
-Status BTree::Range(Slice lo, Slice hi, VirtualClock* clk,
-                    const RangeCallback& cb) {
+Status BTree::Range(Slice lo, Slice hi, VirtualClock* clk, RangeCallback cb) {
+  return Scan(lo, hi, /*point=*/false, clk, cb);
+}
+
+Status BTree::Scan(Slice lo, Slice hi, bool point, VirtualClock* clk,
+                   RangeCallback cb) {
+  Batch batch;
+  SIAS_RETURN_NOT_OK(CopyBatch(lo, 0, /*after=*/false, hi, point, clk, &batch));
+  for (;;) {
+    for (size_t i = 0; i < batch.n; ++i) {
+      const Batch::Entry& e = batch.entries[i];
+      if (!cb(e.key_slice(), e.value)) return Status::OK();
+    }
+    if (!batch.more) return Status::OK();
+    // Resume after the last entry: copy it out first, CopyBatch refills
+    // the array it lives in.
+    Batch::Entry last = batch.entries[batch.n - 1];
+    SIAS_RETURN_NOT_OK(CopyBatch(last.key_slice(), last.value,
+                                 /*after=*/true, hi, point, clk, &batch));
+  }
+}
+
+Status BTree::CopyBatch(Slice lo, uint64_t lo_value, bool after, Slice hi,
+                        bool point, VirtualClock* clk, Batch* out) {
+  out->n = 0;
+  out->more = false;
   ReadLock lock(&tree_latch_);
   PageNumber current = root_;
-  // Descend with value 0 (-infinity tiebreak).
   for (;;) {
     auto g = pool_->FetchPage(PageId{relation_, current}, clk);
     if (!g.ok()) return g.status();
@@ -347,24 +375,33 @@ Status BTree::Range(Slice lo, Slice hi, VirtualClock* clk,
     guard.LatchShared();
     NodeView node{guard.data()};
     if (!node.is_leaf()) {
-      PageNumber next = DescendChild(node, lo, 0);
+      PageNumber next = DescendChild(node, lo, lo_value);
       guard.Unlatch();
       current = next;
       continue;
     }
     // Walk leaves from here.
-    size_t pos = LowerBound(node, lo, 0);
+    size_t pos = LowerBound(node, lo, lo_value);
+    if (after && pos < node.count() &&
+        ComparePair(node.key(pos), node.value(pos), lo, lo_value) == 0) {
+      pos++;
+    }
     for (;;) {
       for (; pos < node.count(); ++pos) {
         Slice k = node.key(pos);
-        if (!hi.empty() && k.Compare(hi) >= 0) {
+        if (point ? k.Compare(lo) != 0 : !hi.empty() && k.Compare(hi) >= 0) {
           guard.Unlatch();
           return Status::OK();
         }
-        if (!cb(k, node.value(pos))) {
+        if (out->n == kScanBatch) {
+          out->more = true;
           guard.Unlatch();
           return Status::OK();
         }
+        Batch::Entry& e = out->entries[out->n++];
+        e.key_len = static_cast<uint16_t>(k.size());
+        memcpy(e.key, k.data(), k.size());
+        e.value = node.value(pos);
       }
       PageNumber next = node.right();
       guard.Unlatch();

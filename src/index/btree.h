@@ -19,12 +19,12 @@
 //    Database::Recover), so index pages need no WAL.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "common/analysis_annotations.h"
+#include "common/function_ref.h"
 #include "common/latch.h"
 #include "common/result.h"
 #include "common/slice.h"
@@ -51,14 +51,20 @@ class BTree {
   /// Removes the exact <key, value> entry. NotFound if absent.
   Status Delete(Slice key, uint64_t value, VirtualClock* clk);
 
-  /// All values stored under `key`.
-  Result<std::vector<uint64_t>> Lookup(Slice key, VirtualClock* clk);
+  /// Visits entries in (key, value) order; returns false to stop. Both
+  /// scans below copy entries out under the tree latch, kScanBatch at a
+  /// time, and run the callback with no latch held, so it may read the heap
+  /// or write this tree; the next batch resumes after the last entry handed
+  /// out.
+  using RangeCallback = FunctionRef<bool(Slice key, uint64_t value)>;
+  static constexpr size_t kScanBatch = 32;
 
-  /// Visits entries with lo <= key < hi in order; callback returns false to
-  /// stop. Pass empty `hi` for an unbounded upper end.
-  using RangeCallback = std::function<bool(Slice key, uint64_t value)>;
-  Status Range(Slice lo, Slice hi, VirtualClock* clk,
-               const RangeCallback& cb);
+  /// Visits the entries stored under `key`.
+  Status Lookup(Slice key, VirtualClock* clk, RangeCallback cb);
+
+  /// Visits entries with lo <= key < hi. Pass empty `hi` for an unbounded
+  /// upper end.
+  Status Range(Slice lo, Slice hi, VirtualClock* clk, RangeCallback cb);
 
   /// Number of entries (maintained counter).
   uint64_t size() const;
@@ -77,6 +83,17 @@ class BTree {
   Status SplitAndInsert(PageGuard leaf, std::vector<PageNumber> path,
                         Slice key, uint64_t value, VirtualClock* clk)
       SIAS_REQUIRES(tree_latch_);
+
+  /// Entries copied out of the leaves by one latched pass of Scan.
+  struct Batch;
+  /// Lookup (`point`: only keys equal to `lo`) and Range: latched batch
+  /// copies, then the callback with the latch released.
+  Status Scan(Slice lo, Slice hi, bool point, VirtualClock* clk,
+              RangeCallback cb);
+  /// Copies up to kScanBatch entries, starting at (lo, lo_value) or, with
+  /// `after`, just past it, under the read latch.
+  Status CopyBatch(Slice lo, uint64_t lo_value, bool after, Slice hi,
+                   bool point, VirtualClock* clk, Batch* out);
 
   RelationId relation_;
   BufferPool* pool_;

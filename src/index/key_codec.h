@@ -13,13 +13,19 @@
 
 namespace sias {
 
+/// The 8 key bytes of a signed 64-bit field, order-preserving (bias by
+/// 2^63, big-endian).
+inline void EncodeIntKeyField(uint8_t* buf, int64_t v) {
+  EncodeBigEndian64(buf, static_cast<uint64_t>(v) + (1ull << 63));
+}
+
 /// Builder for order-preserving composite keys.
 class KeyBuilder {
  public:
-  /// Signed 64-bit, order-preserving (bias by 2^63, big-endian).
+  /// Signed 64-bit (EncodeIntKeyField).
   KeyBuilder& AddInt(int64_t v) {
     uint8_t buf[8];
-    EncodeBigEndian64(buf, static_cast<uint64_t>(v) + (1ull << 63));
+    EncodeIntKeyField(buf, v);
     key_.append(reinterpret_cast<char*>(buf), 8);
     return *this;
   }

@@ -379,7 +379,7 @@ Status MvPbt::ProbeImpl(const Snapshot& snap, Slice lo, Slice hi, bool point,
     }
     if (decider != nullptr && decider->type == RecordType::kInsert) {
       IndexHit hit;
-      hit.key = recs[i].key;
+      hit.key = Slice(recs[i].key);
       hit.value = recs[i].vid;
       hit.visibility_resolved = true;
       if (!cb(hit)) return Status::OK();

@@ -113,6 +113,12 @@ class MvPbt : public SecondaryIndex {
   /// snapshot at or above `horizon` can distinguish.
   Status Maintain(Xid horizon, VirtualClock* clk) override;
 
+  /// Never asked: every hit is visibility-resolved, and superseded records
+  /// go in Maintain's merges.
+  Result<bool> RemoveDeadEntry(Slice, uint64_t, VirtualClock*) override {
+    return false;
+  }
+
   /// Live records (buffer + all flushed partitions, superseded included).
   uint64_t entries() const override;
 

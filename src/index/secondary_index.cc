@@ -1,43 +1,38 @@
 #include "index/secondary_index.h"
 
-#include <utility>
-#include <vector>
-
 namespace sias {
 
 Status BTreeIndex::Probe(const Snapshot&, Slice key, VirtualClock* clk,
                          const HitCallback& cb) {
-  SIAS_ASSIGN_OR_RETURN(std::vector<uint64_t> values,
-                        tree_.Lookup(key, clk));
   IndexHit hit;
-  hit.key = key.ToString();
-  hit.visibility_resolved = false;
-  for (uint64_t v : values) {
+  hit.key = key;
+  return tree_.Lookup(key, clk, [&](Slice, uint64_t v) {
     hit.value = v;
-    if (!cb(hit)) return Status::OK();
-  }
-  return Status::OK();
+    return cb(hit);
+  });
 }
 
 Status BTreeIndex::ProbeRange(const Snapshot&, Slice lo, Slice hi,
                               VirtualClock* clk, const HitCallback& cb) {
-  // Collect under the tree latch (Range's callback runs latched), emit
-  // after: the interface promises hit callbacks run latch-free, because
-  // callers resolve hits against the heap (page latches would invert the
-  // kBTree < kPage order on re-entry).
-  std::vector<IndexHit> hits;
-  SIAS_RETURN_NOT_OK(tree_.Range(lo, hi, clk, [&](Slice k, uint64_t v) {
-    IndexHit hit;
-    hit.key = k.ToString();
+  // BTree::Range runs the callback with the tree latch released, as the
+  // interface promises: callers resolve hits against the heap (page
+  // latches would invert the kBTree < kPage order on re-entry) and may
+  // remove dead entries.
+  IndexHit hit;
+  return tree_.Range(lo, hi, clk, [&](Slice k, uint64_t v) {
+    hit.key = k;
     hit.value = v;
-    hit.visibility_resolved = false;
-    hits.push_back(std::move(hit));
-    return true;
-  }));
-  for (const IndexHit& hit : hits) {
-    if (!cb(hit)) return Status::OK();
-  }
-  return Status::OK();
+    return cb(hit);
+  });
+}
+
+Result<bool> BTreeIndex::RemoveDeadEntry(Slice key, uint64_t value,
+                                         VirtualClock* clk) {
+  // No WAL: indexes are rebuilt from the heap on recovery (btree.h).
+  Status s = tree_.Delete(key, value, clk);
+  if (s.IsNotFound()) return false;  // another reader removed it first
+  SIAS_RETURN_NOT_OK(s);
+  return true;
 }
 
 }  // namespace sias

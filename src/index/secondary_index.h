@@ -16,10 +16,10 @@
 // structures they belong to instead of in engine/table.cc branches.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -47,9 +47,10 @@ struct IndexWriteCtx {
 /// One probe hit. `value` is what the implementation stores (packed TID or
 /// VID); `visibility_resolved` reports whether the entry was already
 /// filtered against the probing snapshot (MV-PBT) or is a raw candidate the
-/// caller must resolve through the heap (B+-tree).
+/// caller must resolve through the heap (B+-tree). `key` is valid for the
+/// duration of the callback.
 struct IndexHit {
-  std::string key;
+  Slice key;
   uint64_t value = 0;
   bool visibility_resolved = false;
 };
@@ -78,7 +79,7 @@ class SecondaryIndex {
   /// Point probe / range scan over [lo, hi) ('hi' empty = unbounded) in key
   /// order; the callback returns false to stop. Implementations may buffer
   /// hits internally — the callback runs with no index latch held.
-  using HitCallback = std::function<bool(const IndexHit&)>;
+  using HitCallback = FunctionRef<bool(const IndexHit&)>;
   virtual Status Probe(const Snapshot& snap, Slice key, VirtualClock* clk,
                        const HitCallback& cb) = 0;
   virtual Status ProbeRange(const Snapshot& snap, Slice lo, Slice hi,
@@ -87,6 +88,13 @@ class SecondaryIndex {
   /// Vacuum-driven maintenance (MV-PBT partition flush/merge; B+-tree
   /// no-op). `horizon` bounds which superseded records may be purged.
   virtual Status Maintain(Xid horizon, VirtualClock* clk) = 0;
+
+  /// Removes the candidate entry <key, value> of an item that no current or
+  /// future snapshot can see (Table::ResolveIndexHit decides; only indexes
+  /// whose hits need the heap are asked). An entry already gone is not an
+  /// error. Returns whether this call removed it.
+  virtual Result<bool> RemoveDeadEntry(Slice key, uint64_t value,
+                                       VirtualClock* clk) = 0;
 
   /// Entry count (maintained; MV-PBT includes superseded records).
   virtual uint64_t entries() const = 0;
@@ -115,7 +123,8 @@ class BTreeIndex : public SecondaryIndex {
     }
     // SIAS (§4.3): the index references the VID; only a key-value change
     // needs a new entry. The stale <old_key, VID> entry is filtered by the
-    // key recheck on lookup until GC removes it.
+    // key recheck on lookup, and removed once the item is gone for every
+    // snapshot (RemoveDeadEntry).
     if (old_key != new_key) {
       return tree_.Insert(new_key, ctx.vid, ctx.clk);
     }
@@ -123,7 +132,9 @@ class BTreeIndex : public SecondaryIndex {
   }
 
   Status OnDelete(const IndexWriteCtx&, Slice) override {
-    // Entries are removed lazily (vacuum / lookup-time ghost cleanup).
+    // The entry stays while a snapshot may still read the row: under SIAS
+    // the first probe that finds the item gone for every snapshot removes
+    // it (RemoveDeadEntry); SI's per-version entries are never removed.
     return Status::OK();
   }
 
@@ -135,6 +146,8 @@ class BTreeIndex : public SecondaryIndex {
                     const HitCallback& cb) override;
 
   Status Maintain(Xid, VirtualClock*) override { return Status::OK(); }
+  Result<bool> RemoveDeadEntry(Slice key, uint64_t value,
+                               VirtualClock* clk) override;
   uint64_t entries() const override { return tree_.size(); }
 
  private:

@@ -62,9 +62,24 @@ class MvccTable {
   /// newest first while the transaction still holds its row locks.
   virtual void UndoWrite(const TxnWrite& write) = 0;
 
-  /// Returns the row visible in txn's snapshot, or nullopt if none.
-  virtual Result<std::optional<std::string>> Read(Transaction* txn,
-                                                  Vid vid) = 0;
+  /// Snapshot read: copies the payload of the version of `vid` visible to
+  /// txn into `*row`, reusing its capacity, and returns true; returns false
+  /// when no live row is visible (no version, or a tombstone). `gone`, when
+  /// non-null, is set when no current or future snapshot can see the item:
+  /// its newest version is a committed tombstone below
+  /// TransactionManager::GcHorizon(), or it has no version left (an aborted
+  /// insert, or GC removed it). SI leaves it false: its index entries
+  /// address versions, not items.
+  virtual Result<bool> Read(Transaction* txn, Vid vid, std::string* row,
+                            bool* gone) = 0;
+
+  /// Read() into a fresh string: the visible row, or nullopt if none.
+  Result<std::optional<std::string>> Read(Transaction* txn, Vid vid) {
+    std::optional<std::string> row{std::in_place};
+    SIAS_ASSIGN_OR_RETURN(bool live, Read(txn, vid, &*row, nullptr));
+    if (!live) row.reset();
+    return row;
+  }
 
   /// Batched read: resolves every VID in `vids` against txn's snapshot,
   /// writing one entry per input into `rows` (nullopt = no visible

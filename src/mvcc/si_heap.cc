@@ -77,7 +77,9 @@ Result<Vid> SiHeap::Insert(Transaction* txn, Slice row, Tid* tid_out) {
   return vid;
 }
 
-Result<std::optional<std::string>> SiHeap::Read(Transaction* txn, Vid vid) {
+Result<bool> SiHeap::Read(Transaction* txn, Vid vid, std::string* row,
+                          bool* gone) {
+  if (gone != nullptr) *gone = false;
   obs::SpanScope trav_span(obs::SpanPhase::kTraversal, "mvcc", "si_read", vid);
   MvccObs().reads->Increment();
   std::vector<Tid> candidates;  // none for an unknown VID: a miss
@@ -90,8 +92,7 @@ Result<std::optional<std::string>> SiHeap::Read(Transaction* txn, Vid vid) {
   size_t examined = 0;
   for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
     TupleHeader h;
-    std::string payload;
-    Status s = heap().Fetch(*it, txn->clock(), &h, &payload);
+    Status s = heap().Fetch(*it, txn->clock(), &h, row);
     if (s.IsNotFound()) continue;  // vacuumed under us
     SIAS_RETURN_NOT_OK(s);
     examined++;
@@ -99,13 +100,13 @@ Result<std::optional<std::string>> SiHeap::Read(Transaction* txn, Vid vid) {
     MvccObs().visibility_checks->Increment();
     if (SiTupleVisible(h, txn->snapshot(), *env_.txns->clog())) {
       MvccObs().traversal_depth->Record(static_cast<VDuration>(examined));
-      return std::optional<std::string>{std::move(payload)};
+      return true;
     }
     MvccObs().version_hops->Increment();
   }
   MvccObs().traversal_depth->Record(static_cast<VDuration>(examined));
   MvccObs().read_misses->Increment();
-  return std::optional<std::string>{};
+  return false;
 }
 
 Result<std::optional<std::string>> SiHeap::ReadAtTid(Transaction* txn,

@@ -39,7 +39,9 @@ class SiHeap : public MvccTable {
   /// Nothing to take back: the aborted xid's versions and xmax stamps are
   /// ignored by visibility once the clog says aborted.
   void UndoWrite(const TxnWrite&) override {}
-  Result<std::optional<std::string>> Read(Transaction* txn, Vid vid) override;
+  using MvccTable::Read;
+  Result<bool> Read(Transaction* txn, Vid vid, std::string* row,
+                    bool* gone) override;
   Result<std::optional<std::string>> ReadAtTid(Transaction* txn, Tid tid,
                                                Vid* vid_out) override;
   Status ScanWithTid(Transaction* txn,

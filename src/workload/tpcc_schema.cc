@@ -53,9 +53,7 @@ Result<TpccTables> CreateTpccTables(Database* db, VersionScheme scheme) {
                              {"w_tax", D}, {"w_ytd", D}},
                       scheme));
   SIAS_RETURN_NOT_OK(db->CreateIndex(t.warehouse, "warehouse_pk",
-                                     [](const Row& r) {
-                                       return WarehouseKey(r.GetInt(wcol::kId));
-                                     }));
+                                     KeyExtractor::IntColumns({wcol::kId})));
 
   SIAS_ASSIGN_OR_RETURN(
       t.district,
@@ -66,9 +64,8 @@ Result<TpccTables> CreateTpccTables(Database* db, VersionScheme scheme) {
                              {"d_next_o_id", I}},
                       scheme));
   SIAS_RETURN_NOT_OK(db->CreateIndex(
-      t.district, "district_pk", [](const Row& r) {
-        return DistrictKey(r.GetInt(dcol::kWid), r.GetInt(dcol::kId));
-      }));
+      t.district, "district_pk",
+      KeyExtractor::IntColumns({dcol::kWid, dcol::kId})));
 
   SIAS_ASSIGN_OR_RETURN(
       t.customer,
@@ -82,10 +79,8 @@ Result<TpccTables> CreateTpccTables(Database* db, VersionScheme scheme) {
                  {"c_payment_cnt", I}, {"c_delivery_cnt", I}, {"c_data", S}},
           scheme));
   SIAS_RETURN_NOT_OK(db->CreateIndex(
-      t.customer, "customer_pk", [](const Row& r) {
-        return CustomerKey(r.GetInt(ccol::kWid), r.GetInt(ccol::kDid),
-                           r.GetInt(ccol::kId));
-      }));
+      t.customer, "customer_pk",
+      KeyExtractor::IntColumns({ccol::kWid, ccol::kDid, ccol::kId})));
   SIAS_RETURN_NOT_OK(db->CreateIndex(
       t.customer, "customer_by_name", [](const Row& r) {
         return CustomerNameKey(r.GetInt(ccol::kWid), r.GetInt(ccol::kDid),
@@ -106,10 +101,8 @@ Result<TpccTables> CreateTpccTables(Database* db, VersionScheme scheme) {
                       Schema{{"no_w_id", I}, {"no_d_id", I}, {"no_o_id", I}},
                       scheme));
   SIAS_RETURN_NOT_OK(db->CreateIndex(
-      t.new_order, "new_order_pk", [](const Row& r) {
-        return NewOrderKey(r.GetInt(nocol::kWid), r.GetInt(nocol::kDid),
-                           r.GetInt(nocol::kOid));
-      }));
+      t.new_order, "new_order_pk",
+      KeyExtractor::IntColumns({nocol::kWid, nocol::kDid, nocol::kOid})));
 
   SIAS_ASSIGN_OR_RETURN(
       t.orders,
@@ -120,15 +113,12 @@ Result<TpccTables> CreateTpccTables(Database* db, VersionScheme scheme) {
                              {"o_all_local", I}},
                       scheme));
   SIAS_RETURN_NOT_OK(db->CreateIndex(
-      t.orders, "orders_pk", [](const Row& r) {
-        return OrderKey(r.GetInt(ocol::kWid), r.GetInt(ocol::kDid),
-                        r.GetInt(ocol::kId));
-      }));
+      t.orders, "orders_pk",
+      KeyExtractor::IntColumns({ocol::kWid, ocol::kDid, ocol::kId})));
   SIAS_RETURN_NOT_OK(db->CreateIndex(
-      t.orders, "orders_by_customer", [](const Row& r) {
-        return OrderByCustomerKey(r.GetInt(ocol::kWid), r.GetInt(ocol::kDid),
-                                  r.GetInt(ocol::kCid), r.GetInt(ocol::kId));
-      }));
+      t.orders, "orders_by_customer",
+      KeyExtractor::IntColumns(
+          {ocol::kWid, ocol::kDid, ocol::kCid, ocol::kId})));
 
   SIAS_ASSIGN_OR_RETURN(
       t.order_line,
@@ -140,11 +130,9 @@ Result<TpccTables> CreateTpccTables(Database* db, VersionScheme scheme) {
                              {"ol_dist_info", S}},
                       scheme));
   SIAS_RETURN_NOT_OK(db->CreateIndex(
-      t.order_line, "order_line_pk", [](const Row& r) {
-        return OrderLineKey(r.GetInt(olcol::kWid), r.GetInt(olcol::kDid),
-                            r.GetInt(olcol::kOid),
-                            r.GetInt(olcol::kNumber));
-      }));
+      t.order_line, "order_line_pk",
+      KeyExtractor::IntColumns(
+          {olcol::kWid, olcol::kDid, olcol::kOid, olcol::kNumber})));
 
   SIAS_ASSIGN_OR_RETURN(
       t.item,
@@ -152,9 +140,8 @@ Result<TpccTables> CreateTpccTables(Database* db, VersionScheme scheme) {
                       Schema{{"i_id", I}, {"i_im_id", I}, {"i_name", S},
                              {"i_price", D}, {"i_data", S}},
                       scheme));
-  SIAS_RETURN_NOT_OK(db->CreateIndex(t.item, "item_pk", [](const Row& r) {
-    return ItemKey(r.GetInt(icol::kId));
-  }));
+  SIAS_RETURN_NOT_OK(db->CreateIndex(t.item, "item_pk",
+                                     KeyExtractor::IntColumns({icol::kId})));
 
   SIAS_ASSIGN_OR_RETURN(
       t.stock,
@@ -164,9 +151,7 @@ Result<TpccTables> CreateTpccTables(Database* db, VersionScheme scheme) {
                              {"s_remote_cnt", I}, {"s_data", S}},
                       scheme));
   SIAS_RETURN_NOT_OK(db->CreateIndex(
-      t.stock, "stock_pk", [](const Row& r) {
-        return StockKey(r.GetInt(scol::kWid), r.GetInt(scol::kIid));
-      }));
+      t.stock, "stock_pk", KeyExtractor::IntColumns({scol::kWid, scol::kIid})));
 
   return t;
 }

@@ -91,9 +91,8 @@ Result<Table*> YcsbRunner::CreateTable(Database* db, VersionScheme scheme) {
                       Schema{{"key", ColumnType::kInt64},
                              {"value", ColumnType::kString}},
                       scheme));
-  SIAS_RETURN_NOT_OK(db->CreateIndex(table, "usertable_pk", [](const Row& r) {
-    return IntKey(r.GetInt(0));
-  }));
+  SIAS_RETURN_NOT_OK(
+      db->CreateIndex(table, "usertable_pk", KeyExtractor::IntColumns({0})));
   return table;
 }
 

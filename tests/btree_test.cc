@@ -23,6 +23,18 @@ class BTreeTest : public ::testing::Test {
     EXPECT_TRUE(tree_->Create(&clk_).ok());
   }
 
+  /// The values stored under `key`, in order.
+  Result<std::vector<uint64_t>> Lookup(Slice key) {
+    std::vector<uint64_t> out;
+    Status s = tree_->Lookup(key, &clk_, [&](Slice k, uint64_t v) {
+      EXPECT_EQ(k, key);
+      out.push_back(v);
+      return true;
+    });
+    if (!s.ok()) return s;
+    return out;
+  }
+
   MemDevice device_;
   DiskManager disk_;
   BufferPool pool_;
@@ -31,7 +43,7 @@ class BTreeTest : public ::testing::Test {
 };
 
 TEST_F(BTreeTest, EmptyLookup) {
-  auto r = tree_->Lookup(IntKey(42), &clk_);
+  auto r = Lookup(IntKey(42));
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
   EXPECT_EQ(tree_->size(), 0u);
@@ -41,7 +53,7 @@ TEST_F(BTreeTest, InsertAndLookup) {
   ASSERT_TRUE(tree_->Insert(IntKey(5), 500, &clk_).ok());
   ASSERT_TRUE(tree_->Insert(IntKey(3), 300, &clk_).ok());
   ASSERT_TRUE(tree_->Insert(IntKey(7), 700, &clk_).ok());
-  auto r = tree_->Lookup(IntKey(3), &clk_);
+  auto r = Lookup(IntKey(3));
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 1u);
   EXPECT_EQ((*r)[0], 300u);
@@ -53,7 +65,7 @@ TEST_F(BTreeTest, DuplicateKeysAllValuesReturned) {
   for (uint64_t v = 1; v <= 5; ++v) {
     ASSERT_TRUE(tree_->Insert(IntKey(9), v * 10, &clk_).ok());
   }
-  auto r = tree_->Lookup(IntKey(9), &clk_);
+  auto r = Lookup(IntKey(9));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 5u);
   EXPECT_EQ(std::set<uint64_t>(r->begin(), r->end()),
@@ -70,7 +82,7 @@ TEST_F(BTreeTest, DeleteExactPair) {
   ASSERT_TRUE(tree_->Insert(IntKey(1), 11, &clk_).ok());
   ASSERT_TRUE(tree_->Insert(IntKey(1), 12, &clk_).ok());
   ASSERT_TRUE(tree_->Delete(IntKey(1), 11, &clk_).ok());
-  auto r = tree_->Lookup(IntKey(1), &clk_);
+  auto r = Lookup(IntKey(1));
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 1u);
   EXPECT_EQ((*r)[0], 12u);
@@ -88,7 +100,7 @@ TEST_F(BTreeTest, SplitsGrowTheTree) {
   EXPECT_GE(tree_->height(), 2u);
   EXPECT_TRUE(tree_->CheckInvariants(&clk_).ok());
   for (int i = 0; i < kN; i += 101) {
-    auto r = tree_->Lookup(IntKey(i), &clk_);
+    auto r = Lookup(IntKey(i));
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(r->size(), 1u) << i;
     EXPECT_EQ((*r)[0], static_cast<uint64_t>(i));
@@ -160,7 +172,7 @@ TEST_F(BTreeTest, CompositeStringKeysOrderCorrectly) {
   // (1,ADAMS) < (1,SMITH) < (1,SMITHSON) < (2,ADAMS)
   EXPECT_EQ(order, (std::vector<uint64_t>{4, 1, 2, 3}));
   // Exact lookup does not confuse SMITH with SMITHSON.
-  auto r = tree_->Lookup(key(1, "SMITH"), &clk_);
+  auto r = Lookup(key(1, "SMITH"));
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 1u);
   EXPECT_EQ((*r)[0], 1u);
@@ -180,10 +192,40 @@ TEST_F(BTreeTest, ManyDuplicatesAcrossLeafSplits) {
   }
   EXPECT_TRUE(tree_->CheckInvariants(&clk_).ok());
   for (int k = 0; k < 10; ++k) {
-    auto r = tree_->Lookup(IntKey(k), &clk_);
+    auto r = Lookup(IntKey(k));
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->size(), 100u) << "key " << k;
   }
+}
+
+TEST_F(BTreeTest, CallbacksRunUnlatchedAndMayDeleteWhatTheyVisit) {
+  // 300 entries span several leaves and ten scan batches; the callback
+  // deletes every even value it is handed (it would self-deadlock on the
+  // tree latch if the scan still held it) and must still see each entry
+  // once, in order.
+  constexpr uint64_t kN = 300;
+  for (uint64_t v = 0; v < kN; ++v) {
+    ASSERT_TRUE(tree_->Insert(IntKey(static_cast<int64_t>(v / 100)), v, &clk_)
+                    .ok());
+  }
+  std::vector<uint64_t> seen;
+  ASSERT_TRUE(tree_->Range(IntKey(0), Slice(), &clk_,
+                           [&](Slice k, uint64_t v) {
+                             seen.push_back(v);
+                             if (v % 2 == 0) {
+                               EXPECT_TRUE(tree_->Delete(k, v, &clk_).ok());
+                             }
+                             return true;
+                           })
+                  .ok());
+  ASSERT_EQ(seen.size(), kN);
+  for (uint64_t v = 0; v < kN; ++v) EXPECT_EQ(seen[v], v);
+  EXPECT_EQ(tree_->size(), kN / 2);
+  auto r = Lookup(IntKey(1));
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->size(), 50u);
+  EXPECT_EQ(r->front(), 101u);
+  EXPECT_TRUE(tree_->CheckInvariants(&clk_).ok());
 }
 
 // Randomized model check, parameterized over operation mixes.

@@ -57,6 +57,63 @@ TEST_F(BufferPoolTest, FetchHitDoesNotTouchDevice) {
   EXPECT_EQ(hits(), 1);
 }
 
+// State for the pin-window hook below (a plain function pointer).
+BufferPool* g_window_pool = nullptr;
+PageId g_window_other{};
+int g_window_calls = 0;
+
+/// Runs inside PinResident's window, after the hit read the frame's stamp
+/// and before it pins: fetches another page into the pool's only unpinned
+/// frame, so the frame the hit is about to pin now holds that page.
+void ReuseFrameInsidePinWindow(size_t) {
+  BufferPool::SetPinPauseHookForTest(nullptr);  // one shot
+  g_window_calls++;
+  VirtualClock clk;
+  auto g = g_window_pool->FetchPage(g_window_other, &clk);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g->page().GetTuple(0).ToString(), "page B");
+}
+
+TEST_F(BufferPoolTest, PinRefusesAFrameReusedBetweenStampLoadAndPin) {
+  // Eight frames (the pool's minimum): seven pinned fillers and page A.
+  constexpr size_t kPoolFrames = 8;
+  BufferPool pool(&disk_, kPoolFrames);
+  std::vector<PageId> ids;
+  for (size_t i = 0; i < kPoolFrames + 1; ++i) {
+    auto g = pool.NewPage(1, &clk_);
+    ASSERT_TRUE(g.ok());
+    ids.push_back(g->id());
+    g->LatchExclusive();
+    g->page().InsertTuple(Slice(i == 0 ? "page A" : "page B"));
+    g->MarkDirty();
+    g->Unlatch();
+  }
+  ASSERT_TRUE(pool.FlushAll(&clk_).ok());
+  const PageId a = ids[0], b = ids[1];
+  std::vector<PageGuard> fillers;
+  for (size_t i = 2; i < ids.size(); ++i) {
+    auto g = pool.FetchPage(ids[i], &clk_);
+    ASSERT_TRUE(g.ok());
+    fillers.push_back(std::move(*g));
+  }
+  ASSERT_TRUE(pool.FetchPage(a, &clk_).ok());  // resident, unpinned; b is not
+
+  g_window_pool = &pool;
+  g_window_other = b;
+  g_window_calls = 0;
+  CounterDelta misses("buffer.misses");
+  BufferPool::SetPinPauseHookForTest(&ReuseFrameInsidePinWindow);
+  auto g = pool.FetchPage(a, &clk_);
+  BufferPool::SetPinPauseHookForTest(nullptr);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g_window_calls, 1);
+  // The stamp moved while the hit was in its window, so its pin was
+  // refused and the page read again, rather than handing out page B's
+  // frame as page A.
+  EXPECT_EQ(g->page().GetTuple(0).ToString(), "page A");
+  EXPECT_EQ(misses(), 2);  // b inside the window, then a again
+}
+
 TEST_F(BufferPoolTest, DataSurvivesEviction) {
   PageId first;
   {
@@ -285,11 +342,7 @@ TEST_F(BufferPoolTest, CollidingResidentPagesAllHitWithoutTheMutex) {
     CounterDelta misses("buffer.misses");
     for (size_t i = 0; i < pages.size(); i += stride) {
       SCOPED_TRACE(pages[i].ToString());
-      auto f = pool.StartFetch(pages[i], &clk_);
-      ASSERT_TRUE(f.ok());
-      EXPECT_TRUE(f->resident);
-      EXPECT_FALSE(f->locked);
-      pool.AbandonFetch(&*f);
+      EXPECT_TRUE(pool.PinIfResident(pages[i]).valid());
     }
     EXPECT_EQ(misses(), 0);
   };
@@ -352,10 +405,14 @@ TEST_F(BufferPoolTest, EvictionChurnOverCollidingPagesKeepsOneFramePerPage) {
       Random rng(static_cast<uint64_t>(t) + 1);
       for (int i = 0; i < 2000; ++i) {
         size_t k = rng.Uniform(0, pages.size() - 1);
-        auto f = pool.StartFetch(pages[k], &clk);
-        if (!f.ok()) continue;
-        if (!f->resident) cold++;
-        auto g = pool.FinishFetch(&*f, &clk);
+        // FetchPage's two steps, to count the cold fetches.
+        Result<PageGuard> g = pool.PinIfResident(pages[k]);
+        if (!g->valid()) {
+          auto f = pool.StartFetch(pages[k], &clk);
+          if (!f.ok()) continue;
+          if (!f->resident) cold++;
+          g = pool.FinishFetch(&*f, &clk);
+        }
         if (!g.ok()) continue;
         if (g->page().header()->page_no != pages[k].page) wrong_page++;
         {

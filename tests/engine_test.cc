@@ -624,6 +624,215 @@ TEST_P(EngineTest, LockOnlyCommitWritesNoRecordAndReleasesItsLocks) {
   ASSERT_TRUE(db_->Commit(reader.get()).ok());
 }
 
+// ---------------------------------------------------------------------------
+// Dead B+-tree entries (docs/INDEXING.md, "Removing dead entries"): under
+// SIAS the probe that finds an entry's item gone for every current and
+// future snapshot removes the <key, VID> entry; SI's per-version entries
+// and MV-PBT's records stay.
+// ---------------------------------------------------------------------------
+
+/// Whether the scheme's B+-tree entries are VID-valued and so removable.
+bool RemovesDeadEntries(VersionScheme scheme) {
+  return scheme != VersionScheme::kSi;
+}
+
+/// Rows an index-0 (by id) range scan over every id returns, in a fresh
+/// transaction.
+int64_t RowsById(Database* db, Table* table, VirtualClock* clk) {
+  auto txn = db->Begin(clk);
+  int64_t rows = 0;
+  EXPECT_TRUE(table
+                  ->IndexRange(txn.get(), 0, IntKey(0), IntKey(1 << 20),
+                               [&](Vid, const Row&) {
+                                 ++rows;
+                                 return true;
+                               })
+                  .ok());
+  EXPECT_TRUE(db->Commit(txn.get()).ok());
+  return rows;
+}
+
+TEST_P(EngineTest, DeadIndexEntryIsRemovedByTheFirstProbeThatResolvesIt) {
+  std::vector<Vid> vids;
+  for (int i = 0; i < 10; ++i) {
+    vids.push_back(InsertAccount(i, "own" + std::to_string(i), 1.0));
+  }
+  {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(accounts_->Delete(txn.get(), vids[3]).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  const bool removes = RemovesDeadEntries(GetParam());
+  const uint64_t entries = accounts_->index(0)->entries();
+  CounterDelta removed("index.dead_entries_removed");
+  // SIAS resolves a hit through a VID read (mvcc.reads); SI reads the
+  // entry's version by TID, which that counter does not count.
+  CounterDelta reads("mvcc.reads");
+  EXPECT_EQ(RowsById(db_.get(), accounts_, &clk_), 9);
+  EXPECT_EQ(reads(), removes ? 10 : 0);  // the dead entry resolved too
+  EXPECT_EQ(removed(), removes ? 1 : 0);
+  EXPECT_EQ(accounts_->index(0)->entries(), entries - (removes ? 1 : 0));
+
+  // The second scan resolves no dead hit; the other index is untouched
+  // until a probe of its own meets the entry.
+  CounterDelta reads_again("mvcc.reads");
+  EXPECT_EQ(RowsById(db_.get(), accounts_, &clk_), 9);
+  EXPECT_EQ(reads_again(), removes ? 9 : 0);
+  EXPECT_EQ(removed(), removes ? 1 : 0);
+  EXPECT_EQ(accounts_->index(1)->entries(), 10u);
+}
+
+TEST_P(EngineTest, DeadIndexEntryStaysWhileAnOlderSnapshotCanReadTheRow) {
+  Vid vid = InsertAccount(1, "alice", 10.0);
+  InsertAccount(2, "bob", 20.0);
+  auto old_txn = db_->Begin(&clk_);  // snapshot before the delete
+  {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(accounts_->Delete(txn.get(), vid).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  CounterDelta removed("index.dead_entries_removed");
+  EXPECT_EQ(RowsById(db_.get(), accounts_, &clk_), 1);
+  EXPECT_EQ(removed(), 0);
+  EXPECT_EQ(accounts_->index(0)->entries(), 2u);
+  auto hits = accounts_->IndexLookup(old_txn.get(), 0, IntKey(1));
+  ASSERT_TRUE(hits.ok());
+  ASSERT_EQ(hits->size(), 1u) << "the older snapshot still reads the row";
+  EXPECT_EQ(hits->at(0).second.GetString(1), "alice");
+  ASSERT_TRUE(db_->Commit(old_txn.get()).ok());
+
+  // With the older snapshot gone, the next probe removes the entry.
+  EXPECT_EQ(RowsById(db_.get(), accounts_, &clk_), 1);
+  const bool removes = RemovesDeadEntries(GetParam());
+  EXPECT_EQ(removed(), removes ? 1 : 0);
+  EXPECT_EQ(accounts_->index(0)->entries(), removes ? 1u : 2u);
+}
+
+TEST_P(EngineTest, IndexEntryOfAnAbortedInsertIsRemoved) {
+  InsertAccount(1, "alice", 10.0);
+  {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(accounts_->Insert(txn.get(), Account(7, "ghost", 0.0)).ok());
+    ASSERT_TRUE(db_->Abort(txn.get()).ok());
+  }
+  EXPECT_EQ(accounts_->index(0)->entries(), 2u);
+  CounterDelta removed("index.dead_entries_removed");
+  auto txn = db_->Begin(&clk_);
+  auto hits = accounts_->IndexLookup(txn.get(), 0, IntKey(7));
+  ASSERT_TRUE(hits.ok());
+  EXPECT_TRUE(hits->empty());
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  const bool removes = RemovesDeadEntries(GetParam());
+  EXPECT_EQ(removed(), removes ? 1 : 0);
+  EXPECT_EQ(accounts_->index(0)->entries(), removes ? 1u : 2u);
+}
+
+TEST_P(EngineTest, MvPbtRecordsOfDeletedRowsStay) {
+  auto t = db_->CreateTable("mv_accounts", AccountSchema(), GetParam());
+  ASSERT_TRUE(t.ok());
+  Table* table = *t;
+  ASSERT_TRUE(db_->CreateIndex(table, "mv_by_id",
+                               KeyExtractor::IntColumns({0}),
+                               IndexKind::kMvPbt)
+                  .ok());
+  std::vector<Vid> vids;
+  for (int i = 0; i < 5; ++i) {
+    auto txn = db_->Begin(&clk_);
+    auto vid = table->Insert(txn.get(), Account(i, "mv", 1.0));
+    ASSERT_TRUE(vid.ok());
+    vids.push_back(*vid);
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  {
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(table->Delete(txn.get(), vids[2]).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  const uint64_t entries = table->index(0)->entries();
+  CounterDelta removed("index.dead_entries_removed");
+  EXPECT_EQ(RowsById(db_.get(), table, &clk_), 4);
+  auto txn = db_->Begin(&clk_);
+  auto hits = table->IndexLookup(txn.get(), 0, IntKey(2));
+  ASSERT_TRUE(hits.ok());
+  EXPECT_TRUE(hits->empty());
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  EXPECT_EQ(removed(), 0);
+  EXPECT_EQ(table->index(0)->entries(), entries);
+}
+
+TEST_P(EngineTest, ConcurrentDeadEntryRemovalBesideInsertsAndAnOldSnapshot) {
+  // Readers race to remove the 30 dead entries while a writer inserts into
+  // the same leaves and a snapshot taken after the deletes scans: each
+  // entry is removed exactly once, and no scan sees a deleted row or a row
+  // its snapshot must not see.
+  std::vector<Vid> vids;
+  for (int i = 0; i < 60; ++i) {
+    vids.push_back(InsertAccount(i, "own" + std::to_string(i), 1.0));
+  }
+  {
+    auto txn = db_->Begin(&clk_);
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE(accounts_->Delete(txn.get(), vids[i]).ok());
+    }
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  CounterDelta removed("index.dead_entries_removed");
+  VirtualClock old_clk = clk_;
+  auto old_txn = db_->Begin(&old_clk);
+  constexpr int kInserts = 100;
+  constexpr int kScans = 20;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    VirtualClock clk = clk_;
+    for (int i = 60; i < 60 + kInserts; ++i) {
+      auto txn = db_->Begin(&clk);
+      if (!accounts_->Insert(txn.get(), Account(i, "new", 1.0)).ok() ||
+          !db_->Commit(txn.get()).ok()) {
+        bad++;
+      }
+    }
+  });
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      VirtualClock clk = clk_;
+      for (int n = 0; n < kScans; ++n) {
+        auto txn = db_->Begin(&clk);
+        Status s = accounts_->IndexRange(
+            txn.get(), 0, IntKey(0), IntKey(1 << 20), [&](Vid, const Row& row) {
+              if (row.GetInt(0) < 30) bad++;
+              return true;
+            });
+        if (!s.ok() || !db_->Commit(txn.get()).ok()) bad++;
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int n = 0; n < kScans; ++n) {
+      int64_t rows = 0;
+      Status s = accounts_->IndexRange(old_txn.get(), 0, IntKey(0),
+                                       IntKey(1 << 20),
+                                       [&](Vid, const Row& row) {
+                                         if (row.GetInt(0) < 30 ||
+                                             row.GetInt(0) >= 60) {
+                                           bad++;
+                                         }
+                                         ++rows;
+                                         return true;
+                                       });
+      if (!s.ok() || rows != 30) bad++;
+    }
+  });
+  for (auto& t : threads) t.join();
+  ASSERT_TRUE(db_->Commit(old_txn.get()).ok());
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(RowsById(db_.get(), accounts_, &clk_), 30 + kInserts);
+  const bool removes = RemovesDeadEntries(GetParam());
+  EXPECT_EQ(removed(), removes ? 30 : 0);
+  EXPECT_EQ(accounts_->index(0)->entries(),
+            static_cast<uint64_t>(removes ? 30 + kInserts : 60 + kInserts));
+}
+
 /// The most retired-but-unreclaimed epoch callbacks a vacuum-free workload
 /// may leave queued. The CI perfbench smoke job checks ycsb_update's
 /// mvcc.epoch.pending_end against the same number.

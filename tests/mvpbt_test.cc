@@ -59,7 +59,7 @@ class MvPbtTest : public ::testing::Test {
     EXPECT_TRUE(idx_->ProbeRange(snap, Slice(), Slice(), &clk_,
                                  [&](const IndexHit& hit) {
                                    EXPECT_TRUE(hit.visibility_resolved);
-                                   out.emplace_back(hit.key, hit.value);
+                                   out.emplace_back(hit.key.ToString(), hit.value);
                                    return true;
                                  })
                     .ok());

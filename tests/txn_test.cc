@@ -264,8 +264,8 @@ class UndoRecorder : public MvccTable {
   void UndoWrite(const TxnWrite& write) override {
     undone.push_back(write.vid);
   }
-  Result<std::optional<std::string>> Read(Transaction*, Vid) override {
-    return std::optional<std::string>{};
+  Result<bool> Read(Transaction*, Vid, std::string*, bool*) override {
+    return false;
   }
   Status ScanWithTid(Transaction*, const VersionScanCallback&) override {
     return Status::OK();

@@ -248,6 +248,11 @@ class Tables:
     # (`&pool_->mu_`), usable only when the name is globally unambiguous.
     member_ranks: dict[str, set[int]] = field(default_factory=dict)
     epoch_fns: set[str] = field(default_factory=set)
+    # Data members annotated SIAS_EPOCH_PROTECTED — members of an object that
+    # lives inside its owner's pin (a resumable read task), which may hold
+    # protected pointers and are themselves protected — by the stem of the
+    # declaring file (`src/core/sias_table`): they apply to its .h/.cc pair.
+    epoch_fields: dict[str, set[str]] = field(default_factory=dict)
     clock_aliases: set[str] = field(default_factory=set)  # Clock in Clock::now()
     catalogue: set[str] = field(default_factory=set)
     catalogue_prefixes: list[str] = field(default_factory=list)
@@ -380,6 +385,13 @@ def collect_decl_facts(sf: ScannedFile, tables: Tables) -> None:
             break
         if best is not None and best != "static_assert":
             tables.epoch_fns.add(best)
+            continue
+        decl = tail.split(";", 1)[0]
+        if ";" in tail and "(" not in decl and "{" not in decl.split("=")[0]:
+            fm = re.search(r"([A-Za-z_]\w*)\s*(?:=[^=]|\{|$)", decl.strip())
+            if fm is not None:  # an annotated data member
+                stem = sf.rel.rsplit(".", 1)[0]
+                tables.epoch_fields.setdefault(stem, set()).add(fm.group(1))
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +673,7 @@ def check_epoch_escape(sf: ScannedFile, tables: Tables) -> list[Finding]:
     findings: list[Finding] = []
     if not tables.epoch_fns:
         return findings
+    fields = tables.epoch_fields.get(sf.rel.rsplit(".", 1)[0], set())
     tainted: set[str] = set()
     guard_vars: set[str] = set()
     statics: set[str] = set()  # globals and statics declared in this file
@@ -684,7 +697,7 @@ def check_epoch_escape(sf: ScannedFile, tables: Tables) -> list[Finding]:
         if opens - ns_opens > 0 and depth == ns_depth - ns_opens:
             fn_annotated_stack = [pending_annot]
             pending_annot = False
-            tainted = set()
+            tainted = set(fields)
             guard_vars = set()
         for gm in GUARD_VAR_RE.finditer(ln):
             guard_vars.add(gm.group(1))
@@ -707,6 +720,8 @@ def check_epoch_escape(sf: ScannedFile, tables: Tables) -> list[Finding]:
             )
             if decl is not None:
                 escapes = static_decl
+            elif member_of(lhs) in fields:
+                escapes = False  # an annotated member: pinned with its owner
             else:
                 escapes = lhs in statics or is_nonlocal_lvalue(lhs)
             if not escapes:
@@ -746,7 +761,7 @@ def check_epoch_escape(sf: ScannedFile, tables: Tables) -> list[Finding]:
             # belonged to a prototype, not a definition.
             pending_annot = False
         if depth <= ns_depth and "}" in ln:
-            tainted = set()
+            tainted = set(fields)
             fn_annotated_stack = []
     return findings
 

@@ -28,4 +28,15 @@ bool Exists() {
 // inherits the same contract.
 SIAS_EPOCH_PROTECTED const Entry* Reload() { return LoadEntry(); }
 
+// OK: an annotated member belongs to an object that lives inside its
+// owner's pin (a resumable read task), so it may hold the pointer, and
+// values copied out of it are clean.
+struct ReadTask {
+  SIAS_EPOCH_PROTECTED const Entry* entry_ = nullptr;
+  int copied_ = 0;
+
+  void Load() { entry_ = LoadEntry(); }
+  void Copy() { copied_ = entry_->value; }
+};
+
 }  // namespace fixture
