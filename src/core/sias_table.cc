@@ -616,12 +616,10 @@ Result<std::vector<Tid>> SiasTable::ChainOf(Vid vid, VirtualClock* clk) {
 }
 
 Status SiasTable::LiveVersions(Vid vid, Xid horizon,
-                               const std::vector<std::pair<Xid, Xid>>* bounds,
+                               const std::vector<std::pair<Xid, Xid>>& bounds,
                                VirtualClock* clk,
-                               std::vector<VersionRef>* live,
-                               bool* whole_item_dead) {
+                               std::vector<VersionRef>* live) {
   live->clear();
-  *whole_item_dead = false;
   const Clog& clog = *env_.txns->clog();
 
   // Walk newest-to-oldest and STOP at the horizon anchor: the predecessor
@@ -635,12 +633,9 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
     // Anchor: first committed version below the horizon. Everything older
     // is invisible to every live and future snapshot.
     if (creator == TxnStatus::kCommitted && v.header.xmin < horizon) {
-      if (v.header.is_tombstone() && live->size() == 1) {
-        // The item is deleted and no snapshot can see pre-delete versions:
-        // even the tombstone can go.
-        live->clear();
-        *whole_item_dead = true;
-      }
+      // The item is deleted and no snapshot can see pre-delete versions:
+      // even the tombstone can go.
+      if (v.header.is_tombstone() && live->size() == 1) live->clear();
       return false;
     }
     return true;
@@ -659,8 +654,7 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
   // snapshot (both commit together), so v always goes: kept, a relocated v
   // could tie with its successor when recovery orders the item's versions.
   // The newest version is always kept.
-  if (scheme_ == VersionScheme::kSiasV && bounds != nullptr &&
-      live->size() > 1) {
+  if (scheme_ == VersionScheme::kSiasV && live->size() > 1) {
     std::vector<VersionRef> kept;
     kept.reserve(live->size());
     kept.push_back(live->front());
@@ -676,7 +670,7 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
       if (committed && shadow != SIZE_MAX) {
         Xid s_xmin = kept[shadow].header.xmin;
         drop = true;
-        for (const auto& [lo, hi] : *bounds) {
+        for (const auto& [lo, hi] : bounds) {
           if (v.header.xmin != s_xmin && v.header.xmin < hi &&
               s_xmin >= lo) {
             drop = false;
@@ -694,10 +688,41 @@ Status SiasTable::LiveVersions(Vid vid, Xid horizon,
   return Status::OK();
 }
 
+namespace {
+/// The row locks GC holds on the items of one page, released whichever way
+/// the page's step ends.
+class ItemLocks {
+ public:
+  ItemLocks(LockManager* locks, RelationId relation)
+      : locks_(locks), relation_(relation) {}
+  ItemLocks(const ItemLocks&) = delete;
+  ItemLocks& operator=(const ItemLocks&) = delete;
+  ~ItemLocks() {
+    for (Vid vid : held_) locks_->Release(relation_, vid, kGcXid, 0);
+  }
+
+  /// False when a writer holds `vid`'s lock.
+  bool TryHold(Vid vid) {
+    if (!locks_->TryAcquireExclusive(relation_, vid, kGcXid).ok()) {
+      return false;
+    }
+    held_.push_back(vid);
+    return true;
+  }
+
+ private:
+  LockManager* locks_;
+  RelationId relation_;
+  std::vector<Vid> held_;
+};
+}  // namespace
+
 Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk) {
   // §6 Space Reclamation: (i) pick victim pages, (ii) re-insert live
   // versions, (iii) discard dead versions; reclaimed pages are recycled by
-  // the append region.
+  // the append region. Each page the pass may touch takes one straight-line
+  // step: inventory, skip checks, lock the page's items, plan, relocate (only
+  // when relocating), republish each item once, one deferred kill.
   SIAS_ASSIGN_OR_RETURN(PageNumber count, heap().PageCount());
   // Seal the open append page so every page is GC-eligible; the next append
   // opens a fresh page. That page comes from the free list, or is new and
@@ -712,7 +737,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk) {
   // nor taking appends when checked stays out of the append region until
   // this pass itself lists it.
   region_.SealOpenPage();
-  LockManager* locks = env_.txns->locks();
+  const Clog& clog = *env_.txns->clog();
 
   for (PageNumber p = 0; p < count; ++p) {
     if (void (*hook)(PageNumber) =
@@ -728,7 +753,7 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk) {
     // re-examining would double-reclaim.
     if (pending || region_.TakesAppends(p)) continue;
 
-    // Pass 1: inventory of the page.
+    // Inventory.
     std::vector<VersionRef> slots;
     auto inventory = heap().VisitPage(p, clk, [&](const VersionRef& v, Slice) {
       slots.push_back(v);
@@ -743,38 +768,27 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk) {
       continue;
     }
 
-    // Insert takes no row lock, so the item locks below do not keep GC off
-    // an uncommitted insert: relocating it would leave the inserter's abort
-    // undoing against the old TID, and the entrypoint on the aborted copy.
-    // Skip a page holding a version whose creator is still running (retry
-    // on the next GC cycle). A creator that has finished stays finished, so
-    // checking the inventory once is enough.
-    const Clog& clog = *env_.txns->clog();
+    // Skip checks. Insert takes no row lock, so the item locks below do not
+    // keep GC off an uncommitted insert: relocating it would leave the
+    // inserter's abort undoing against the old TID, and the entrypoint on
+    // the aborted copy. Skip a page holding a version whose creator is still
+    // running (retry on the next GC cycle). A creator that has finished
+    // stays finished, so checking the inventory once is enough.
     if (std::any_of(slots.begin(), slots.end(), [&](const VersionRef& s) {
           return clog.Get(s.header.xmin) == TxnStatus::kInProgress;
         })) {
       continue;
     }
 
-    // Lock every item referenced by the page; skip the page if any item is
-    // being written right now (retry on the next GC cycle).
-    std::unordered_set<Vid> vids;
-    for (const auto& s : slots) vids.insert(s.header.vid);
-    std::vector<Vid> locked;
-    bool all_locked = true;
-    for (Vid v : vids) {
-      if (locks->TryAcquireExclusive(relation_, v, kGcXid).ok()) {
-        locked.push_back(v);
-      } else {
-        all_locked = false;
-        break;
-      }
-    }
-    auto unlock_all = [&] {
-      for (Vid v : locked) locks->Release(relation_, v, kGcXid, 0);
-    };
-    if (!all_locked) {
-      unlock_all();
+    // Lock the page's items: every item the page holds a version of. Skip
+    // the page if any is being written right now (retry on the next GC
+    // cycle). `live` is the plan: each item's live versions, newest first.
+    std::unordered_map<Vid, std::vector<VersionRef>> live;
+    for (const auto& s : slots) live.try_emplace(s.header.vid);
+    ItemLocks locked(env_.txns->locks(), relation_);
+    if (!std::all_of(live.begin(), live.end(), [&](const auto& item) {
+          return locked.TryHold(item.first);
+        })) {
       continue;
     }
 
@@ -787,50 +801,19 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk) {
     std::vector<std::pair<Xid, Xid>> bounds =
         env_.txns->ActiveSnapshotBounds();
 
-    // Pass 2: classify versions via per-item live sets.
-    std::unordered_map<Vid, std::vector<VersionRef>> live_sets;
-    std::unordered_map<Vid, bool> item_dead;
-    Status ls_status = Status::OK();
-    for (Vid v : vids) {
-      std::vector<VersionRef> live;
-      bool dead = false;
-      ls_status = LiveVersions(v, horizon, &bounds, clk, &live, &dead);
-      if (!ls_status.ok()) break;
-      live_sets[v] = std::move(live);
-      item_dead[v] = dead;
-    }
-    if (!ls_status.ok()) {
-      unlock_all();
-      return ls_status;
-    }
-
-    auto is_live_here = [&](Vid v, Tid tid) {
-      for (const auto& ref : live_sets[v]) {
-        if (ref.tid == tid) return true;
+    // Plan: the live versions of each item, and which of them sit on p.
+    std::unordered_set<uint64_t> live_here;  // Tid::Pack() of p's live slots
+    for (auto& [vid, versions] : live) {
+      SIAS_RETURN_NOT_OK(LiveVersions(vid, horizon, bounds, clk, &versions));
+      for (const auto& v : versions) {
+        if (v.tid.page == p) live_here.insert(v.tid.Pack());
       }
-      return false;
-    };
-    size_t live_on_page = 0;
-    for (const auto& s : slots) {
-      if (is_live_here(s.header.vid, s.tid)) live_on_page++;
     }
-    // SIAS-V: set an item's vector to exactly its kept live set, with
-    // relocated versions remapped to their new homes. Dropping only this
-    // page's entries is not enough: mid-vector reclamation can punch holes
-    // anywhere, and a whole-dead item (empty live set) may still have older
-    // versions on mostly-live pages GC leaves alone — left in the vector,
-    // one of them would become its front and bring the deleted row back.
-    using Remap = std::unordered_map<uint64_t, Tid>;  // old Pack() -> new
-    auto set_vector = [&](Vid v, const Remap& remap) {
-      std::vector<Tid> vec;
-      vec.reserve(live_sets[v].size());
-      for (const auto& ref : live_sets[v]) {
-        auto rm = remap.find(ref.tid.Pack());
-        vec.push_back(rm == remap.end() ? ref.tid : rm->second);
-      }
-      map_v_.Set(v, std::move(vec));
+    auto is_live = [&](const VersionRef& s) {
+      return live_here.count(s.tid.Pack()) != 0;
     };
-
+    size_t live_on_page =
+        static_cast<size_t>(std::count_if(slots.begin(), slots.end(), is_live));
     // Policy: reclaim the whole page when its live share is small enough to
     // be worth relocating. Prune dead slots in place only when the page is
     // already mostly dead (trending toward reclamation): pruning dirties a
@@ -838,8 +821,77 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk) {
     // appendable space, so touching mostly-live pages every vacuum cycle
     // would multiply the write volume GC is supposed to save.
     bool relocate = live_on_page * 4 <= slots.size();
-    bool prune = live_on_page * 2 <= slots.size();
+    if (live_on_page * 2 > slots.size()) continue;  // left alone
 
+    // Relocate: re-insert the page's live versions, oldest first per item so
+    // predecessor pointers can be remapped.
+    std::unordered_map<uint64_t, Tid> remap;  // old Tid::Pack() -> new home
+    auto moved = [&](Tid tid) {
+      auto rm = remap.find(tid.Pack());
+      return rm == remap.end() ? tid : rm->second;
+    };
+    if (relocate) {
+      for (auto& [vid, versions] : live) {
+        for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
+          if (it->tid.page != p) continue;
+          // A read that fails leaves the page as it is: killing it would lose
+          // this live version under the map entries that still name it.
+          TupleHeader h;
+          std::string payload;
+          SIAS_RETURN_NOT_OK(heap().Fetch(it->tid, clk, &h, &payload));
+          h.set_pred(moved(h.pred()));
+          std::string encoded;
+          EncodeTuple(h, Slice(payload), &encoded);
+          SIAS_ASSIGN_OR_RETURN(Tid new_tid,
+                                region_.Append(Slice(encoded), h.xmin, clk));
+          remap[it->tid.Pack()] = new_tid;
+          MvccObs().gc_versions_relocated->Increment();
+          // Chains: point the successor at the copy — the entrypoint for
+          // the newest live version, else the next-newer one's pred, fixed
+          // in place (a maintenance write).
+          if (scheme_ != VersionScheme::kSiasChains) continue;
+          if (it + 1 == versions.rend()) {
+            map_.CompareAndSet(vid, it->tid, new_tid);
+          } else {
+            Status fix = heap().RewriteHeader(
+                moved((it + 1)->tid), kInvalidXid, clk,
+                [new_tid](TupleHeader* sh) { sh->set_pred(new_tid); });
+            if (!fix.ok() && !fix.IsNotFound()) return fix;
+          }
+        }
+      }
+    }
+
+    // Republish each item once, after which no map path references a slot
+    // the kill below takes. SIAS-V: the vector becomes exactly the item's
+    // live list, remapped. Dropping only this page's entries is not enough:
+    // mid-vector reclamation can punch holes anywhere, and a wholly dead
+    // item (empty live list) may still have older versions on mostly-live
+    // pages GC leaves alone — left in the vector, one of them would become
+    // its front and bring the deleted row back. Chains: a wholly dead item
+    // loses an entrypoint that sits on p.
+    for (const auto& [vid, versions] : live) {
+      if (scheme_ == VersionScheme::kSiasV) {
+        std::vector<Tid> vec;
+        vec.reserve(versions.size());
+        for (const auto& v : versions) vec.push_back(moved(v.tid));
+        map_v_.Set(vid, std::move(vec));
+      } else if (versions.empty()) {
+        Tid entry = map_.Get(vid);
+        if (entry.valid() && entry.page == p) map_.Clear(vid);
+      }
+    }
+
+    // One deferred kill: every slot when relocating, only the dead ones when
+    // pruning; either way at least one. Counted at enqueue: the reclamation
+    // decision is made here.
+    std::vector<uint16_t> kill;
+    for (const auto& s : slots) {
+      if (relocate || !is_live(s)) kill.push_back(s.tid.slot);
+    }
+    MvccObs().gc_versions_discarded->Add(
+        static_cast<int64_t>(slots.size() - live_on_page));
+    if (relocate) MvccObs().gc_pages_reclaimed->Increment();
     // Unpublished slots die only behind the epoch horizon: a reader pinned
     // in an older epoch may still hold a stale vector copy or chain pointer
     // into them. Until the deferred kill lands, the page keeps its bytes
@@ -848,122 +900,27 @@ Status SiasTable::GarbageCollect(Xid horizon, VirtualClock* clk) {
     // leaves the page unchanged and unrecycled; the erase lets the next
     // pass retry it (its map references are gone, so its slots classify as
     // dead again).
-    auto retire_kills = [&](std::vector<uint16_t> kill, bool reclaim) {
-      {
-        MutexLock g(&gc_mu_);
-        bool inserted = gc_pending_.insert(p).second;
-        SIAS_CHECK(inserted);
-      }
-      EpochManager::Global().Retire([this, p, kill = std::move(kill),
-                                     reclaim] {
-        if (heap().KillSlots(p, kill, nullptr).ok() && reclaim) {
-          // §6: GC is deterministic and engine-driven; hint the FTL that
-          // the old physical blocks are dead so device GC need not
-          // relocate them ("transfers yet more control over the Flash
-          // storage into the MV-DBMS").
-          auto offset = env_.pool->disk()->PageOffset(relation_, p);
-          if (offset.ok()) {
-            (void)env_.pool->disk()->device()->Trim(*offset, kPageSize);
-          }
-          region_.AddFreePage(p);
-        }
-        MutexLock g(&gc_mu_);
-        gc_pending_.erase(p);
-      });
-    };
-
-    if (relocate) {
-      // Re-insert live versions (oldest-first per chain so predecessor
-      // pointers can be remapped) and fix their successors.
-      Remap remap;
-      for (Vid v : vids) {
-        auto& live = live_sets[v];
-        // live is newest-first; walk from the back (oldest).
-        for (auto it = live.rbegin(); it != live.rend(); ++it) {
-          if (it->tid.page != p) continue;
-          // Read the full tuple.
-          TupleHeader h;
-          std::string payload;
-          Status s = heap().Fetch(it->tid, clk, &h, &payload);
-          if (!s.ok()) continue;
-          auto rm = remap.find(h.pred().Pack());
-          if (h.pred().valid() && rm != remap.end()) {
-            h.set_pred(rm->second);
-          }
-          std::string encoded;
-          EncodeTuple(h, Slice(payload), &encoded);
-          auto nr = region_.Append(Slice(encoded), h.xmin, clk);
-          if (!nr.ok()) {
-            unlock_all();
-            return nr.status();
-          }
-          Tid new_tid = *nr;
-          remap[it->tid.Pack()] = new_tid;
-          MvccObs().gc_versions_relocated->Increment();
-
-          // Fix the reference to this version.
-          if (scheme_ == VersionScheme::kSiasV) {
-            map_v_.ReplaceTid(v, it->tid, new_tid);
-          } else {
-            // Successor is the next-newer live version, or the VidMap.
-            if (it + 1 == live.rend()) {
-              // This is the newest live version => entrypoint.
-              map_.CompareAndSet(v, it->tid, new_tid);
-            } else {
-              auto newer = it + 1;  // next reverse element = next newer
-              Tid succ = newer->tid;
-              auto rs = remap.find(succ.Pack());
-              if (rs != remap.end()) succ = rs->second;
-              // In-place pointer fix on the successor (maintenance write).
-              Status fix = heap().RewriteHeader(
-                  succ, kInvalidXid, clk,
-                  [new_tid](TupleHeader* sh) { sh->set_pred(new_tid); });
-              if (!fix.ok() && !fix.IsNotFound()) {
-                unlock_all();
-                return fix;
-              }
-            }
-          }
-        }
-        if (scheme_ == VersionScheme::kSiasV) {
-          set_vector(v, remap);
-        } else if (item_dead[v]) {
-          Tid cur = map_.Get(v);
-          if (cur.valid() && cur.page == p) map_.Clear(v);
-        }
-      }
-      // Unpublish is complete: no map path references this page any more.
-      // Counted at enqueue: the reclamation decision is made here.
-      MvccObs().gc_versions_discarded->Add(
-          static_cast<int64_t>(slots.size() - live_on_page));
-      MvccObs().gc_pages_reclaimed->Increment();
-      std::vector<uint16_t> all_slots;
-      for (const auto& s : slots) all_slots.push_back(s.tid.slot);
-      retire_kills(std::move(all_slots), /*reclaim=*/true);
-    } else if (prune) {
-      // Prune dead slots: unpublish from the maps now, kill them later.
-      // Pass-1 slots are all occupied and nothing empties a sealed,
-      // item-locked, non-pending page in between.
-      std::vector<uint16_t> dead_slots;
-      for (const auto& s : slots) {
-        if (is_live_here(s.header.vid, s.tid)) continue;
-        dead_slots.push_back(s.tid.slot);
-        MvccObs().gc_versions_discarded->Increment();
-        if (scheme_ == VersionScheme::kSiasChains &&
-            item_dead[s.header.vid]) {
-          // Whole item dead (tombstone below horizon): if this slot is the
-          // entrypoint being pruned, drop the mapping with it.
-          if (map_.Get(s.header.vid) == s.tid) map_.Clear(s.header.vid);
-        }
-      }
-      if (!dead_slots.empty()) {
-        if (scheme_ == VersionScheme::kSiasV) {
-          for (Vid v : vids) set_vector(v, Remap{});
-        }
-        retire_kills(std::move(dead_slots), /*reclaim=*/false);
-      }
+    {
+      MutexLock g(&gc_mu_);
+      bool inserted = gc_pending_.insert(p).second;
+      SIAS_CHECK(inserted);
     }
-    unlock_all();
+    EpochManager::Global().Retire([this, p, kill = std::move(kill),
+                                   relocate] {
+      if (heap().KillSlots(p, kill, nullptr).ok() && relocate) {
+        // §6: GC is deterministic and engine-driven; hint the FTL that the
+        // old physical blocks are dead so device GC need not relocate them
+        // ("transfers yet more control over the Flash storage into the
+        // MV-DBMS").
+        auto offset = env_.pool->disk()->PageOffset(relation_, p);
+        if (offset.ok()) {
+          (void)env_.pool->disk()->device()->Trim(*offset, kPageSize);
+        }
+        region_.AddFreePage(p);
+      }
+      MutexLock g(&gc_mu_);
+      gc_pending_.erase(p);
+    });
   }
   // Eager cleanup when no reader is pinned: single-threaded vacuums (and
   // the existing GC tests) observe reclamation immediately; with pinned

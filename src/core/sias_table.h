@@ -150,20 +150,19 @@ class SiasTable : public MvccTable {
   Status WalkVersions(Vid vid, VirtualClock* clk,
                       const std::function<bool(const VersionRef&)>& visit);
 
-  /// GC helper: live version list of one item, newest first, cut at the
-  /// horizon anchor. `whole_item_dead` is set when even the anchor is a
-  /// tombstone older than the horizon. For SIAS-V, `bounds`
+  /// GC plan for one item: its live versions, newest first, cut at the
+  /// horizon anchor; empty when the item is wholly dead (even the anchor is
+  /// a tombstone older than the horizon). For SIAS-V, `bounds`
   /// (TransactionManager::ActiveSnapshotBounds) additionally enables
   /// mid-vector reclamation: committed versions between the newest and the
   /// anchor that no active snapshot can resolve as its visible version are
-  /// dropped from the live set (range tracking), and so is every committed
+  /// dropped from the list (range tracking), and so is every committed
   /// version shadowed by a kept one of the same transaction. Chains keep
   /// the plain anchor cut — dropping a mid-chain version would require
   /// rewriting the predecessor pointer of an older, immutable version.
   Status LiveVersions(Vid vid, Xid horizon,
-                      const std::vector<std::pair<Xid, Xid>>* bounds,
-                      VirtualClock* clk, std::vector<VersionRef>* live,
-                      bool* whole_item_dead);
+                      const std::vector<std::pair<Xid, Xid>>& bounds,
+                      VirtualClock* clk, std::vector<VersionRef>* live);
 
   RelationId relation_;
   TableEnv env_;

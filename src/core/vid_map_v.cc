@@ -126,35 +126,17 @@ bool VidMapV::PopFrontIf(Vid vid, Tid tid) {
   return true;
 }
 
-bool VidMapV::ReplaceTid(Vid vid, Tid old_tid, Tid new_tid) {
-  auto* slot = SlotForMutable(vid);
-  const VersionVector* cur = slot->load(std::memory_order_seq_cst);
-  if (cur == nullptr) return false;
-  auto it = std::find(cur->begin(), cur->end(), old_tid);
-  if (it == cur->end()) return false;
-  auto* next = new VersionVector(*cur);
-  (*next)[static_cast<size_t>(it - cur->begin())] = new_tid;
-  if (!Install(slot, cur, next)) return false;
-  MvccObs().entry_updates->Increment();
-  return true;
-}
-
-void VidMapV::Clear(Vid vid) {
-  auto* slot = SlotForMutable(vid);
-  const VersionVector* cur = slot->load(std::memory_order_seq_cst);
-  if (Install(slot, cur, nullptr)) MvccObs().entry_clears->Increment();
-}
-
 void VidMapV::Set(Vid vid, std::vector<Tid> versions) {
   auto* slot = SlotForMutable(vid);
   const VersionVector* cur = slot->load(std::memory_order_seq_cst);
   const VersionVector* next =
       versions.empty() ? nullptr : new VersionVector(std::move(versions));
-  // Recovery and GC-prune rebuilds are serialized per VID; Install cannot
+  // Recovery and GC republishes are serialized per VID; Install cannot
   // fail against a concurrent mutator, only assert that it did not.
   bool ok = Install(slot, cur, next);
   SIAS_CHECK(ok);
-  MvccObs().entry_updates->Increment();
+  bool cleared = cur != nullptr && next == nullptr;
+  (cleared ? MvccObs().entry_clears : MvccObs().entry_updates)->Increment();
   Vid bump = next_vid_.load(std::memory_order_relaxed);
   while (bump <= vid && !next_vid_.compare_exchange_weak(
                             bump, vid + 1, std::memory_order_acq_rel)) {

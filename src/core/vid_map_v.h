@@ -70,13 +70,9 @@ class VidMapV {
   /// Removes the current front if it equals `tid` (abort undo).
   bool PopFrontIf(Vid vid, Tid tid);
 
-  /// Replaces one version's TID in place (GC relocation).
-  bool ReplaceTid(Vid vid, Tid old_tid, Tid new_tid);
-
-  /// Removes the item entirely (fully-dead chain).
-  void Clear(Vid vid);
-
-  /// Unconditional overwrite (recovery).
+  /// Unconditional overwrite (recovery, GC republish). An empty vector over
+  /// a non-empty one drops the item's mapping: it counts in
+  /// vidmap.entry_clears, as VidMap::Clear does.
   void Set(Vid vid, std::vector<Tid> versions);
 
   Vid bound() const;

@@ -128,12 +128,14 @@ class Database {
 
   /// Garbage-collects every table up to the current GC horizon, then runs
   /// index maintenance (MV-PBT partition flush/merge) and an epoch-reclaim
-  /// pass. At most one vacuum runs at a time: SiasTable::GarbageCollect's
-  /// victim selection re-checks its gc_pending_ set long before it inserts,
-  /// so two overlapping passes could pick the same page and double-enqueue
-  /// its epoch-deferred slot kills. A call that finds another vacuum in flight
-  /// returns OK without doing work (the running pass covers the cadence;
-  /// single-threaded callers are never skipped).
+  /// pass. At most one vacuum runs at a time: SiasTable::GarbageCollect
+  /// checks a page against its gc_pending_ set before the page's inventory
+  /// but inserts it only at the page's one deferred kill, after the plan,
+  /// relocation and republish steps, so two overlapping passes could pick
+  /// the same page and double-enqueue its epoch-deferred slot kills. A call
+  /// that finds another vacuum in flight returns OK without doing work (the
+  /// running pass covers the cadence; single-threaded callers are never
+  /// skipped).
   Status Vacuum(VirtualClock* clk);
 
   /// Crash recovery: restores the control block, replays the WAL, aborts

@@ -145,22 +145,6 @@ TEST(VidMapVTest, PopFrontIfUndo) {
   EXPECT_EQ(map.Entrypoint(v), (Tid{1, 0}));
 }
 
-TEST(VidMapVTest, ReplaceTidForGcRelocation) {
-  VidMapV map;
-  Vid v = map.AllocateVid();
-  Tid front{};
-  for (int i = 1; i <= 5; ++i) {
-    Tid t{static_cast<PageNumber>(i), 0};
-    ASSERT_TRUE(map.PushFront(v, front, t));
-    front = t;
-  }
-  EXPECT_TRUE(map.ReplaceTid(v, Tid{3, 0}, Tid{30, 0}));
-  EXPECT_FALSE(map.ReplaceTid(v, Tid{3, 0}, Tid{31, 0}));  // gone now
-  auto vec = map.Get(v);
-  ASSERT_EQ(vec.size(), 5u);
-  EXPECT_EQ(vec[2], (Tid{30, 0}));
-}
-
 TEST(VidMapVTest, TrimmingPushKeepsOnlyTheReplacedFront) {
   obs::Counter* trimmed = obs::MetricsRegistry::Default().GetCounter(
       "mvcc.vidmap.versions_trimmed");
