@@ -97,10 +97,13 @@ Status Table::Update(Transaction* txn, Vid vid, const Row& new_row) {
 
   IndexWriteCtx ctx{txn->xid(), new_tid, vid, txn->clock()};
   for (auto& idx : indexes_) {
-    std::string old_key = idx.extractor(*old_row);
+    // The old key is built only when it changed (MV-PBT posts an
+    // anti-record under it); an unchanged one is passed as the new key.
     std::string new_key = idx.extractor(new_row);
-    SIAS_RETURN_NOT_OK(
-        idx.index->OnUpdate(ctx, Slice(old_key), Slice(new_key)));
+    const bool same_key = idx.extractor.Matches(*old_row, Slice(new_key));
+    std::string old_key = same_key ? std::string() : idx.extractor(*old_row);
+    SIAS_RETURN_NOT_OK(idx.index->OnUpdate(
+        ctx, Slice(same_key ? new_key : old_key), Slice(new_key)));
   }
   return Status::OK();
 }

@@ -29,6 +29,10 @@ constexpr size_t kCorruptionLookahead = 256 * 1024;
 /// all-zero blocks. One interior block of a giant record body could be all
 /// zeros; two in a row cannot (bodies are at most a page).
 constexpr int kZeroRunStop = 2;
+
+/// The log device's I/O unit (StorageDevice::CheckRange): a flush writes
+/// whole sectors, starting at the first one the device does not hold yet.
+constexpr Lsn kSectorSize = 512;
 }  // namespace
 
 void EncodeWalRecord(const WalRecord& record, std::string* out) {
@@ -81,20 +85,24 @@ Result<Lsn> WalWriter::Append(const WalRecord& record) {
 Status WalWriter::Resume(Lsn lsn) {
   MutexLock flusher(&flush_mu_);
   MutexLock g(&mu_);
-  Lsn block_start = lsn / kPageSize * kPageSize;
-  tail_.assign(kPageSize, 0);
+  const Lsn block_start = lsn / kPageSize * kPageSize;
+  const Lsn sector_start = lsn / kSectorSize * kSectorSize;
+  std::vector<uint8_t> block(kPageSize, 0);
   if (lsn > block_start) {
     SIAS_RETURN_NOT_OK(
-        device_->Read(base_ + block_start, kPageSize, tail_.data(), nullptr));
+        device_->Read(base_ + block_start, kPageSize, block.data(), nullptr));
     // Truncate on disk too: stale record bytes of a previous generation may
     // sit between `lsn` and the block end, fully inside this block.
-    std::fill(tail_.begin() + static_cast<size_t>(lsn - block_start),
-              tail_.end(), 0);
+    std::fill(block.begin() + static_cast<size_t>(lsn - block_start),
+              block.end(), 0);
     SIAS_RETURN_NOT_OK(
-        device_->Write(base_ + block_start, kPageSize, tail_.data(), nullptr));
+        device_->Write(base_ + block_start, kPageSize, block.data(), nullptr));
   }
-  tail_.resize(static_cast<size_t>(lsn - block_start));
-  tail_start_ = block_start;
+  // Keep only the frontier's sector: the next flush rewrites it with the
+  // records appended after `lsn`, and the sectors before it stay as they are.
+  tail_.assign(block.begin() + static_cast<size_t>(sector_start - block_start),
+               block.begin() + static_cast<size_t>(lsn - block_start));
+  tail_start_ = sector_start;
   next_lsn_ = lsn;
   flushed_lsn_ = lsn;
   // Zero stale blocks beyond the frontier: if a previous, longer log
@@ -104,14 +112,13 @@ Status WalWriter::Resume(Lsn lsn) {
   // follows, by this same invariant) and the writes are synced so a power
   // cut cannot resurrect the stale bytes. Recovery-time I/O, so no clock.
   Lsn sweep = (lsn + kPageSize - 1) / kPageSize * kPageSize;
-  std::vector<uint8_t> blockbuf(kPageSize);
   const std::vector<uint8_t> zeros(kPageSize, 0);
   int zero_run = 0;
   for (; sweep + kPageSize <= limit_ && zero_run < kZeroRunStop;
        sweep += kPageSize) {
     SIAS_RETURN_NOT_OK(
-        device_->Read(base_ + sweep, kPageSize, blockbuf.data(), nullptr));
-    if (blockbuf == zeros) {
+        device_->Read(base_ + sweep, kPageSize, block.data(), nullptr));
+    if (block == zeros) {
       zero_run++;
       continue;
     }
@@ -127,7 +134,7 @@ Status WalWriter::FlushTo(Lsn lsn, VirtualClock* clk) {
   // follower's lsn was already made durable by another terminal's flush).
   obs::SpanScope flush_span(obs::SpanPhase::kWalFlush, "wal", "flush");
   // One flusher at a time. Appends only take mu_, which is held just long
-  // enough to snapshot the blocks to write and, afterwards, to publish the
+  // enough to snapshot the sectors to write and, afterwards, to publish the
   // result: the device write and the sync run without it.
   MutexLock flusher(&flush_mu_);
   Lsn write_begin = 0;
@@ -141,97 +148,102 @@ Status WalWriter::FlushTo(Lsn lsn, VirtualClock* clk) {
       return Status::OK();
     }
     lsn = std::min<Lsn>(lsn, next_lsn_);
-    // Write whole blocks from tail_start_ up to the block containing `lsn`.
+    // Write the sectors from tail_start_ (the first one the device does not
+    // hold in full) up to the sector containing `lsn`.
     write_begin = tail_start_;
-    write_end = (lsn + kPageSize - 1) / kPageSize * kPageSize;
-    SIAS_CHECK(write_begin % kPageSize == 0);  // tail starts block-aligned
+    write_end = (lsn + kSectorSize - 1) / kSectorSize * kSectorSize;
+    SIAS_CHECK(write_begin % kSectorSize == 0);  // tail starts on a sector
     size_t n = std::min<size_t>(tail_.size(),
                                 static_cast<size_t>(write_end - write_begin));
     snapshot_end = write_begin + n;
     stage_.resize(static_cast<size_t>(write_end - write_begin));
     memcpy(stage_.data(), tail_.data(), n);
   }
-  // Zero-pad the partial last block of the snapshot.
+  // Zero-pad the partial last sector of the snapshot.
   const size_t staged = static_cast<size_t>(snapshot_end - write_begin);
   memset(stage_.data() + staged, 0, stage_.size() - staged);
-  // The group-commit fsync: virtual time from here to the last block write
+  // The group-commit fsync: virtual time from here to the last piece write
   // is what a committing terminal waits on the log device.
   VTime flush_start = clk != nullptr ? clk->now() : 0;
-  uint64_t blocks_written = 0;
   {
     // The device-write burst is the WAL's "fsync": the log is not durable
-    // until the last block lands. The burst is pipelined through the async
-    // submit/complete interface — all blocks are submitted up front (their
-    // channel reservations overlap, group commit), then waited in LSN
-    // order. Devices either execute the payload during Submit or copy it,
-    // and stage_ is not touched until the burst is done.
+    // until the last piece lands. The burst is cut at block boundaries into
+    // pieces of at most one block; only the first can start mid-block. It
+    // is pipelined through the async submit/complete interface — all
+    // pieces are submitted up front (their channel reservations overlap,
+    // group commit), then waited in LSN order. Devices either execute the
+    // payload during Submit or copy it, and stage_ is not touched until the
+    // burst is done.
     SIAS_CRASH_POINT("wal.pre_block_write");
-    const size_t nblocks =
-        static_cast<size_t>((write_end - write_begin) / kPageSize);
-    auto block_at = [&](Lsn pos) {
-      return stage_.data() + static_cast<size_t>(pos - write_begin);
+    // Piece p covers [edge(p), edge(p + 1)).
+    const Lsn first_block = write_begin / kPageSize * kPageSize;
+    const size_t npieces =
+        write_end > write_begin
+            ? static_cast<size_t>(
+                  (write_end - first_block + kPageSize - 1) / kPageSize)
+            : 0;
+    auto edge = [&](size_t p) {
+      return std::clamp<Lsn>(first_block + p * kPageSize, write_begin,
+                             write_end);
     };
-    if (nblocks == 1) {
-      // Single-block burst — the common small-commit case. There is nothing
+    if (npieces == 1) {
+      // One-piece burst — the common small-commit case. There is nothing
       // to overlap, so the submit/complete bookkeeping (handle allocation,
       // completion-table round-trip) buys nothing: issue it synchronously.
       // This keeps the commit fast path at its pre-pipeline cost.
       SIAS_RETURN_NOT_OK(fault::RetryTransient("wal block write", clk, [&] {
-        return device_->Write(base_ + write_begin, kPageSize,
-                              block_at(write_begin), clk);
+        return device_->Write(base_ + write_begin, stage_.size(),
+                              stage_.data(), clk);
       }));
-      blocks_written++;
-    } else if (nblocks > 1) {
-      std::vector<IoHandle> handles(nblocks);
-      auto submit_block = [&](Lsn pos) -> Result<IoHandle> {
+    } else if (npieces > 1) {
+      std::vector<IoHandle> handles(npieces);
+      auto submit_piece = [&](size_t p) -> Result<IoHandle> {
         IoRequest req;
         req.op = IoOp::kWrite;
-        req.offset = base_ + pos;
-        req.len = kPageSize;
-        req.data = block_at(pos);
+        req.offset = base_ + edge(p);
+        req.len = static_cast<size_t>(edge(p + 1) - edge(p));
+        req.data = stage_.data() + static_cast<size_t>(edge(p) - write_begin);
         return device_->Submit(req, clk != nullptr ? clk->now() : 0);
       };
       auto submit_from = [&](size_t from) -> Status {
-        for (size_t b = from; b < nblocks; ++b) {
-          auto h = submit_block(write_begin + static_cast<Lsn>(b) * kPageSize);
+        for (size_t p = from; p < npieces; ++p) {
+          auto h = submit_piece(p);
           if (!h.ok()) {
-            for (size_t c = from; c < b; ++c) device_->Cancel(handles[c], clk);
+            for (size_t c = from; c < p; ++c) device_->Cancel(handles[c], clk);
             return h.status();
           }
-          handles[b] = *h;
+          handles[p] = *h;
         }
         return Status::OK();
       };
       SIAS_RETURN_NOT_OK(submit_from(0));
-      for (size_t b = 0; b < nblocks; ++b) {
-        Status st = device_->Wait(handles[b], clk);
+      for (size_t p = 0; p < npieces; ++p) {
+        Status st = device_->Wait(handles[p], clk);
         if (st.IsTransientIoError()) {
-          // A retried block must not be overtaken by later blocks — the
+          // A retried piece must not be overtaken by later pieces — the
           // volatile write-back cache is FIFO and recovery's torn-tail model
           // relies on prefix durability — so cancel the still-unwaited tail
           // (deferred requests are dropped without executing), retry this
-          // block by RESUBMISSION (fresh channel reservation per attempt),
+          // piece by RESUBMISSION (fresh channel reservation per attempt),
           // then resubmit the tail in order.
-          for (size_t c = b + 1; c < nblocks; ++c) {
+          for (size_t c = p + 1; c < npieces; ++c) {
             device_->Cancel(handles[c], clk);
           }
-          Lsn pos = write_begin + static_cast<Lsn>(b) * kPageSize;
           st = fault::RetryTransientAfterFailure(
               "wal block write", clk, std::move(st), [&]() -> Status {
-                auto h = submit_block(pos);
+                auto h = submit_piece(p);
                 if (!h.ok()) return h.status();
                 return device_->Wait(*h, clk);
               });
-          if (st.ok() && b + 1 < nblocks) {
-            SIAS_RETURN_NOT_OK(submit_from(b + 1));
+          if (st.ok() && p + 1 < npieces) {
+            SIAS_RETURN_NOT_OK(submit_from(p + 1));
           }
         } else if (!st.ok()) {
-          for (size_t c = b + 1; c < nblocks; ++c) {
+          for (size_t c = p + 1; c < npieces; ++c) {
             device_->Cancel(handles[c], clk);
           }
         }
         SIAS_RETURN_NOT_OK(st);
-        blocks_written++;
       }
     }
   }
@@ -241,21 +253,23 @@ Status WalWriter::FlushTo(Lsn lsn, VirtualClock* clk) {
   SIAS_RETURN_NOT_OK(fault::RetryTransient(
       "wal fsync", clk, [&] { return device_->Sync(clk); }));
   SIAS_CRASH_POINT("wal.post_fsync");
-  if (blocks_written > 0) {
+  const uint64_t bytes_written = stage_.size();
+  if (bytes_written > 0) {
     m_flushes_->Increment();
-    m_written_bytes_->Add(static_cast<int64_t>(blocks_written * kPageSize));
+    m_written_bytes_->Add(static_cast<int64_t>(bytes_written));
     if (clk != nullptr) m_flush_latency_->Record(clk->now() - flush_start);
   }
   flush_span.set_name("flush_leader");
   m_gc_leader_->Increment();
-  fault::DebugRingLog("wal_flush", lsn, blocks_written);
+  fault::DebugRingLog("wal_flush", lsn, bytes_written);
   MutexLock g(&mu_);
   flushed_lsn_ = lsn;
-  // Drop the full blocks; keep the last one buffered if the snapshot ended
-  // inside it, so the next flush rewrites it with the records appended
-  // since. The test is on the snapshot, not on next_lsn_: appends that
-  // landed in that block during the write are not on the device yet.
-  Lsn new_tail_start = snapshot_end < write_end ? write_end - kPageSize
+  // Drop the sectors the device now holds in full; keep the last one
+  // buffered if the snapshot ended inside it, so the next flush rewrites it
+  // with the records appended since. The test is on the snapshot, not on
+  // next_lsn_: appends that landed in that sector during the write are not
+  // on the device yet.
+  Lsn new_tail_start = snapshot_end < write_end ? write_end - kSectorSize
                                                 : write_end;
   if (new_tail_start > tail_start_) {
     size_t drop = static_cast<size_t>(new_tail_start - tail_start_);

@@ -1,6 +1,7 @@
 // Write-ahead log: append-only record stream with CRC-framed records,
-// group-committed flushing in 8 KB blocks, and sequential read-back for
-// redo recovery.
+// group-committed flushing that writes each 512-byte sector once (only the
+// sector a flush ended inside is written again), and sequential read-back
+// for redo recovery.
 //
 // The paper (§6 Recovery) notes that SIAS does not impinge on the WAL-based
 // recovery of the MV-DBMS: the flush threshold only delays *data* pages; the
@@ -55,8 +56,10 @@ struct WalRecord {
   std::string body;
 };
 
-/// Appends records to an in-memory tail and flushes them to a device in
-/// whole 8 KB blocks. LSN = byte offset of the record start + record size,
+/// Appends records to an in-memory tail and flushes to a device the 512-byte
+/// sectors it does not hold yet: a flush starts at the first sector the
+/// device does not hold in full and ends at the sector holding its lsn, in
+/// pieces of at most one 8 KB block. LSN = byte offset of the record start + record size,
 /// i.e. the LSN returned by Append is the position *after* the record
 /// (flush-to-LSN makes the record durable).
 class WalWriter {
@@ -69,7 +72,8 @@ class WalWriter {
 
   /// Positions the writer at `lsn` (the end of the valid log found by
   /// recovery) so new records extend the existing stream instead of
-  /// overwriting it. Re-reads the partial tail block from the device, then
+  /// overwriting it. Re-reads the frontier block from the device and keeps
+  /// its bytes from the frontier's sector start as the tail, then
   /// zeroes any stale blocks from a longer previous log generation beyond
   /// the frontier and syncs. That restores the invariant WalReader's
   /// corruption detection depends on: past the valid tail the region is
@@ -79,7 +83,7 @@ class WalWriter {
 
   /// Makes the log durable up to `lsn` (group commit: a single flush covers
   /// every record appended before it). Charges `clk` for the device writes.
-  /// Appends from other threads proceed while the blocks are written; a
+  /// Appends from other threads proceed while the sectors are written; a
   /// concurrent FlushTo waits, then returns at once if this flush covered
   /// its lsn.
   Status FlushTo(Lsn lsn, VirtualClock* clk);
@@ -98,7 +102,7 @@ class WalWriter {
   /// device write and sync; appends never take it, so they do not wait on
   /// the log device. Nested inside the pool mutex (WAL-before-data hook).
   Mutex flush_mu_{LatchRank::kWalFlush};
-  /// FlushTo's snapshot of the blocks it writes, reused across flushes.
+  /// FlushTo's snapshot of the sectors it writes, reused across flushes.
   std::vector<uint8_t> stage_ SIAS_GUARDED_BY(flush_mu_);
 
   /// Rank kWal: nested inside page latches (appends under an exclusive
@@ -108,9 +112,10 @@ class WalWriter {
   /// Logical byte position of the next record.
   Lsn next_lsn_ SIAS_GUARDED_BY(mu_) = 0;
   Lsn flushed_lsn_ SIAS_GUARDED_BY(mu_) = 0;
-  /// Bytes in [flushed_block_start_, next_lsn_).
+  /// Bytes in [tail_start_, next_lsn_): the last sector a flush ended
+  /// inside (its head is on the device already) and every byte after it.
   std::vector<uint8_t> tail_ SIAS_GUARDED_BY(mu_);
-  /// Logical offset of tail_[0].
+  /// Logical offset of tail_[0]; always sector-aligned.
   Lsn tail_start_ SIAS_GUARDED_BY(mu_) = 0;
 
   obs::Counter* m_records_;
@@ -118,7 +123,7 @@ class WalWriter {
   obs::Counter* m_flushes_;
   obs::Counter* m_written_bytes_;
   obs::HistogramMetric* m_flush_latency_;
-  /// Group-commit role split: a FlushTo that writes blocks led the group; one
+  /// Group-commit role split: a FlushTo that writes sectors led the group; one
   /// that finds its lsn already durable rode a leader's flush.
   obs::Counter* m_gc_leader_;
   obs::Counter* m_gc_follower_;

@@ -1,9 +1,9 @@
 // Allocation budgets of the snapshot read path: this binary replaces the
 // global operator new to count calls, and pins how many one resident index
-// lookup and one resident SIAS-V read make. A change that brings heap churn
-// back into the read path (a copied version vector, a result vector per
-// probe, a std::function whose captures spill to the heap, a throwaway key
-// string for the recheck) fails here.
+// lookup, one resident SIAS-V read and one same-key update make. A change
+// that brings heap churn back into these paths (a copied version vector, a
+// result vector per probe, a std::function whose captures spill to the
+// heap, a throwaway key string for a comparison) fails here.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -73,6 +73,9 @@ namespace {
 // result vector, the row's value vector and its one string column.
 constexpr int64_t kIndexLookupBudget = 3;
 constexpr int64_t kSiasReadBudget = 0;
+// An update of one row with an unchanged key builds that key once (a second
+// build, of the old row's key, only to compare the two cost one more).
+constexpr int64_t kUpdateBudget = 14;
 
 /// A resident SIAS-V table of TPC-C-shaped rows: a 3-int key (24 bytes, past
 /// the short-string buffer) and a string column longer than it.
@@ -149,6 +152,29 @@ TEST_F(AllocBudgetTest, SiasTableReadOfOneResidentItem) {
   ASSERT_TRUE(live.ok());
   EXPECT_TRUE(*live);
   EXPECT_LE(news, kSiasReadBudget) << "operator new calls per read";
+  RecordProperty("operator_new_calls", static_cast<int>(news));
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+}
+
+TEST_F(AllocBudgetTest, UpdateOfOneResidentSiasVRow) {
+  // A TPC-C-style update: the key columns stay, the balance changes.
+  auto row = [](int64_t c, double balance) {
+    return Row{{int64_t{1}, int64_t{2}, c,
+                std::string("a customer data field of 40 bytes"), balance}};
+  };
+  {
+    // Warm-up on another row: first-use statics, thread-local buffers.
+    auto txn = db_->Begin(&clk_);
+    ASSERT_TRUE(table_->Update(txn.get(), vids_[6], row(7, 2.5)).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  auto txn = db_->Begin(&clk_);
+  const Row next = row(8, 2.5);
+  int64_t before = t_news;
+  Status st = table_->Update(txn.get(), vids_[7], next);
+  int64_t news = t_news - before;
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_LE(news, kUpdateBudget) << "operator new calls per update";
   RecordProperty("operator_new_calls", static_cast<int>(news));
   ASSERT_TRUE(db_->Commit(txn.get()).ok());
 }

@@ -206,15 +206,78 @@ TEST_F(WalTest, RegionFullReported) {
   EXPECT_EQ(l2.status().code(), StatusCode::kOutOfSpace);
 }
 
-TEST_F(WalTest, PartialBlockRewriteAmplifiesPhysicalWrites) {
-  // Two tiny flushes rewrite the same 8 KB block twice.
+TEST_F(WalTest, SmallFlushesWriteEachSectorOnce) {
+  // Two tiny flushes into one block write one 512-byte sector each: the
+  // second rewrites only the sector the first ended inside, and leaves the
+  // rest of the block alone.
+  constexpr size_t kSector = 512;
   CounterDelta written("wal.written_bytes");
   auto l1 = writer_.Append(MakeInsert(2, 1, Tid{0, 0}, "a"));
   ASSERT_TRUE(writer_.FlushTo(*l1, &clk_).ok());
+  EXPECT_EQ(written(), static_cast<int64_t>(kSector));
+  // A marker in the block's second sector: a flush that rewrote the whole
+  // block would zero it.
+  const std::vector<uint8_t> marker(kSector, 0xab);
+  ASSERT_TRUE(device_.Write(kSector, kSector, marker.data(), nullptr).ok());
   auto l2 = writer_.Append(MakeInsert(3, 1, Tid{0, 0}, "b"));
+  ASSERT_LT(*l2, kSector);
   ASSERT_TRUE(writer_.FlushTo(*l2, &clk_).ok());
-  EXPECT_EQ(written(), static_cast<int64_t>(2 * kPageSize));
-  EXPECT_LT(writer_.current_lsn(), kPageSize);
+  EXPECT_EQ(written(), static_cast<int64_t>(2 * kSector));
+  std::vector<uint8_t> second(kSector);
+  ASSERT_TRUE(device_.Read(kSector, kSector, second.data(), nullptr).ok());
+  EXPECT_EQ(second, marker);
+
+  WalReader reader(&device_, 0, 64ull << 20);
+  std::vector<std::string> bodies;
+  for (;;) {
+    auto r = reader.Next();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (!r->has_value()) break;
+    bodies.push_back((*r)->body);
+  }
+  EXPECT_EQ(bodies, (std::vector<std::string>{"a", "b"}));
+}
+
+TEST_F(WalTest, ResumeMidSectorThenAppendReadsBack) {
+  // The recovered frontier sits inside a sector of the second block; the
+  // resumed writer's first flush rewrites that sector from its start, so the
+  // bytes before the frontier must come back from the device unchanged.
+  std::vector<std::string> bodies{std::string(9000, 'p'), "q"};
+  Lsn frontier = 0;
+  for (const std::string& body : bodies) {
+    auto l = writer_.Append(MakeInsert(2, 1, Tid{0, 0}, body));
+    ASSERT_TRUE(l.ok());
+    frontier = *l;
+  }
+  ASSERT_TRUE(writer_.FlushTo(frontier, &clk_).ok());
+  ASSERT_NE(frontier % 512, 0u);
+  ASSERT_NE(frontier % kPageSize, 0u);
+
+  WalWriter resumed(&device_, 0, 64ull << 20);
+  ASSERT_TRUE(resumed.Resume(frontier).ok());
+  // Tiny, sector-crossing and block-crossing records, each flushed on its
+  // own so every flush starts mid-sector or mid-block.
+  Lsn end = frontier;
+  for (const std::string& body :
+       {std::string("r"), std::string(700, 's'), std::string("t"),
+        std::string(2 * kPageSize, 'u'), std::string(40, 'v')}) {
+    auto l = resumed.Append(MakeInsert(3, 1, Tid{0, 1}, body));
+    ASSERT_TRUE(l.ok());
+    ASSERT_TRUE(resumed.FlushTo(*l, &clk_).ok());
+    bodies.push_back(body);
+    end = *l;
+  }
+
+  WalReader reader(&device_, 0, 64ull << 20);
+  std::vector<std::string> read;
+  for (;;) {
+    auto r = reader.Next();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (!r->has_value()) break;
+    read.push_back((*r)->body);
+  }
+  EXPECT_EQ(read, bodies);
+  EXPECT_EQ(reader.lsn(), end);
 }
 
 TEST_F(WalTest, ReaderStartsMidLog) {
