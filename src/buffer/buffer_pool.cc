@@ -10,6 +10,7 @@
 #include "fault/crash_point.h"
 #include "fault/debug_ring.h"
 #include "fault/retry.h"
+#include "mvcc/epoch.h"
 #include "obs/span.h"
 
 namespace sias {
@@ -38,12 +39,12 @@ PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
 
 uint8_t* PageGuard::data() {
   SIAS_CHECK(valid());
-  return pool_->frames_[frame_].data.get();
+  return pool_->frames_[frame_].buf();
 }
 
 const uint8_t* PageGuard::data() const {
   SIAS_CHECK(valid());
-  return pool_->frames_[frame_].data.get();
+  return pool_->frames_[frame_].buf();
 }
 
 void PageGuard::MarkDirty(Lsn lsn) {
@@ -52,7 +53,7 @@ void PageGuard::MarkDirty(Lsn lsn) {
   f.dirty.store(true, std::memory_order_release);
   if (lsn != kInvalidLsn && lsn > f.lsn.load(std::memory_order_relaxed)) {
     f.lsn.store(lsn, std::memory_order_relaxed);
-    reinterpret_cast<PageHeader*>(f.data.get())->lsn = lsn;
+    reinterpret_cast<PageHeader*>(data())->lsn = lsn;
   }
 }
 
@@ -90,7 +91,7 @@ BufferPool::BufferPool(DiskManager* disk, size_t num_frames,
     : disk_(disk), wal_flush_(std::move(wal_flush)), frames_(num_frames) {
   SIAS_CHECK(num_frames >= 8);
   for (auto& f : frames_) {
-    f.data = std::make_unique<uint8_t[]>(kPageSize);
+    f.data.store(new uint8_t[kPageSize](), std::memory_order_relaxed);
   }
   size_t cap = 1;
   while (cap < num_frames * 4) cap <<= 1;
@@ -101,9 +102,15 @@ BufferPool::BufferPool(DiskManager* disk, size_t num_frames,
   m_misses_ = reg.GetCounter("buffer.misses");
   m_evictions_ = reg.GetCounter("buffer.evictions");
   m_writebacks_ = reg.GetCounter("buffer.writebacks");
+  m_parked_ = reg.GetGauge("buffer.parked");
+  m_parked_peak_ = reg.GetGauge("buffer.parked_peak");
 }
 
-BufferPool::~BufferPool() = default;
+BufferPool::~BufferPool() {
+  for (auto& f : frames_) delete[] f.buf();
+  MutexLock lock(&mu_);
+  for (const ParkedBuffer& p : parked_) delete[] p.data;
+}
 
 void BufferPool::Unpin(size_t frame) {
   frames_[frame].pins.fetch_sub(1, std::memory_order_release);
@@ -152,6 +159,30 @@ size_t BufferPool::PinResident(PageId id) {
   return idx;
 }
 
+const uint8_t* BufferPool::PeekResident(PageId id) {
+  const uint64_t tag = PackTag(id);
+  size_t idx = Lookup(tag);
+  if (idx == kNoFrame) return nullptr;
+  Frame& f = frames_[idx];
+  uint64_t s = f.stamp.load(std::memory_order_seq_cst);
+  if ((s & 1) != 0 || f.tag.load(std::memory_order_seq_cst) != tag) {
+    return nullptr;
+  }
+  if (auto* hook = g_pin_pause_hook.load(std::memory_order_relaxed)) {
+    hook(idx);
+  }
+  // Unpublish makes the stamp odd before it swaps the buffer, so an
+  // unchanged stamp means the pointer was loaded before any swap: it is the
+  // buffer that carried `id`, and the caller's epoch keeps it from reuse.
+  const uint8_t* bytes = f.data.load(std::memory_order_seq_cst);
+  if (f.stamp.load(std::memory_order_seq_cst) != s) return nullptr;
+  if (!f.referenced.load(std::memory_order_relaxed)) {
+    f.referenced.store(true, std::memory_order_relaxed);
+  }
+  m_hits_->Increment();
+  return bytes;
+}
+
 void BufferPool::PublishFrame(size_t idx, PageId id, Lsn lsn, bool dirty) {
   Frame& f = frames_[idx];
   f.sticky = false;
@@ -189,6 +220,44 @@ void BufferPool::Unpublish(size_t idx) {
   }
   index_[hole].store(0, std::memory_order_seq_cst);
   f.tag.store(kNoTag, std::memory_order_seq_cst);
+  // Pin-free readers may still be reading the old buffer: park it, stamped
+  // with an epoch read after the swap, and refill the frame elsewhere.
+  uint8_t* old = f.data.exchange(TakeFreshBuffer(), std::memory_order_seq_cst);
+  parked_.push_back(ParkedBuffer{EpochManager::Global().current(), old});
+  m_parked_->Set(static_cast<int64_t>(parked_.size()));
+  if (parked_.size() > parked_peak_) {
+    parked_peak_ = parked_.size();
+    m_parked_peak_->Set(static_cast<int64_t>(parked_peak_));
+  }
+}
+
+uint8_t* BufferPool::TakeFreshBuffer() {
+  EpochManager& epochs = EpochManager::Global();
+  if (!parked_.empty() && parked_.front().epoch >= reusable_below_) {
+    reusable_below_ = epochs.MinActive();
+    // The epoch otherwise moves only on the maintenance cadence: once
+    // enough buffers wait on it, move it here so they become reusable as
+    // soon as the readers inside the current epoch leave.
+    if (parked_.front().epoch >= reusable_below_ &&
+        parked_.size() >= kParkedAdvance) {
+      epochs.Advance();
+      reusable_below_ = epochs.MinActive();
+    }
+  }
+  if (parked_.empty() || parked_.front().epoch >= reusable_below_) {
+    // Not zeroed: every user fills the whole page before publishing it.
+    return new uint8_t[kPageSize];
+  }
+  uint8_t* fresh = parked_.front().data;
+  parked_.pop_front();
+  // A long epoch can leave far more parked buffers than the pool needs:
+  // free the reusable surplus.
+  while (parked_.size() >= kParkedKeep &&
+         parked_.front().epoch < reusable_below_) {
+    delete[] parked_.front().data;
+    parked_.pop_front();
+  }
+  return fresh;
 }
 
 Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
@@ -221,7 +290,7 @@ Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
   // and widen the WAL flush to cover it. If the write below tears, redo
   // restores the page from this image instead of reading the device.
   if (s.ok() && fpi_log_) {
-    auto fpi = fpi_log_(id, f.data.get(), clk);
+    auto fpi = fpi_log_(id, f.buf(), clk);
     if (!fpi.ok()) {
       s = fpi.status();
     } else if (*fpi != kInvalidLsn) {
@@ -233,7 +302,7 @@ Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
   }
   if (s.ok()) s = fault::CrashPoint("buffer.pre_page_write");
   if (s.ok()) {
-    SlottedPage(f.data.get()).UpdateChecksum();
+    SlottedPage(f.buf()).UpdateChecksum();
     // Maintenance flushes are paced background I/O (StorageDevice::Write);
     // eviction writes sit on the transaction path and pay foreground time.
     // The write goes through the async submit/complete path so transient
@@ -249,7 +318,7 @@ Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
       req.op = IoOp::kWrite;
       req.offset = *offset;
       req.len = kPageSize;
-      req.data = f.data.get();
+      req.data = f.buf();
       req.background = background;
       s = fault::SubmitAndRetry("page writeback", disk_->device(), req, clk);
     }
@@ -257,7 +326,7 @@ Status BufferPool::WriteFrame(Frame& f, VirtualClock* clk,
   if (s.ok()) s = fault::CrashPoint("buffer.post_page_write");
   if (s.ok()) {
     fault::DebugRingLog("write_frame", id.relation, id.page,
-                        SlottedPage(f.data.get()).slot_count() |
+                        SlottedPage(f.buf()).slot_count() |
                             (uint64_t(source) << 32),
                         f.lsn.load(std::memory_order_relaxed));
   }
@@ -300,9 +369,9 @@ Result<size_t> BufferPool::FindVictim(VirtualClock* clk) {
         f.referenced.store(false, std::memory_order_relaxed);
         continue;
       }
-      if (f.dirty.load(std::memory_order_acquire)) {
-        if (!allow_dirty) continue;
-        SIAS_RETURN_NOT_OK(WriteFrame(f, clk, FlushSource::kEviction));
+      if (!allow_dirty && f.dirty.load(std::memory_order_acquire)) continue;
+      if (auto* hook = g_pin_pause_hook.load(std::memory_order_relaxed)) {
+        hook(idx);
       }
       // Unpublish for lock-free readers: bump the stamp odd, then re-check
       // pins. An optimistic reader pins first and re-reads the stamp, so
@@ -311,6 +380,17 @@ Result<size_t> BufferPool::FindVictim(VirtualClock* clk) {
       if (f.pins.load(std::memory_order_seq_cst) > 0) {
         f.stamp.fetch_add(1, std::memory_order_seq_cst);  // back to stable
         continue;
+      }
+      // Write a dirty victim back only now that no hit can pin it: a hit
+      // pins without mu_, so one may have changed a clean frame since the
+      // checks above, and its unpin published the dirty bit. Checked
+      // earlier, that change would be dropped with the frame.
+      if (f.dirty.load(std::memory_order_acquire)) {
+        Status s = WriteFrame(f, clk, FlushSource::kEviction);
+        if (!s.ok()) {
+          f.stamp.fetch_add(1, std::memory_order_seq_cst);  // still resident
+          return s;
+        }
       }
       Unpublish(idx);
       m_evictions_->Increment();
@@ -367,7 +447,7 @@ Result<BufferPool::AsyncFetch> BufferPool::StartFetch(PageId id,
   req.op = IoOp::kRead;
   req.offset = offset;
   req.len = kPageSize;
-  req.out = frames_[out.frame].data.get();
+  req.out = frames_[out.frame].buf();
   auto h = disk_->device()->Submit(req, clk != nullptr ? clk->now() : 0);
   if (!h.ok()) {
     MutexLock lock(&mu_);
@@ -405,13 +485,13 @@ Result<PageGuard> BufferPool::FinishFetch(AsyncFetch* fetch,
           req.op = IoOp::kRead;
           req.offset = *offset;
           req.len = kPageSize;
-          req.out = f.data.get();
+          req.out = f.buf();
           auto h = dev->Submit(req, clk != nullptr ? clk->now() : 0);
           if (!h.ok()) return h.status();
           return dev->Wait(*h, clk);
         });
   }
-  SlottedPage sp(f.data.get());
+  SlottedPage sp(f.buf());
   if (st.ok() && !sp.VerifyChecksum()) {
     st = Status::Corruption("page checksum mismatch " + id.ToString());
   }
@@ -477,7 +557,7 @@ Result<PageGuard> BufferPool::NewPage(RelationId relation, VirtualClock* clk,
   } else {
     SIAS_ASSIGN_OR_RETURN(idx, FindVictim(clk));
   }
-  SlottedPage(frames_[idx].data.get()).Init(relation, page_no, page_flags);
+  SlottedPage(frames_[idx].buf()).Init(relation, page_no, page_flags);
   frames_[idx].pins.fetch_add(1, std::memory_order_acq_rel);
   PublishFrame(idx, id, kInvalidLsn, /*dirty=*/true);
   return PageGuard(this, idx, id);
@@ -499,14 +579,14 @@ Status BufferPool::RestorePage(PageId id, const uint8_t* image,
   size_t idx = Lookup(PackTag(id));
   if (idx == kNoFrame) {
     SIAS_ASSIGN_OR_RETURN(idx, FindVictim(clk));
-    std::memcpy(frames_[idx].data.get(), image, kPageSize);
+    std::memcpy(frames_[idx].buf(), image, kPageSize);
     PublishFrame(idx, id, image_lsn, /*dirty=*/true);
     return Status::OK();
   }
   Frame& f = frames_[idx];
   Lsn have = f.lsn.load(std::memory_order_relaxed);
   if (have != kInvalidLsn && have >= image_lsn) return Status::OK();
-  std::memcpy(f.data.get(), image, kPageSize);
+  std::memcpy(f.buf(), image, kPageSize);
   f.dirty.store(true, std::memory_order_relaxed);
   f.referenced.store(true, std::memory_order_relaxed);
   f.lsn.store(image_lsn, std::memory_order_relaxed);

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -53,9 +54,10 @@ class PageGuard {
   bool valid() const { return pool_ != nullptr; }
   PageId id() const { return id_; }
 
-  /// Raw page bytes. Hold the appropriate latch mode. The pointer's
-  /// validity ends with this guard's pin (frames recycle, optimistic
-  /// fetches revalidate, GC slot kills are epoch-deferred): sias-epoch-escape
+  /// Raw page bytes. Hold the appropriate latch mode. A pinned frame is
+  /// never evicted, so the pointer is stable while the pin lasts, and its
+  /// validity ends with it (frames recycle, optimistic fetches revalidate,
+  /// GC slot kills are epoch-deferred): sias-epoch-escape
   /// forbids storing it into fields/globals or returning it onward — keep
   /// the PageGuard itself instead, it is the ownership handle.
   SIAS_EPOCH_PROTECTED uint8_t* data();
@@ -120,12 +122,25 @@ class BufferPool {
   /// StartFetch, which takes the mutex.
   PageGuard PinIfResident(PageId id);
 
-  /// Test-only schedule control: when set, every resident pin calls the
-  /// hook with the frame index between its stamp load and its pin, the
-  /// window that pin-then-revalidate protects on the mutex-free path. Pass
-  /// nullptr to disarm. Costs one relaxed atomic load per hit when
-  /// disarmed.
-  SIAS_DEAD_API_OK("buffer_test evicts a frame inside a hit's pin window");
+  /// The pin-free hit of the SIAS version walk: the bytes of `id` if it is
+  /// resident, else nullptr (absent, or a race with eviction was lost).
+  /// Takes no pin and makes no atomic read-modify-write: it validates the
+  /// frame's stamp and tag around one load of the frame's buffer pointer.
+  /// The caller must hold an epoch (EpochGuard), which keeps the buffer
+  /// from being reused until it exits even if the frame is evicted
+  /// meanwhile; the bytes may then be a stale copy of the page, so the
+  /// caller reads them through the atomic slot accessors, as it would a
+  /// pinned page. Counts a hit.
+  SIAS_EPOCH_PROTECTED const uint8_t* PeekResident(PageId id);
+
+  /// Test-only schedule control: when set, both sides of the stamp
+  /// protocol call the hook with the frame index inside their window: a
+  /// resident hit between the stamp load and the pin (PinIfResident) or
+  /// between the tag check and the buffer-pointer load (PeekResident), and
+  /// an eviction between its pin/dirty checks and its stamp bump (under
+  /// mu_). Pass nullptr to disarm. Costs one relaxed atomic load per hit
+  /// and per eviction candidate when disarmed.
+  SIAS_DEAD_API_OK("buffer_test races hits and evictions in their windows");
   static void SetPinPauseHookForTest(void (*hook)(size_t frame));
 
   /// One in-flight asynchronous page fetch. Either the page was resident
@@ -216,7 +231,9 @@ class BufferPool {
 
   /// Cache-line aligned, with every field a hit touches (stamp, tag,
   /// pins, referenced, data) in the first line: a hit reads one line, and
-  /// pinning a hot frame does not invalidate its neighbours' lines.
+  /// pinning a hot frame does not invalidate its neighbours' lines. A
+  /// pin-free hit (PeekResident) writes nothing to it once `referenced` is
+  /// set.
   struct alignas(64) Frame {
     /// Identity validation for mutex-free hits (seq_cst on both sides, with
     /// `tag` and `pins` — the reader/evictor exclusion is Dekker-style):
@@ -224,7 +241,9 @@ class BufferPool {
     /// (being evicted / refilled). Monotone, so a reader comparing the
     /// stamp before and after its pin can never be fooled by reuse (no
     /// ABA). Eviction bumps it odd *then* re-checks pins; a hit pins
-    /// *then* re-reads the stamp — at most one side proceeds.
+    /// *then* re-reads the stamp — at most one side proceeds. A pin-free
+    /// hit (PeekResident) does not hold eviction off: it re-reads the stamp
+    /// after loading `data`, which Unpublish swaps only while it is odd.
     std::atomic<uint64_t> stamp{0};
     /// The frame's only identity: the packed PageId of the installed page,
     /// kNoTag when none. Written under mu_ while the stamp is odd
@@ -243,9 +262,33 @@ class BufferPool {
     // checker and TSan cover it.
     bool sticky = false;
     std::atomic<Lsn> lsn{kInvalidLsn};
-    std::unique_ptr<uint8_t[]> data;
+    /// The page bytes (owned). Unpublish swaps in a fresh buffer while the
+    /// stamp is odd and parks the old one, so a pin-free reader that loaded
+    /// the pointer before the swap keeps reading the page it validated.
+    std::atomic<uint8_t*> data{nullptr};
     PageLatch latch;
+
+    /// The buffer, for a pin holder, a holder of mu_ or the owner of a
+    /// private frame: the pointer changes only under mu_ with no pins.
+    uint8_t* buf() const { return data.load(std::memory_order_acquire); }
   };
+
+  /// A buffer swapped out of an unpublished frame, with the global epoch
+  /// read after the swap: a pin-free reader can hold it only while an
+  /// epoch at or below `epoch` is active.
+  struct ParkedBuffer {
+    uint64_t epoch;
+    uint8_t* data;
+  };
+  /// Parked buffers past which the pool advances the global epoch itself
+  /// when the oldest is still in reach of a reader.
+  static constexpr size_t kParkedAdvance = 16;
+  /// Parked buffers above which reusable ones are freed rather than kept.
+  /// Readers keep entering epochs, so under load a few buffers past
+  /// kParkedAdvance are always in reach of one: freeing at 16 made about
+  /// one eviction in eleven allocate a buffer and free another on
+  /// perfbench ycsb_update.
+  static constexpr size_t kParkedKeep = 4 * kParkedAdvance;
 
   // Returns frame index or error if pool exhausted.
   Result<size_t> FindVictim(VirtualClock* clk) SIAS_REQUIRES(mu_);
@@ -284,9 +327,12 @@ class BufferPool {
   void PublishFrame(size_t idx, PageId id, Lsn lsn, bool dirty)
       SIAS_REQUIRES(mu_);
   /// Removes transitioning frame `idx` from the index (backward-shift
-  /// deletion: the rest of its cluster moves back, no tombstones) and
-  /// clears its tag.
+  /// deletion: the rest of its cluster moves back, no tombstones), clears
+  /// its tag and gives it a fresh buffer, parking the old one.
   void Unpublish(size_t idx) SIAS_REQUIRES(mu_);
+  /// A buffer no reader can still hold: the oldest parked one once
+  /// MinActive() is past its epoch, else a new allocation.
+  uint8_t* TakeFreshBuffer() SIAS_REQUIRES(mu_);
 
   DiskManager* disk_;
   WalFlushHook wal_flush_;
@@ -309,11 +355,19 @@ class BufferPool {
   };
   std::unordered_map<PageId, PendingRead> pending_reads_ SIAS_GUARDED_BY(mu_);
   uint64_t writeback_seq_ SIAS_GUARDED_BY(mu_) = 0;
+  /// Swapped-out buffers, oldest first (epochs non-decreasing: parked
+  /// under mu_).
+  std::deque<ParkedBuffer> parked_ SIAS_GUARDED_BY(mu_);
+  /// A MinActive() read earlier: no reader holds a buffer parked below it.
+  uint64_t reusable_below_ SIAS_GUARDED_BY(mu_) = 0;
+  size_t parked_peak_ SIAS_GUARDED_BY(mu_) = 0;
   /// The pool's only hit/miss/eviction/write-back tallies (buffer.*).
   obs::Counter* m_hits_;
   obs::Counter* m_misses_;
   obs::Counter* m_evictions_;
   obs::Counter* m_writebacks_;
+  obs::Gauge* m_parked_;
+  obs::Gauge* m_parked_peak_;
 };
 
 }  // namespace sias

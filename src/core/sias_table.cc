@@ -72,7 +72,8 @@ struct ReadBatch {
 // a blocking read would wait on a cold page, the task SUBMITS the read and
 // suspends; its next Run() completes the read in FinishFetch.
 //
-// Pages are pinned but never latched: every read below goes through the
+// Pages are never latched, and resident ones are not pinned either (a miss
+// pins the frame it fills): every read below goes through the
 // atomic tuple accessors or targets bytes that are immutable while the page
 // is reachable. Slot publication is an atomic slot-count release store, slot
 // kills are one atomic word, and chain GC rewrites the header's pred word
@@ -81,7 +82,9 @@ struct ReadBatch {
 // vector walked below (in place: a published vector is immutable), every
 // page it references and every predecessor those versions point at
 // physically intact — vacuum's slot kills and vector frees queue behind it
-// (src/mvcc/epoch.h). A task never outlives its driver's EpochGuard.
+// (src/mvcc/epoch.h), and so does the reuse of a buffer that eviction
+// swapped out of a frame under a pin-free hit (buffer/buffer_pool.h). A
+// task never outlives its driver's EpochGuard.
 class SiasTable::ReadTask {
  public:
   ReadTask() = default;
@@ -179,7 +182,7 @@ class SiasTable::ReadTask {
     }
     const PageId next{table_->relation_, versions_[pos_ + 1].page};
     if (next.page == page.page) return;
-    if (table_->env_.pool->PinIfResident(next).valid()) return;  // a hit
+    if (table_->env_.pool->PeekResident(next) != nullptr) return;  // a hit
     auto lf = table_->env_.pool->StartFetch(next, clk());
     if (!lf.ok()) return;
     if (lf->resident) {
@@ -225,12 +228,14 @@ Status SiasTable::ReadTask::Run() {
       return Status::OK();
     }
 
-    // Pin the version's page: a finished demand read, the matching
+    // Reach the version's page: a finished demand read, the matching
     // lookahead, a resident hit, or — cold — submit the read and suspend.
-    // Only fetches that took the pool mutex (StartFetch) count as latch
-    // acquisitions.
+    // A hit takes no pin: the driver's epoch keeps the buffer it read from
+    // reuse (BufferPool::PeekResident). Only fetches that took the pool
+    // mutex (StartFetch) count as latch acquisitions.
     const PageId page_id{table_->relation_, tid.page};
     PageGuard guard;
+    const uint8_t* bytes = nullptr;
     if (fetch_.valid) {
       SIAS_CHECK(fetch_.id == page_id);
       SIAS_ASSIGN_OR_RETURN(guard, pool->FinishFetch(&fetch_, clk()));
@@ -239,8 +244,8 @@ Status SiasTable::ReadTask::Run() {
       SIAS_ASSIGN_OR_RETURN(guard, pool->FinishFetch(&lookahead_, clk()));
       batch_->inflight--;
     } else {
-      guard = pool->PinIfResident(page_id);
-      if (!guard.valid()) {
+      bytes = pool->PeekResident(page_id);
+      if (bytes == nullptr) {
         MvccObs().read_latch_acquisitions->Increment();
         auto f = pool->StartFetch(page_id, clk());
         if (!f.ok()) return f.status();
@@ -253,8 +258,10 @@ Status SiasTable::ReadTask::Run() {
         guard = std::move(f->guard);
       }
     }
+    if (bytes == nullptr) bytes = guard.data();
 
-    Slice tuple = SlottedPage(guard.data()).GetTupleAtomic(tid.slot);
+    Slice tuple =
+        SlottedPage(const_cast<uint8_t*>(bytes)).GetTupleAtomic(tid.slot);
     TupleHeader h;
     if (tuple.empty() || !DecodeTupleHeaderAtomic(tuple, &h) ||
         h.vid != vid_) {

@@ -63,14 +63,20 @@ Result<std::unique_ptr<Database>> Database::Open(const DatabaseOptions& opts) {
             })
           : BufferPool::WalFlushHook{});
   if (wal != nullptr) {
-    // Full-page images ahead of every in-place page write (torn-page
-    // protection; see WalRecordType::kPageImage). Disabled while recovery
-    // itself runs — the writer is not resumed yet, and redo restores pages
-    // from the images already in the log.
-    db->pool_->SetFpiHook([db = db.get()](PageId id, const uint8_t* image,
-                                          VirtualClock* clk) -> Result<Lsn> {
+    // Full-page images ahead of every in-place heap page write (torn-page
+    // protection; see WalRecordType::kPageImage). Index pages get none:
+    // recovery rebuilds every index from scratch on fresh pages
+    // (Table::RebuildIndexes) and never reads an old one. Disabled while
+    // recovery itself runs — the writer is not resumed yet, and redo
+    // restores pages from the images already in the log.
+    obs::Counter* fpi_records =
+        obs::MetricsRegistry::Default().GetCounter("wal.fpi_records");
+    db->pool_->SetFpiHook([db = db.get(), fpi_records](
+                              PageId id, const uint8_t* image,
+                              VirtualClock* clk) -> Result<Lsn> {
       (void)clk;
-      if (!db->fpi_enabled_.load(std::memory_order_acquire)) {
+      if (!db->fpi_enabled_.load(std::memory_order_acquire) ||
+          db->IsIndexRelation(id.relation)) {
         return kInvalidLsn;
       }
       WalRecord rec;
@@ -79,8 +85,7 @@ Result<std::unique_ptr<Database>> Database::Open(const DatabaseOptions& opts) {
       rec.tid = Tid{id.page, 0};
       rec.body.assign(reinterpret_cast<const char*>(image), kPageSize);
       SIAS_ASSIGN_OR_RETURN(Lsn lsn, db->wal_->Append(rec));
-      obs::MetricsRegistry::Default().GetCounter("wal.fpi_records")
-          ->Increment();
+      fpi_records->Increment();
       return lsn;
     });
   }
@@ -148,6 +153,10 @@ Status Database::CreateIndex(Table* table, const std::string& index_name,
   MutexLock g(&catalog_mu_);
   RelationId relation = next_relation_++;
   SIAS_RETURN_NOT_OK(disk_->CreateRelation(relation));
+  if (relation < kIndexRelationBits) {
+    index_relations_[relation / 64].fetch_or(uint64_t{1} << (relation % 64),
+                                             std::memory_order_release);
+  }
   std::unique_ptr<SecondaryIndex> index;
   if (kind == IndexKind::kMvPbt) {
     index = std::make_unique<MvPbt>(relation, pool_.get(), txns_.clog(),

@@ -180,6 +180,18 @@ class Database {
   /// Gates full-page-image logging: recovery replays the log with the WAL
   /// writer not yet resumed, so its own evictions/flushes must not append.
   std::atomic<bool> fpi_enabled_{true};
+  /// Index relations, whose page writes log no full-page image. A bitmap
+  /// rather than the catalog: the image hook runs under the pool mutex and
+  /// cannot take catalog_mu_. A relation past its end is treated as a heap
+  /// and logged, which is always safe.
+  static constexpr RelationId kIndexRelationBits = 1024;
+  std::array<std::atomic<uint64_t>, kIndexRelationBits / 64>
+      index_relations_{};
+  bool IsIndexRelation(RelationId relation) const {
+    return relation < kIndexRelationBits &&
+           (index_relations_[relation / 64].load(std::memory_order_acquire) >>
+            (relation % 64) & 1) != 0;
+  }
 
   DatabaseOptions opts_;
   std::unique_ptr<DiskManager> disk_;

@@ -4,7 +4,7 @@
 //
 // Readers pin the current global epoch in a per-thread slot before touching
 // any atomically published state (VidMapV entry vectors, buffer frames via
-// the optimistic fetch, append pages awaiting deferred GC slot kills). Writers
+// the pin-free hit, append pages awaiting deferred GC slot kills). Writers
 // unpublish superseded state with a single atomic store and hand the old
 // object to Retire(); the deferred-free queue runs an entry's callback only
 // once every epoch that was active at retire time has exited — so a reader
@@ -63,8 +63,9 @@ class EpochManager {
   /// Whether the calling thread currently holds an epoch pin.
   bool InEpoch() const;
 
-  /// Bumps the global epoch; called by vacuum after each GC pass and by
-  /// Database::Tick on the bgwriter cadence. Returns the new epoch.
+  /// Bumps the global epoch; called by vacuum after each GC pass, by
+  /// Database::Tick on the bgwriter cadence, and by a buffer pool whose
+  /// parked buffers wait on the current epoch. Returns the new epoch.
   uint64_t Advance();
 
   /// Oldest epoch any thread is currently pinned in; equals current() when
@@ -94,7 +95,6 @@ class EpochManager {
   size_t pending() const;
 
   /// Current global epoch.
-  SIAS_DEAD_API_OK("epoch_test checks that Advance moves the epoch");
   uint64_t current() const {
     return global_.load(std::memory_order_seq_cst);
   }

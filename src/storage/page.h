@@ -94,8 +94,9 @@ class SlottedPage {
   /// GetTuple for latch-free readers: slot admission and the (offset, len)
   /// slot entry are read with atomic acquire loads, so a concurrent append
   /// (publishing a later slot) or a concurrent GC slot-kill can never hand
-  /// back a torn entry. The caller must hold a validated frame pin (or a
-  /// page latch) so the underlying frame is not concurrently reused.
+  /// back a torn entry. The caller must hold a validated frame pin, a page
+  /// latch, or an epoch over a buffer from BufferPool::PeekResident, so the
+  /// underlying buffer is not concurrently reused.
   Slice GetTupleAtomic(uint16_t slot) const;
 
   /// Marks a slot dead (used by vacuum / garbage collection). The slot

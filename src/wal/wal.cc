@@ -263,7 +263,9 @@ Status WalWriter::FlushTo(Lsn lsn, VirtualClock* clk) {
   m_gc_leader_->Increment();
   fault::DebugRingLog("wal_flush", lsn, bytes_written);
   MutexLock g(&mu_);
-  flushed_lsn_ = lsn;
+  // The burst made every byte up to snapshot_end durable, not only those up
+  // to `lsn`: a later FlushTo inside them is a follower.
+  flushed_lsn_ = snapshot_end;
   // Drop the sectors the device now holds in full; keep the last one
   // buffered if the snapshot ended inside it, so the next flush rewrites it
   // with the records appended since. The test is on the snapshot, not on

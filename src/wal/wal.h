@@ -85,7 +85,8 @@ class WalWriter {
   /// every record appended before it). Charges `clk` for the device writes.
   /// Appends from other threads proceed while the sectors are written; a
   /// concurrent FlushTo waits, then returns at once if this flush covered
-  /// its lsn.
+  /// its lsn. A flush writes through the end of `lsn`'s sector, so the
+  /// bytes appended before it up to there are durable too.
   Status FlushTo(Lsn lsn, VirtualClock* clk);
 
   /// The logical end of the log: every byte appended so far.
@@ -111,6 +112,8 @@ class WalWriter {
   mutable Mutex mu_{LatchRank::kWal};
   /// Logical byte position of the next record.
   Lsn next_lsn_ SIAS_GUARDED_BY(mu_) = 0;
+  /// End of the bytes the last flush made durable: the end of its
+  /// snapshot, which can lie past the lsn it was asked for.
   Lsn flushed_lsn_ SIAS_GUARDED_BY(mu_) = 0;
   /// Bytes in [tail_start_, next_lsn_): the last sector a flush ended
   /// inside (its head is on the device already) and every byte after it.

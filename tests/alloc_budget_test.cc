@@ -15,6 +15,7 @@
 #include "device/mem_device.h"
 #include "engine/database.h"
 #include "index/key_codec.h"
+#include "tests/test_env.h"
 
 namespace {
 
@@ -154,6 +155,36 @@ TEST_F(AllocBudgetTest, SiasTableReadOfOneResidentItem) {
   EXPECT_LE(news, kSiasReadBudget) << "operator new calls per read";
   RecordProperty("operator_new_calls", static_cast<int>(news));
   ASSERT_TRUE(db_->Commit(txn.get()).ok());
+}
+
+TEST_F(AllocBudgetTest, SiasTableReadPastANewerVersion) {
+  // A snapshot older than an update walks two resident versions: two
+  // pin-free buffer hits, no pool mutex and no allocation.
+  auto reader = db_->Begin(&clk_);
+  std::string row;
+  ASSERT_TRUE(table_->heap()->Read(reader.get(), vids_[7], &row, nullptr).ok());
+  {
+    auto writer = db_->Begin(&clk_);
+    ASSERT_TRUE(table_
+                    ->Update(writer.get(), vids_[7],
+                             Row{{int64_t{1}, int64_t{2}, int64_t{8},
+                                  std::string("a newer customer data field"),
+                                  2.5}})
+                    .ok());
+    ASSERT_TRUE(db_->Commit(writer.get()).ok());
+  }
+  CounterDelta hits("buffer.hits");
+  CounterDelta latched("mvcc.read_latch_acquisitions");
+  int64_t before = t_news;
+  auto live = table_->heap()->Read(reader.get(), vids_[7], &row, nullptr);
+  int64_t news = t_news - before;
+  ASSERT_TRUE(live.ok());
+  EXPECT_TRUE(*live);
+  EXPECT_EQ(hits(), 2);
+  EXPECT_EQ(latched(), 0);
+  EXPECT_LE(news, kSiasReadBudget) << "operator new calls per read";
+  RecordProperty("operator_new_calls", static_cast<int>(news));
+  ASSERT_TRUE(db_->Commit(reader.get()).ok());
 }
 
 TEST_F(AllocBudgetTest, UpdateOfOneResidentSiasVRow) {

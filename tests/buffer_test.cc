@@ -11,6 +11,7 @@
 #include "buffer/buffer_pool.h"
 #include "common/random.h"
 #include "device/mem_device.h"
+#include "mvcc/epoch.h"
 #include "storage/disk_manager.h"
 #include "tests/test_env.h"
 
@@ -26,6 +27,35 @@ class BufferPoolTest : public ::testing::Test {
         disk_(&device_),
         pool_(&disk_, kFrames) {
     EXPECT_TRUE(disk_.CreateRelation(1).ok());
+  }
+
+  /// Frames of the pool SqueezeToOneVictim takes (the pool's minimum).
+  static constexpr size_t kSqueezeFrames = 8;
+
+  /// Writes page A ("page A") and seven "page B" pages through `pool`,
+  /// pins seven of them in `fillers`, and leaves A resident, clean and
+  /// unpinned (the pool's only victim) and B (`*b`) on the device only.
+  void SqueezeToOneVictim(BufferPool* pool, PageId* a, PageId* b,
+                          std::vector<PageGuard>* fillers) {
+    std::vector<PageId> ids;
+    for (size_t i = 0; i < kSqueezeFrames + 1; ++i) {
+      auto g = pool->NewPage(1, &clk_);
+      ASSERT_TRUE(g.ok());
+      ids.push_back(g->id());
+      g->LatchExclusive();
+      g->page().InsertTuple(Slice(i == 0 ? "page A" : "page B"));
+      g->MarkDirty();
+      g->Unlatch();
+    }
+    ASSERT_TRUE(pool->FlushAll(&clk_).ok());
+    *a = ids[0];
+    *b = ids[1];
+    for (size_t i = 2; i < ids.size(); ++i) {
+      auto g = pool->FetchPage(ids[i], &clk_);
+      ASSERT_TRUE(g.ok());
+      fillers->push_back(std::move(*g));
+    }
+    ASSERT_TRUE(pool->FetchPage(*a, &clk_).ok());
   }
 
   MemDevice device_;
@@ -75,28 +105,10 @@ void ReuseFrameInsidePinWindow(size_t) {
 }
 
 TEST_F(BufferPoolTest, PinRefusesAFrameReusedBetweenStampLoadAndPin) {
-  // Eight frames (the pool's minimum): seven pinned fillers and page A.
-  constexpr size_t kPoolFrames = 8;
-  BufferPool pool(&disk_, kPoolFrames);
-  std::vector<PageId> ids;
-  for (size_t i = 0; i < kPoolFrames + 1; ++i) {
-    auto g = pool.NewPage(1, &clk_);
-    ASSERT_TRUE(g.ok());
-    ids.push_back(g->id());
-    g->LatchExclusive();
-    g->page().InsertTuple(Slice(i == 0 ? "page A" : "page B"));
-    g->MarkDirty();
-    g->Unlatch();
-  }
-  ASSERT_TRUE(pool.FlushAll(&clk_).ok());
-  const PageId a = ids[0], b = ids[1];
+  BufferPool pool(&disk_, kSqueezeFrames);
+  PageId a, b;
   std::vector<PageGuard> fillers;
-  for (size_t i = 2; i < ids.size(); ++i) {
-    auto g = pool.FetchPage(ids[i], &clk_);
-    ASSERT_TRUE(g.ok());
-    fillers.push_back(std::move(*g));
-  }
-  ASSERT_TRUE(pool.FetchPage(a, &clk_).ok());  // resident, unpinned; b is not
+  ASSERT_NO_FATAL_FAILURE(SqueezeToOneVictim(&pool, &a, &b, &fillers));
 
   g_window_pool = &pool;
   g_window_other = b;
@@ -112,6 +124,112 @@ TEST_F(BufferPoolTest, PinRefusesAFrameReusedBetweenStampLoadAndPin) {
   // frame as page A.
   EXPECT_EQ(g->page().GetTuple(0).ToString(), "page A");
   EXPECT_EQ(misses(), 2);  // b inside the window, then a again
+}
+
+/// Runs inside FindVictim's window, after its pin and dirty checks passed
+/// and before it makes the stamp odd: a writer pins the victim without the
+/// mutex, changes the page, marks it dirty and lets go again.
+void ChangeVictimInsideEvictionWindow(size_t) {
+  BufferPool::SetPinPauseHookForTest(nullptr);  // one shot
+  g_window_calls++;
+  PageGuard g = g_window_pool->PinIfResident(g_window_other);
+  ASSERT_TRUE(g.valid());
+  EXPECT_NE(g.page().InsertTuple(Slice("late change")),
+            SlottedPage::kInvalidSlot);
+  g.MarkDirty();
+}
+
+TEST_F(BufferPoolTest, EvictionKeepsAChangeMadeInsideItsWindow) {
+  // Seven pinned fillers leave page A's frame the only victim. A hit pins
+  // A, changes it and unpins between the evictor's checks and its stamp
+  // bump; the evictor must see the change and write A back before it
+  // reuses the frame, not drop it.
+  BufferPool pool(&disk_, kSqueezeFrames);
+  PageId a, b;
+  std::vector<PageGuard> fillers;
+  ASSERT_NO_FATAL_FAILURE(SqueezeToOneVictim(&pool, &a, &b, &fillers));
+
+  g_window_pool = &pool;
+  g_window_other = a;
+  g_window_calls = 0;
+  BufferPool::SetPinPauseHookForTest(&ChangeVictimInsideEvictionWindow);
+  auto gb = pool.FetchPage(b, &clk_);  // evicts A
+  BufferPool::SetPinPauseHookForTest(nullptr);
+  ASSERT_TRUE(gb.ok());
+  EXPECT_EQ(g_window_calls, 1);
+  gb->Release();
+  auto ga = pool.FetchPage(a, &clk_);  // evicts B, reads A back
+  ASSERT_TRUE(ga.ok());
+  SlottedPage sp = ga->page();
+  ASSERT_EQ(sp.slot_count(), 2u) << "the change made in the window was lost";
+  EXPECT_EQ(sp.GetTuple(1).ToString(), "late change");
+}
+
+TEST_F(BufferPoolTest, PeekRefusesAFrameRefilledBetweenTagCheckAndLoad) {
+  // The same squeeze as above, on the pin-free hit: inside PeekResident's
+  // window (tag checked, buffer pointer not loaded yet), page A's frame is
+  // evicted and refilled with page B. The peek must come back empty, never
+  // with B's bytes as A's.
+  BufferPool pool(&disk_, kSqueezeFrames);
+  PageId a, b;
+  std::vector<PageGuard> fillers;
+  ASSERT_NO_FATAL_FAILURE(SqueezeToOneVictim(&pool, &a, &b, &fillers));
+
+  EpochGuard epoch;
+  const uint8_t* before = pool.PeekResident(a);
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(SlottedPage(const_cast<uint8_t*>(before)).GetTuple(0).ToString(),
+            "page A");
+  g_window_pool = &pool;
+  g_window_other = b;
+  g_window_calls = 0;
+  BufferPool::SetPinPauseHookForTest(&ReuseFrameInsidePinWindow);
+  const uint8_t* bytes = pool.PeekResident(a);
+  BufferPool::SetPinPauseHookForTest(nullptr);
+  EXPECT_EQ(g_window_calls, 1);
+  EXPECT_EQ(bytes, nullptr) << "the peek returned the refilled frame's bytes";
+  // The buffer the first peek returned is parked, not reused, while this
+  // thread's epoch lasts: it still holds page A.
+  EXPECT_EQ(SlottedPage(const_cast<uint8_t*>(before)).GetTuple(0).ToString(),
+            "page A");
+}
+
+TEST_F(BufferPoolTest, ParkedBuffersStayBoundedAfterManyEvictions) {
+  // Cycle four times the pool's size in pages through it with no reader
+  // inside an epoch: each eviction parks its frame's buffer, and the pool
+  // reuses parked buffers (advancing the epoch itself) instead of growing.
+  constexpr size_t kPoolFrames = 32;
+  constexpr int64_t kBound = 16;  // BufferPool::kParkedAdvance
+  constexpr int64_t kKeep = 64;   // BufferPool::kParkedKeep
+  BufferPool pool(&disk_, kPoolFrames);
+  obs::Gauge* parked =
+      obs::MetricsRegistry::Default().GetGauge("buffer.parked");
+  std::vector<PageId> ids;
+  for (size_t i = 0; i < 4 * kPoolFrames; ++i) {
+    auto g = pool.NewPage(1, &clk_);
+    ASSERT_TRUE(g.ok());
+    ids.push_back(g->id());
+  }
+  ASSERT_TRUE(pool.FlushAll(&clk_).ok());
+  CounterDelta evictions("buffer.evictions");
+  for (int round = 0; round < 8; ++round) {
+    for (PageId id : ids) {
+      ASSERT_TRUE(pool.FetchPage(id, &clk_).ok());
+      ASSERT_LE(parked->Value(), kBound);
+    }
+  }
+  EXPECT_GT(evictions(), 800);
+
+  // A reader inside an epoch holds every buffer parked meanwhile: the ring
+  // grows past what the pool keeps, then shrinks back once the reader
+  // leaves.
+  {
+    EpochGuard reader;
+    for (PageId id : ids) ASSERT_TRUE(pool.FetchPage(id, &clk_).ok());
+    EXPECT_GT(parked->Value(), kKeep);
+  }
+  for (PageId id : ids) ASSERT_TRUE(pool.FetchPage(id, &clk_).ok());
+  EXPECT_LE(parked->Value(), kKeep);
 }
 
 TEST_F(BufferPoolTest, DataSurvivesEviction) {

@@ -340,6 +340,77 @@ TEST_P(ConcurrencyTest, VacuumRacingTickReclaimsKeepsHotRowsIntact) {
   ASSERT_TRUE(db_->Commit(check.get()).ok());
 }
 
+// Pin-free buffer hits racing eviction: four readers Get random rows of a
+// SIAS-V table eight times larger than a 16-frame pool, while a fifth thread
+// sweeps the table in order so frames are evicted and refilled under the
+// readers' hits. A hit validates the frame around one buffer-pointer load
+// and reads without a pin; every read must still return its own row (and
+// TSan must see no race on a buffer an eviction swapped out).
+TEST(PinFreeHitTest, ReadersRacingEvictionsGetTheirOwnRows) {
+  constexpr size_t kFrames = 16;
+  constexpr int kItems = 4000;  // ~200-byte rows: about 120 pages
+  constexpr int kReaders = 4;
+  constexpr int kReadsPerReader = 4000;
+  MemDevice data(1ull << 30), wal(1ull << 30);
+  DatabaseOptions opts;
+  opts.data_device = &data;
+  opts.wal_device = &wal;
+  opts.pool_frames = kFrames;
+  auto db = Database::Open(opts);
+  ASSERT_TRUE(db.ok());
+  auto t = (*db)->CreateTable("wide",
+                              Schema{{"k", ColumnType::kInt64},
+                                     {"pad", ColumnType::kString}},
+                              VersionScheme::kSiasV);
+  ASSERT_TRUE(t.ok());
+  Table* table = *t;
+  const std::string pad(200, 'p');
+  std::vector<Vid> vids;
+  {
+    VirtualClock clk;
+    auto txn = (*db)->Begin(&clk);
+    for (int k = 0; k < kItems; ++k) {
+      auto vid = table->Insert(txn.get(), Row{{int64_t{k}, pad}});
+      ASSERT_TRUE(vid.ok()) << vid.status().ToString();
+      vids.push_back(*vid);
+    }
+    ASSERT_TRUE((*db)->Commit(txn.get()).ok());
+  }
+  CounterDelta evictions("buffer.evictions");
+  CounterDelta hits("buffer.hits");
+  std::atomic<int> readers_done{0};
+  std::atomic<int> wrong{0};
+  auto check = [&](Transaction* txn, int k) {
+    auto row = table->Get(txn, vids[static_cast<size_t>(k)]);
+    if (!row.ok() || !row->has_value() || (*row)->GetInt(0) != k) wrong++;
+  };
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Random rng(0xFEED + static_cast<uint64_t>(r));
+      VirtualClock clk;
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        auto txn = (*db)->Begin(&clk);
+        check(txn.get(), static_cast<int>(rng.Uniform(0, kItems - 1)));
+        EXPECT_TRUE((*db)->Commit(txn.get()).ok());
+      }
+      readers_done++;
+    });
+  }
+  threads.emplace_back([&] {
+    VirtualClock clk;
+    while (readers_done.load() < kReaders) {
+      auto txn = (*db)->Begin(&clk);
+      for (int k = 0; k < kItems; k += 8) check(txn.get(), k);
+      EXPECT_TRUE((*db)->Commit(txn.get()).ok());
+    }
+  });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(evictions(), 100);  // the frames really were refilled
+  EXPECT_GT(hits(), 1000);      // and the readers really hit
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ConcurrencyTest,
                          ::testing::Values(VersionScheme::kSi,
                                            VersionScheme::kSiasChains,

@@ -68,6 +68,25 @@ TEST_F(WalTest, AppendFlushReadRoundTrip) {
   EXPECT_EQ(reader.lsn(), *lsn2);
 }
 
+TEST_F(WalTest, FlushInsideBytesAnEarlierFlushWroteFollows) {
+  // Two records in one sector: flushing the first writes the whole sector,
+  // the second record included, so flushing the second needs no device
+  // write and no sync — it follows the first flush.
+  auto lsn1 = writer_.Append(MakeInsert(1, 1, Tid{0, 0}, "one"));
+  auto lsn2 = writer_.Append(MakeInsert(2, 1, Tid{0, 1}, "two"));
+  ASSERT_TRUE(lsn1.ok() && lsn2.ok());
+  ASSERT_LT(*lsn2, 512u);  // both in the first sector
+  ASSERT_TRUE(writer_.FlushTo(*lsn1, &clk_).ok());
+  EXPECT_EQ(writer_.flushed_lsn(), *lsn2);
+  CounterDelta written("wal.written_bytes");
+  CounterDelta leaders("wal.group_commit.leader");
+  CounterDelta followers("wal.group_commit.follower");
+  ASSERT_TRUE(writer_.FlushTo(*lsn2, &clk_).ok());
+  EXPECT_EQ(written(), 0);
+  EXPECT_EQ(leaders(), 0);
+  EXPECT_EQ(followers(), 1);
+}
+
 TEST_F(WalTest, UnflushedRecordsInvisibleToReader) {
   auto lsn1 = writer_.Append(MakeInsert(1, 1, Tid{0, 0}, "flushed"));
   ASSERT_TRUE(writer_.FlushTo(*lsn1, &clk_).ok());
