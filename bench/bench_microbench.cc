@@ -23,6 +23,7 @@
 #include "index/key_codec.h"
 #include "mvcc/tuple.h"
 #include "mvcc/visibility.h"
+#include "obs/metrics.h"
 #include "storage/disk_manager.h"
 #include "txn/clog.h"
 #include "txn/lock_manager.h"
@@ -280,6 +281,38 @@ void BM_LockAcquireRelease(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LockAcquireRelease);
+
+// ---------------------------------------------------------------------------
+// Metric recording on the engine's hot paths: one histogram sample (bucket
+// lookup plus the stripe's atomics) and one sharded counter add. The
+// metrics are local, so they stay out of the registry dump below.
+// ---------------------------------------------------------------------------
+
+void BM_HistogramRecord(benchmark::State& state) {
+  static obs::HistogramMetric hist;  // shared by all benchmark threads
+  // Log-uniform samples from 1 ns to ~1 s, drawn per thread.
+  Random rng(7 + static_cast<uint64_t>(state.thread_index()));
+  std::vector<VDuration> samples(1024);
+  for (VDuration& v : samples) {
+    v = rng.Uniform(1, VDuration{1} << rng.Uniform(0, 30));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    hist.Record(samples[i++ & 1023]);
+  }
+  benchmark::ClobberMemory();
+}
+BENCHMARK(BM_HistogramRecord)->Threads(1)->Threads(4);
+
+void BM_CounterAdd(benchmark::State& state) {
+  obs::Counter counter;
+  int64_t n = state.range(0);
+  for (auto _ : state) {
+    counter.Add(n);
+  }
+  benchmark::DoNotOptimize(counter.Value());
+}
+BENCHMARK(BM_CounterAdd)->Arg(1);
 
 }  // namespace
 

@@ -163,7 +163,6 @@ const char* LatchRankName(LatchRank rank) {
     case LatchRank::kStats: return "stats";
     case LatchRank::kMetricsRegistry: return "metrics-registry";
     case LatchRank::kSpanAggregator: return "span-aggregator";
-    case LatchRank::kMetrics: return "metrics";
   }
   return "?";
 }

@@ -72,9 +72,8 @@ enum class LatchRank : uint8_t {
   kDeviceStore = 91,    ///< DataStore::mu_ (payload bytes)
   kEpochQueue = 93,     ///< EpochManager::queue_mu_ (deferred-free list)
   kStats = 95,          ///< per-component stats mutexes, TraceRecorder
-  kMetricsRegistry = 98,  ///< obs registry map (locks histogram shards)
+  kMetricsRegistry = 98,  ///< obs registry map (a leaf while held)
   kSpanAggregator = 99,  ///< span aggregator (per-txn-type latency, exemplars)
-  kMetrics = 100,       ///< histogram shards (terminal leaves)
 };
 
 namespace check {

@@ -5,11 +5,34 @@
 namespace sias {
 namespace obs {
 
-size_t ThreadShard(size_t n) {
-  static std::atomic<size_t> next_thread{0};
-  thread_local size_t ordinal =
-      next_thread.fetch_add(1, std::memory_order_relaxed);
-  return ordinal % n;
+size_t internal::AssignThreadOrdinal() {
+  static std::atomic<size_t> next_ordinal{1};
+  thread_ordinal = next_ordinal.fetch_add(1, std::memory_order_relaxed);
+  return thread_ordinal;
+}
+
+Histogram HistogramMetric::Snapshot() const {
+  Histogram merged;
+  std::array<uint64_t, Histogram::kBuckets> counts;
+  for (const Stripe& s : stripes_) {
+    for (size_t i = 0; i < counts.size(); ++i) {
+      counts[i] = s.buckets[i].load(std::memory_order_acquire);
+    }
+    merged.AddCounts(counts, static_cast<double>(s.sum.load(
+                                 std::memory_order_relaxed)),
+                     s.min.load(std::memory_order_relaxed),
+                     s.max.load(std::memory_order_relaxed));
+  }
+  return merged;
+}
+
+void HistogramMetric::Reset() {
+  for (Stripe& s : stripes_) {
+    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
+    s.sum.store(0, std::memory_order_relaxed);
+    s.min.store(~0ull, std::memory_order_relaxed);
+    s.max.store(0, std::memory_order_relaxed);
+  }
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {

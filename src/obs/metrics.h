@@ -4,8 +4,9 @@
 // Counters are sharded across cache lines so hot-path increments from many
 // terminals never contend on one atomic; shards are summed on read
 // (read-rarely, write-often). Gauges are single atomics (set-rarely).
-// Histograms reuse common/histogram and shard a mutex+Histogram pair per
-// stripe, merged on snapshot.
+// Histograms bucket through common/histogram's constant-time BucketIndex
+// into 8 stripes of relaxed atomic counts; recording takes no lock and
+// Snapshot() merges the stripes into a Histogram.
 //
 // The registry hands out stable metric pointers: components look a metric up
 // once at construction and then increment through the pointer with no map
@@ -16,6 +17,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -31,9 +33,23 @@ namespace obs {
 
 inline constexpr size_t kCounterShards = 16;
 inline constexpr size_t kHistogramShards = 8;
+static_assert(std::has_single_bit(kCounterShards) &&
+                  std::has_single_bit(kHistogramShards),
+              "shard counts must be powers of two so ThreadShard masks");
+
+namespace internal {
+/// The calling thread's shard ordinal; 0 until its first ThreadShard.
+inline constinit thread_local size_t thread_ordinal = 0;
+/// Gives the calling thread its ordinal (>= 1) and returns it.
+size_t AssignThreadOrdinal();
+}  // namespace internal
 
 /// Stable per-thread shard index in [0, n).
-size_t ThreadShard(size_t n);
+inline size_t ThreadShard(size_t n) {
+  size_t ordinal = internal::thread_ordinal;
+  if (ordinal == 0) [[unlikely]] ordinal = internal::AssignThreadOrdinal();
+  return ordinal % n;
+}
 
 /// Monotone counter, sharded per thread. Increments are wait-free and touch
 /// one cache line; Value() sums all shards.
@@ -73,39 +89,39 @@ class Gauge {
   std::atomic<int64_t> v_{0};
 };
 
-/// Latency distribution. Record() locks one of kHistogramShards stripes
-/// (per-thread affinity keeps contention near zero); Snapshot() merges.
+/// Latency distribution. Record() touches one of kHistogramShards stripes
+/// (per-thread affinity keeps them uncontended) with relaxed atomics and
+/// takes no lock; Snapshot() merges the stripes. Reset() is exact only
+/// while no thread records: a racing Record may survive it in part.
 class HistogramMetric {
  public:
   void Record(VDuration v) {
-    Shard& s = shards_[ThreadShard(kHistogramShards)];
-    MutexLock g(&s.mu);
-    s.h.Record(v);
+    Stripe& s = stripes_[ThreadShard(kHistogramShards)];
+    VDuration seen = s.min.load(std::memory_order_relaxed);
+    while (v < seen && !s.min.compare_exchange_weak(
+                           seen, v, std::memory_order_relaxed)) {
+    }
+    seen = s.max.load(std::memory_order_relaxed);
+    while (v > seen && !s.max.compare_exchange_weak(
+                           seen, v, std::memory_order_relaxed)) {
+    }
+    s.sum.fetch_add(v, std::memory_order_relaxed);
+    // Release: a Snapshot that counts this sample also sees its extremes.
+    s.buckets[Histogram::BucketIndex(v)].fetch_add(1,
+                                                   std::memory_order_release);
   }
 
-  Histogram Snapshot() const {
-    Histogram merged;
-    for (const auto& s : shards_) {
-      MutexLock g(&s.mu);
-      merged.Merge(s.h);
-    }
-    return merged;
-  }
-
-  void Reset() {
-    for (auto& s : shards_) {
-      MutexLock g(&s.mu);
-      s.h.Reset();
-    }
-  }
+  Histogram Snapshot() const;
+  void Reset();
 
  private:
-  struct alignas(64) Shard {
-    /// Rank kMetrics: a terminal leaf — no latch is ever acquired under it.
-    mutable Mutex mu{LatchRank::kMetrics};
-    Histogram h SIAS_GUARDED_BY(mu);
+  struct alignas(64) Stripe {
+    std::atomic<uint64_t> sum{0};
+    std::atomic<VDuration> min{~0ull};
+    std::atomic<VDuration> max{0};
+    std::array<std::atomic<uint64_t>, Histogram::kBuckets> buckets{};
   };
-  std::array<Shard, kHistogramShards> shards_;
+  std::array<Stripe, kHistogramShards> stripes_;
 };
 
 /// Condensed histogram figures carried in a snapshot.
@@ -164,8 +180,8 @@ class MetricsRegistry {
   static MetricsRegistry& Default();
 
  private:
-  /// Rank kMetricsRegistry: Snapshot/ResetAll lock the kMetrics histogram
-  /// shards while holding it, so it must sit just below them.
+  /// Rank kMetricsRegistry: a leaf while held; Snapshot/ResetAll read and
+  /// reset metrics under it without taking any other latch.
   mutable Mutex mu_{LatchRank::kMetricsRegistry};
   std::map<std::string, std::unique_ptr<Counter>> counters_
       SIAS_GUARDED_BY(mu_);

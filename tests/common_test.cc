@@ -2,6 +2,7 @@
 // Histogram, virtual clocks and core ID types.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <thread>
 #include <vector>
@@ -384,6 +385,46 @@ TEST(HistogramTest, PercentilesStayWithinObservedRange) {
   h.Record(7 * kVMicrosecond);
   EXPECT_EQ(h.Percentile(0.1), 7 * kVMicrosecond);
   EXPECT_EQ(h.Percentile(99.9), 7 * kVMicrosecond);
+}
+
+TEST(HistogramTest, BucketIndexMatchesBinarySearch) {
+  // Reference: the geometric bounds built at run time, searched with
+  // upper_bound and capped at the overflow bucket.
+  std::vector<VDuration> bounds;
+  for (VDuration b = 1; b < 5000ull * kVSecond;
+       b = static_cast<VDuration>(static_cast<double>(b) * 1.04) + 1) {
+    bounds.push_back(b);
+  }
+  bounds.push_back(~0ull);
+  ASSERT_EQ(bounds.size(), Histogram::kBuckets);
+  auto expected = [&](VDuration v) {
+    size_t i = static_cast<size_t>(
+        std::upper_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+    return std::min(i, bounds.size() - 1);
+  };
+  size_t mismatches = 0;
+  auto check = [&](VDuration v) {
+    if (Histogram::BucketIndex(v) != expected(v) && ++mismatches <= 10) {
+      ADD_FAILURE() << "v=" << v << " BucketIndex="
+                    << Histogram::BucketIndex(v) << " want " << expected(v);
+    }
+  };
+  for (VDuration v = 0; v < (VDuration{1} << 21); ++v) check(v);
+  for (VDuration b : bounds) {
+    check(b - 1);
+    check(b);
+    check(b + 1);
+  }
+  check(~0ull);
+  // Every bit length gets the same share of a 10.24 M-value seeded sweep.
+  Random rng(29);
+  for (int i = 0; i < 10240000; ++i) {
+    int bits = i % 64 + 1;
+    VDuration v = (VDuration{1} << (bits - 1)) |
+                  (rng.Next() & ((VDuration{1} << (bits - 1)) - 1));
+    check(v);
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(LatchTest, SpinLatchMutualExclusion) {

@@ -304,24 +304,18 @@ constexpr EngineEdge kEngineEdges[] = {
     {"WalWriter::FlushTo", LatchRank::kWalFlush, LatchRank::kDevice, false},
     // Async I/O: the deferred FIFO executes queued requests through the
     // fault decorator's write cache and on into the device; the base
-    // device records each completion (and its lag histogram) under the
-    // completion-table mutex.
+    // device records each completion under the completion-table mutex.
     {"FaultyDevice::ExecuteThrough", LatchRank::kIoQueue,
      LatchRank::kFaultyDevice, false},
     {"FaultyDevice::ExecuteThrough device", LatchRank::kIoQueue,
      LatchRank::kDevice, false},
     {"FaultyDevice::ExecuteThrough completion", LatchRank::kIoQueue,
      LatchRank::kIoCompletion, false},
-    {"StorageDevice::Poll lag", LatchRank::kIoCompletion, LatchRank::kMetrics,
-     false},
     {"FlashSsd::Write", LatchRank::kDevice, LatchRank::kDeviceCalendar,
      false},
     // Devices record I/O into trace/stats leaves and the payload store.
     {"StorageDevice trace", LatchRank::kDevice, LatchRank::kStats, false},
     {"FlashSsd store", LatchRank::kDevice, LatchRank::kDeviceStore, false},
-    // Metrics: the registry snapshot merges histogram shards.
-    {"MetricsRegistry::Snapshot", LatchRank::kMetricsRegistry,
-     LatchRank::kMetrics, false},
 };
 
 TEST(LatchCheckTest, DocumentedRankOrderAdmitsEngineSequences) {

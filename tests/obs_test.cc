@@ -103,8 +103,19 @@ TEST(MetricsRegistryTest, HistogramRecordsUnderConcurrency) {
   for (auto& th : threads) th.join();
   Histogram merged = h->Snapshot();
   EXPECT_EQ(merged.count(), uint64_t{kThreads} * kPerThread);
-  EXPECT_GE(merged.Max(), kPerThread * kVMicrosecond);
+  EXPECT_EQ(merged.Sum(), static_cast<double>(kThreads) * kPerThread *
+                              (kPerThread + 1) / 2 * kVMicrosecond);
+  EXPECT_EQ(merged.Min(), 1 * kVMicrosecond);
+  EXPECT_EQ(merged.Max(), kPerThread * kVMicrosecond);
   EXPECT_GT(merged.Percentile(50), 0);
+
+  // Reset restores the min/max sentinels: a fresh sample is both extremes.
+  reg.ResetAll();
+  h->Record(42 * kVMicrosecond);
+  Histogram fresh = h->Snapshot();
+  EXPECT_EQ(fresh.count(), 1u);
+  EXPECT_EQ(fresh.Min(), 42 * kVMicrosecond);
+  EXPECT_EQ(fresh.Max(), 42 * kVMicrosecond);
 }
 
 TEST(MetricsRegistryTest, SnapshotCarriesAllMetricKinds) {
